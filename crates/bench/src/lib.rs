@@ -1,12 +1,8 @@
-//! Experiment workloads shared by the `experiments` binary (which prints
-//! the EXPERIMENTS.md tables) and the Criterion benches (one per
-//! experiment, `benches/e*.rs`).
+//! Experiment workloads behind the `experiments` binary (which prints the
+//! EXPERIMENTS.md tables).
 //!
 //! Each `eN` module owns the workload generators and sweep logic for one
-//! experiment of DESIGN.md's index; the binary formats the results, the
-//! benches time the same closures under Criterion.
-
-#![forbid(unsafe_code)]
+//! experiment of DESIGN.md's index; the binary formats the results.
 
 pub mod bench_wcoj;
 pub mod workloads;

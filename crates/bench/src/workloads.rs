@@ -1,5 +1,4 @@
-//! Workload builders shared between the experiment binary and the
-//! Criterion benches.
+//! Workload builders for the experiment binary.
 
 use lowerbounds::csp::CspInstance;
 use lowerbounds::join::{Database, JoinQuery, Table};

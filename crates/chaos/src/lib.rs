@@ -38,8 +38,6 @@
 //! `cargo run -p lb-chaos -- --family sat --seed N` reruns exactly the
 //! same instance, fault plan, and budget.
 
-#![forbid(unsafe_code)]
-
 pub mod differential;
 pub mod harness;
 pub mod hostile;

@@ -22,6 +22,11 @@
 //! --storms 1` replays the identical storm (the fault schedules are pure
 //! functions of the seed).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the storm soak drives a live server under wall-clock deadlines"
+)]
+
 use lb_serve::bench::{self, connect_patiently};
 use lb_serve::client::{retry_with_backoff, Backoff, Client, ClientError};
 use lb_serve::job::JobSpec;

@@ -9,6 +9,11 @@
 //! binaries print one table per experiment using [`print_table`];
 //! `EXPERIMENTS.md` archives the output.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this is the wall-clock measurement harness"
+)]
+
 use lb_engine::RunStats;
 use std::fmt;
 use std::time::{Duration, Instant};

@@ -46,8 +46,6 @@
 //! assert!(stats.tuples >= 1000); // machine-independent work counters
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod claims;
 pub mod experiments;
 pub mod hypotheses;

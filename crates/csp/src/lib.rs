@@ -19,8 +19,6 @@
 //! All solvers support deciding, counting, and enumerating solutions, and
 //! agree with each other (property-tested).
 
-#![forbid(unsafe_code)]
-
 pub mod consistency;
 pub mod generators;
 pub mod instance;

@@ -71,8 +71,6 @@
 //!   versioned, checksummed [`Checkpoint`] and resumes exactly where it
 //!   stopped, with summed [`RunStats`] equal to an uninterrupted run.
 
-#![forbid(unsafe_code)]
-
 pub mod checkpoint;
 pub mod fault;
 pub mod parse;
@@ -433,12 +431,15 @@ impl Ticker {
         Ticker::build(budget, Some(plan.clone()))
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the engine is where wall-clock budgets are implemented"
+    )]
     fn build(budget: &Budget, plan: Option<fault::FaultPlan>) -> Ticker {
         Ticker {
             stats: RunStats::default(),
             ticks: 0,
             limit: budget.max_ticks().unwrap_or(u64::MAX),
-            // lb-lint: allow(no-adhoc-timing) -- the engine is where wall-clock budgets are implemented
             start: Instant::now(),
             time_limit: budget.time_limit(),
             // The first counted op consults the clock, so an already-expired

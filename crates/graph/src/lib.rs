@@ -20,8 +20,6 @@
 //! * [`special`] — the "special" graphs of Definition 4.3 (a k-clique plus a
 //!   path on 2^k vertices), the paper's candidate NP-intermediate family.
 
-#![forbid(unsafe_code)]
-
 pub mod digraph;
 pub mod generators;
 pub mod graph;

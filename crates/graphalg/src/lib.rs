@@ -29,8 +29,6 @@
 //! about can be measured machine-independently. Only [`matmul`] stays an
 //! unbudgeted primitive; its callers tick before invoking it.
 
-#![forbid(unsafe_code)]
-
 pub mod clique;
 pub mod domset;
 pub mod editdist;

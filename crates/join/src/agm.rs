@@ -15,6 +15,15 @@
 //! [`agm_bound_holds`] compares `answer^q` against `N^p` with exact big
 //! integer arithmetic instead of an epsilon-tolerant float comparison.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss
+    )
+)]
+
 use crate::database::{Database, Table};
 use crate::query::JoinQuery;
 use crate::Value;

@@ -25,8 +25,6 @@
 //! [`lb_engine::Outcome`] paired with [`lb_engine::RunStats`] counters
 //! (nodes tried, trie advances, tuples materialized, largest intermediate).
 
-#![forbid(unsafe_code)]
-
 pub mod acyclic;
 pub mod agm;
 pub mod binary;

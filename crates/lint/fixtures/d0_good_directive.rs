@@ -10,7 +10,7 @@ pub fn trailing(xs: &[u32]) -> u32 {
     *xs.first().unwrap() // lb-lint: allow(no-panic) -- invariant: callers guarantee xs is nonempty
 }
 
-pub fn multi(n: u64) -> f64 {
-    // lb-lint: allow(no-panic, no-lossy-cast) -- display-only: panics and rounding both acceptable in this demo
-    f64::from(u32::try_from(n).unwrap())
+pub fn multi(xs: &[u32]) -> u32 {
+    // lb-lint: allow(no-panic, no-unchecked-index) -- invariant: callers guarantee xs is nonempty
+    xs[0].max(*xs.first().unwrap())
 }

@@ -1,6 +1,6 @@
 //! R2 fixture: bound arithmetic with no lossy casts, or casts that carry a
-//! justified allow. Widening integer casts are not lossy and must not be
-//! flagged.
+//! justified `#[expect]`. Widening integer casts are not lossy and must not
+//! be flagged.
 
 pub fn widen(x: u32) -> u64 {
     u64::from(x)
@@ -10,7 +10,10 @@ pub fn widen_as(x: u32) -> u64 {
     x as u64
 }
 
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "display-only: feeds a log line, never a bound decision"
+)]
 pub fn display_only(n: u64) -> f64 {
-    // lb-lint: allow(no-lossy-cast) -- display-only: feeds a log line, never a bound decision
     n as f64
 }

@@ -1,5 +1,5 @@
-//! R3 fixture: a crate root that forbids unsafe code.
+//! R3 fixture: the same lookup in safe code.
 
-#![forbid(unsafe_code)]
-
-pub fn noop() {}
+pub fn first(xs: &[u32]) -> Option<u32> {
+    xs.first().copied()
+}

@@ -1,4 +1,7 @@
-//! R3 fixture: a crate root (linted under the path `.../src/lib.rs`) that
-//! never declares `#![forbid(unsafe_code)]`.
+//! R3 fixture: an `unsafe` block, which the workspace `unsafe_code =
+//! "forbid"` lint must reject.
 
-pub fn noop() {}
+pub fn first(xs: &[u32]) -> u32 {
+    assert!(!xs.is_empty());
+    unsafe { *xs.get_unchecked(0) }
+}

@@ -1,26 +1,23 @@
-//! R4 fixture: `Result`-returning entry points annotated `#[must_use]`,
-//! plus shapes R4 must ignore (infallible fns, non-`pub` fns).
+//! R4 fixture: callers that propagate, inspect, or explicitly default the
+//! entry point's `Result`.
 
 #[must_use = "dropping the result discards the answer or the failure"]
 pub fn solve(input: &str) -> Result<u64, String> {
     input.parse().map_err(|_| "bad input".to_string())
 }
 
-/// Attributes between `#[must_use]` and the fn must not hide the annotation.
-#[must_use = "dropping the result discards the answer or the failure"]
-#[inline]
-pub fn solve_inline(input: &str) -> Result<u64, String> {
-    input.parse().map_err(|_| "bad input".to_string())
+pub fn propagating_caller(input: &str) -> Result<u64, String> {
+    let x = solve(input)?;
+    Ok(x + 1)
 }
 
-pub fn infallible(x: u64) -> u64 {
-    x + 1
+pub fn defaulting_caller(input: &str) -> u64 {
+    solve(input).unwrap_or(0)
 }
 
-fn private_helper(input: &str) -> Result<u64, String> {
-    input.parse().map_err(|_| "bad input".to_string())
-}
-
-pub fn uses_helper(input: &str) -> u64 {
-    private_helper(input).unwrap_or(0)
+pub fn inspecting_caller(input: &str) -> bool {
+    match solve(input) {
+        Ok(_) => true,
+        Err(e) => e.is_empty(),
+    }
 }

@@ -1,13 +1,14 @@
-//! R4 fixture: fallible public entry points (linted under an entry-point
-//! path) returning `Result` without `#[must_use]`.
+//! R4 fixture: callers that drop a fallible entry point's `Result`, which
+//! the workspace `unused_must_use = "deny"` lint must reject.
 
 pub fn solve(input: &str) -> Result<u64, String> {
     input.parse().map_err(|_| "bad input".to_string())
 }
 
-pub fn solve_multiline(
-    input: &str,
-    base: u64,
-) -> Result<u64, String> {
-    input.parse::<u64>().map(|x| x + base).map_err(|_| "bad input".to_string())
+pub fn caller(input: &str) {
+    solve(input);
+}
+
+pub fn chained_caller(input: &str) {
+    solve(input).map(|x| x + 1);
 }

@@ -1,5 +1,6 @@
-//! R5 fixture: the same `process::exit` call is fine when the file lives
-//! under `src/bin/` (the self-test lints this content under a bin path).
+//! R5 fixture: a binary's `main` deciding its own exit code, which
+//! `clippy::exit` permits (the gate builds a fixture with `fn main` as a
+//! binary crate).
 
 use std::process;
 

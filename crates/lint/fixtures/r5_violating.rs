@@ -1,4 +1,5 @@
-//! R5 fixture: `std::process::exit` from library code.
+//! R5 fixture: `std::process::exit` from library code, which the workspace
+//! `clippy::exit = "deny"` lint must reject.
 
 pub fn die(msg: &str) -> ! {
     eprintln!("{msg}");

@@ -1,5 +1,5 @@
 //! R6 fixture: solver code that reports its work through counters instead
-//! of wall-clock time — the engine-layer convention the rule enforces.
+//! of wall-clock time — the engine-layer convention the lint enforces.
 
 pub struct Counters {
     pub nodes: u64,

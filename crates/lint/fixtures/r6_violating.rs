@@ -1,6 +1,6 @@
-//! R6 fixture: ad-hoc wall-clock timing inside solver library code. The
-//! self-test lints this under a `src/` library path (flagged) and under
-//! engine/experiments/bin/bench paths (exempt).
+//! R6 fixture: ad-hoc wall-clock timing inside solver library code, which
+//! the `disallowed_methods` entry for `Instant::now` in `clippy.toml` must
+//! reject.
 
 use std::time::Instant;
 

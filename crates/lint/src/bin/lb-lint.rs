@@ -1,7 +1,7 @@
 //! The `lb-lint` CLI.
 //!
 //! ```text
-//! lb-lint [check] [--format json|text] [--root PATH] [--legacy-exit-bits]
+//! lb-lint [check] [--format json|text] [--root PATH]
 //! lb-lint --write-baseline [--root PATH]
 //! lb-lint graph [--root PATH]
 //! lb-lint dataflow [--root PATH]
@@ -9,17 +9,14 @@
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations (details in the output), 2 usage or IO
-//! error. `--legacy-exit-bits` restores the pre-v2 per-rule bitmask
-//! (R1 = 1 … R7 = 128, directives = 32; R8–R13 surface as bit 1).
+//! error. Both report formats count the `lb-lint: allow` directives per rule.
 //! `--write-baseline` re-pins the R10 checkpoint-schema baseline and exits 0.
 //! `dataflow` dumps the deterministic per-function R11–R13 summaries and
 //! exits 1 if a solver crate's dataflow coverage floor is empty (the same
 //! floors `tests/lint_gate.rs` asserts). `effects` does the same for the
 //! R14–R16 effect summaries, floored on the serve crate.
 
-use lb_lint::{
-    analyze_workspace, clean_summary, exit_code, exit_code_legacy, render_json, render_text, Config,
-};
+use lb_lint::{analyze_workspace, clean_summary, exit_code, render_json, render_text, Config};
 use std::path::PathBuf;
 use std::process;
 
@@ -40,7 +37,6 @@ fn main() {
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
     let mut cmd = Cmd::Check;
-    let mut legacy_bits = false;
     let mut args = std::env::args().skip(1).peekable();
     if let Some(first) = args.peek() {
         match first.as_str() {
@@ -74,7 +70,6 @@ fn main() {
                 None => usage_error("--root expects a path"),
             },
             "--write-baseline" => cmd = Cmd::WriteBaseline,
-            "--legacy-exit-bits" => legacy_bits = true,
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -133,7 +128,12 @@ fn main() {
                     Ok(a) => a,
                     Err(e) => io_error(&e),
                 };
-                let fx = analysis.stats.effects.get("serve").copied().unwrap_or_default();
+                let fx = analysis
+                    .stats
+                    .effects
+                    .get("serve")
+                    .copied()
+                    .unwrap_or_default();
                 if fx.lock_sites < 10 || fx.durability_sites < 5 || fx.blocking_sites < 8 {
                     eprintln!(
                         "lb-lint: effect coverage floor failed for crate `serve`: \
@@ -147,42 +147,26 @@ fn main() {
         },
         Cmd::WriteBaseline => match lb_lint::write_baseline(&root, &config) {
             Ok(content) => {
+                let families = content.lines().filter(|l| !l.starts_with('#')).count();
+                let suffix = if families == 1 { "y" } else { "ies" };
                 eprintln!(
-                    "lb-lint: wrote {} ({} famil{})",
-                    config.baseline_file,
-                    content.lines().filter(|l| !l.starts_with('#')).count(),
-                    if content.lines().filter(|l| !l.starts_with('#')).count() == 1 {
-                        "y"
-                    } else {
-                        "ies"
-                    }
+                    "lb-lint: wrote {} ({families} famil{suffix})",
+                    config.baseline_file
                 );
             }
             Err(e) => io_error(&e),
         },
         Cmd::Check => match analyze_workspace(&root, &config) {
-            Ok(analysis) => {
-                match format {
-                    Format::Text => {
-                        if analysis.violations.is_empty() {
-                            print!("{}", clean_summary(analysis.files_checked));
-                        } else {
-                            print!("{}", render_text(&analysis.violations));
-                        }
+            Ok(a) => {
+                let report = match format {
+                    Format::Json => render_json(&a.violations, a.files_checked, &a.allows),
+                    Format::Text if a.violations.is_empty() => {
+                        clean_summary(a.files_checked, &a.allows)
                     }
-                    Format::Json => {
-                        print!(
-                            "{}",
-                            render_json(&analysis.violations, analysis.files_checked)
-                        )
-                    }
-                }
-                let code = if legacy_bits {
-                    exit_code_legacy(&analysis.violations)
-                } else {
-                    exit_code(&analysis.violations)
+                    Format::Text => render_text(&a.violations),
                 };
-                process::exit(code);
+                print!("{report}");
+                process::exit(exit_code(&a.violations));
             }
             Err(e) => io_error(&e),
         },
@@ -190,14 +174,12 @@ fn main() {
 }
 
 fn print_help() {
-    println!("usage: lb-lint [check] [--format json|text] [--root PATH] [--legacy-exit-bits]");
+    println!("usage: lb-lint [check] [--format json|text] [--root PATH]");
     println!("       lb-lint --write-baseline [--root PATH]");
     println!("       lb-lint graph [--root PATH]");
     println!("       lb-lint dataflow [--root PATH]");
     println!("       lb-lint effects [--root PATH]");
     println!("exit codes: 0 clean, 1 violations, 2 usage/io");
-    println!("  --legacy-exit-bits: pre-v2 bitmask (R1=1 R2=2 R3=4 R4=8 R5=16");
-    println!("                      directives=32 R6=64 R7=128; R8-R13 -> bit 1)");
     println!("  --write-baseline:   re-pin the R10 checkpoint-schema baseline");
     println!("  graph:              dump the workspace call graph (deterministic)");
     println!("  dataflow:           dump per-fn R11-R13 summaries + coverage floors");
@@ -205,12 +187,14 @@ fn print_help() {
     println!("                      edges + coverage floors");
 }
 
+#[expect(clippy::exit, reason = "the CLI owns its exit codes")]
 fn usage_error(msg: &str) -> ! {
     eprintln!("lb-lint: {msg}");
-    eprintln!("usage: lb-lint [check|graph|dataflow|effects] [--format json|text] [--root PATH] [--legacy-exit-bits] [--write-baseline]");
+    eprintln!("usage: lb-lint [check|graph|dataflow|effects] [--format json|text] [--root PATH] [--write-baseline]");
     process::exit(2);
 }
 
+#[expect(clippy::exit, reason = "the CLI owns its exit codes")]
 fn io_error(e: &std::io::Error) -> ! {
     eprintln!("lb-lint: IO error: {e}");
     process::exit(2);

@@ -206,9 +206,7 @@ pub fn analyze(
     let mut out = FileEffects::default();
 
     for (idx, line) in scanned.lines.iter().enumerate() {
-        if !line.in_test
-            && line.code.contains("unwrap_or_else")
-            && line.code.contains("into_inner")
+        if !line.in_test && line.code.contains("unwrap_or_else") && line.code.contains("into_inner")
         {
             out.recovery_lines.push(idx + 1);
         }
@@ -343,37 +341,36 @@ fn binding_before(toks: &[Tok], own: &[usize], p: usize) -> (bool, Option<String
     (false, None)
 }
 
-/// Computes the held-region end line for an acquisition at own-position
-/// `p` (token index `i`).
-fn held_end_line(
+/// The held-region end line of a temporary guard (token index `i`): it
+/// dies at the end of its statement (or, for an `if`/`while` condition,
+/// before the branch block opens).
+fn temporary_end_line(toks: &[Tok], i: usize) -> usize {
+    let mut depth = 0i64;
+    for k in i + 1..toks.len() {
+        match punct_at(toks, k) {
+            Some('(') | Some('[') => depth += 1,
+            Some(')') | Some(']') => depth -= 1,
+            Some(';') | Some('{') | Some('}') if depth <= 0 => return toks[k].line,
+            _ => {}
+        }
+    }
+    toks[i].line
+}
+
+/// The held-region end line of a `let`-bound guard acquired at
+/// own-position `p` (token index `i`): the close of its enclosing block.
+fn bound_end_line(
     toks: &[Tok],
     close: &[usize],
     encl: &HashMap<usize, usize>,
     own: &[usize],
     p: usize,
     i: usize,
-    bound: bool,
     guard: Option<&str>,
 ) -> usize {
-    if !bound {
-        // A temporary guard dies at the end of its statement (or, for an
-        // `if`/`while` condition, before the branch block opens).
-        let mut depth = 0i64;
-        for k in i + 1..toks.len() {
-            match punct_at(toks, k) {
-                Some('(') | Some('[') => depth += 1,
-                Some(')') | Some(']') => depth -= 1,
-                Some(';') | Some('{') | Some('}') if depth <= 0 => return toks[k].line,
-                _ => {}
-            }
-        }
-        return toks[i].line;
-    }
     let block = *encl.get(&i).unwrap_or(&0);
     let block_close = close.get(block).copied().unwrap_or(usize::MAX);
-    let end_line = toks
-        .get(block_close)
-        .map_or(toks[i].line, |t| t.line);
+    let end_line = toks.get(block_close).map_or(toks[i].line, |t| t.line);
     // A same-depth `drop(guard)` ends the region early; a drop in a nested
     // arm does not (conservative: the guard may be live on other paths).
     if let Some(g) = guard {
@@ -399,12 +396,7 @@ fn name_in(list: &[String], w: &str) -> bool {
 }
 
 /// Extracts one function's effect summary.
-fn analyze_fn(
-    toks: &[Tok],
-    close: &[usize],
-    f: &FnItem,
-    config: &Config,
-) -> Option<FnEffects> {
+fn analyze_fn(toks: &[Tok], close: &[usize], f: &FnItem, config: &Config) -> Option<FnEffects> {
     let (_kw, open) = locate_fn(toks, close, f)?;
     let own = own_token_indices(toks, close, open);
     let encl = enclosing_opens(toks, close, open);
@@ -447,8 +439,11 @@ fn analyze_fn(
         };
         if let Some(name) = lock_name {
             let (bound, guard) = binding_before(toks, &own, p);
-            let end_line =
-                held_end_line(toks, close, &encl, &own, p, i, bound, guard.as_deref());
+            let end_line = if bound {
+                bound_end_line(toks, close, &encl, &own, p, i, guard.as_deref())
+            } else {
+                temporary_end_line(toks, i)
+            };
             fe.locks.push(LockSite {
                 name,
                 line,
@@ -661,7 +656,9 @@ where
     // Cycle check: an edge u→v where v already reaches u closes a cycle.
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for e in &order {
-        adj.entry(e.from.as_str()).or_default().insert(e.to.as_str());
+        adj.entry(e.from.as_str())
+            .or_default()
+            .insert(e.to.as_str());
     }
     let reaches = |from: &str, to: &str| -> bool {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
@@ -748,9 +745,10 @@ where
             if prefix_durable(id, line) || allowed(file, line, Rule::DurabilityOrdering) {
                 continue;
             }
-            let Some(chain) = undischarged_chain(graph, &callers, id, &|c, lc| {
-                prefix_durable(c, lc)
-            }, &|c| callers[c].is_empty())
+            let Some(chain) =
+                undischarged_chain(graph, &callers, id, &|c, lc| prefix_durable(c, lc), &|c| {
+                    callers[c].is_empty()
+                })
             else {
                 continue;
             };
@@ -790,13 +788,15 @@ where
     };
     for id in 0..n {
         let Some((file, f)) = fx(id) else { continue };
-        if !config.socket_paths.iter().any(|p| file.contains(p.as_str())) {
+        if !config
+            .socket_paths
+            .iter()
+            .any(|p| file.contains(p.as_str()))
+        {
             continue;
         }
         for site in &f.blocking {
-            if prefix_guard(id, site.line)
-                || allowed(file, site.line, Rule::UnboundedBlocking)
-            {
+            if prefix_guard(id, site.line) || allowed(file, site.line, Rule::UnboundedBlocking) {
                 continue;
             }
             let chain = if is_root[id] {
@@ -840,7 +840,6 @@ fn undischarged_chain(
     is_top: &dyn Fn(usize) -> bool,
 ) -> Option<String> {
     fn walk(
-        graph: &CallGraph,
         callers: &[Vec<(usize, usize)>],
         u: usize,
         discharged: &dyn Fn(usize, usize) -> bool,
@@ -856,7 +855,7 @@ fn undischarged_chain(
                 continue;
             }
             path.push((c, lc));
-            if walk(graph, callers, c, discharged, is_top, visited, path) {
+            if walk(callers, c, discharged, is_top, visited, path) {
                 return true;
             }
             path.pop();
@@ -865,15 +864,7 @@ fn undischarged_chain(
     }
     let mut visited = HashSet::from([start]);
     let mut path = Vec::new();
-    if !walk(
-        graph,
-        callers,
-        start,
-        discharged,
-        is_top,
-        &mut visited,
-        &mut path,
-    ) {
+    if !walk(callers, start, discharged, is_top, &mut visited, &mut path) {
         return None;
     }
     // `path` runs from the demand's fn upward; render top-down.

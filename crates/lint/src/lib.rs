@@ -2,25 +2,22 @@
 //! reduction soundness.
 //!
 //! This repo's value is machine-checked correctness of reductions and
-//! optimal algorithms; a panic on malformed input or a lossy float cast in
-//! AGM/ρ* arithmetic silently corrupts exactly the quantities the paper
-//! proves theorems about. `lb-lint` makes the repo's conventions enforced
+//! optimal algorithms; a panic on malformed input or an unbudgeted solver
+//! loop silently breaks exactly the contracts the paper's algorithms are
+//! measured against. `lb-lint` makes the repo's conventions enforced
 //! invariants. It walks every `.rs` file in the workspace with its own
 //! lightweight lexer (string-, comment-, and `#[cfg(test)]`-aware; no `syn`,
-//! because the build environment is offline) and enforces:
+//! because the build environment is offline).
+//!
+//! Conventions the toolchain can check are not re-implemented here: the
+//! workspace `[lints]` table in the root `Cargo.toml` forbids `unsafe`
+//! (formerly R3), denies dropped `Result`s (R4), `process::exit` (R5) and,
+//! through `clippy.toml`, ad-hoc `Instant::now` (R6); `crates/lp/src/lib.rs`
+//! and `crates/join/src/agm.rs` deny clippy's lossy-cast lints (R2). Those
+//! codes are retired, not reused. `lb-lint` enforces the rest:
 //!
 //! * **R1 `no-panic`** — no `unwrap()`/`expect()`/`panic!`/`todo!`/
 //!   `unreachable!` in non-test library code;
-//! * **R2 `no-lossy-cast`** — no lossy `as` casts between floats and
-//!   integers in bound-arithmetic modules (`lb-join::agm`, `lb-lp`);
-//! * **R3 `forbid-unsafe`** — `#![forbid(unsafe_code)]` in every crate root;
-//! * **R4 `must-use-result`** — fallible public solver/join/reduction entry
-//!   points return `Result` and carry `#[must_use]`;
-//! * **R5 `no-process-exit`** — no `std::process::exit` outside `src/bin/`;
-//! * **R6 `no-adhoc-timing`** — no ad-hoc `Instant::now()` wall-clock timing
-//!   in solver library code: work is reported through the engine layer's
-//!   machine-independent `RunStats` counters, and wall-clock measurement
-//!   belongs to the `lowerbounds::experiments` harness (and bench/bin code);
 //! * **R7 `no-unchecked-index`** — no unchecked `[i]` indexing in solver hot
 //!   paths (DPLL, 2SAT, CSP backtracking, WCOJ, clique, triangle): on
 //!   adversarial input a stray index is a panic where the contract demands
@@ -92,13 +89,13 @@
 //! Escape hatch: a trailing comment of the form
 //! `lb-lint: allow(rule) -- reason` (the justification after `--` is
 //! mandatory; an allow without one is itself reported). A directive alone on
-//! a line applies to the next code line.
+//! a line applies to the next code line. The clean summary and the JSON
+//! report count the directives per rule, and `tests/lint_gate.rs` caps the
+//! total so it can only go down.
 //!
 //! The gate is wired three ways: the `lb-lint` CLI (`cargo run -p lb-lint`),
 //! the workspace test `tests/lint_gate.rs` (so plain `cargo test` enforces
 //! it), and CI (`.github/workflows/ci.yml`).
-
-#![forbid(unsafe_code)]
 
 pub mod dataflow;
 pub mod effects;
@@ -111,21 +108,24 @@ pub mod semantic;
 pub mod walk;
 
 pub use effects::CrateEffects;
-pub use report::{clean_summary, exit_code, exit_code_legacy, render_json, render_text};
-pub use rules::{lint_source, CheckpointSpec, Config, FileKind, Rule, Violation};
+pub use report::{clean_summary, exit_code, render_json, render_text};
+pub use rules::{lint_source, AllowCounts, CheckpointSpec, Config, Rule, Violation};
 pub use semantic::{CrateDataflow, SemanticStats};
 
 use std::io;
 use std::path::Path;
 
 /// The result of a full workspace analysis: all violations (token-level and
-/// semantic), the file count, and semantic coverage statistics.
+/// semantic), the file count, the allow directives in force, and semantic
+/// coverage statistics.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     /// All violations, sorted by (path, line, rule).
     pub violations: Vec<Violation>,
     /// Number of `.rs` files checked.
     pub files_checked: usize,
+    /// The well-formed `lb-lint: allow` directives across those files.
+    pub allows: AllowCounts,
     /// Semantic-layer coverage statistics (roots, loops, panic sites…).
     pub stats: SemanticStats,
 }
@@ -143,13 +143,15 @@ fn read_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Runs the full analysis (token rules R1–R7 per file, then the semantic
-/// rules R8–R10 over the workspace call graph).
+/// Runs the full analysis (token rules R1/R7 per file, then the semantic
+/// rules R8–R16 over the workspace call graph).
 pub fn analyze_workspace(root: &Path, config: &Config) -> io::Result<Analysis> {
     let files = read_workspace(root)?;
     let mut violations = Vec::new();
+    let mut allows = AllowCounts::default();
     for (rel, source) in &files {
         violations.extend(rules::lint_source(rel, source, config));
+        allows.absorb(&rules::count_allows(source));
     }
     let (semantic_violations, stats) = semantic::check(root, &files, config);
     violations.extend(semantic_violations);
@@ -157,16 +159,9 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> io::Result<Analysis> {
     Ok(Analysis {
         violations,
         files_checked: files.len(),
+        allows,
         stats,
     })
-}
-
-/// Lints every `.rs` file under `root`. Returns all violations plus the
-/// number of files checked. (Compatibility wrapper over
-/// [`analyze_workspace`].)
-pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<(Vec<Violation>, usize)> {
-    let a = analyze_workspace(root, config)?;
-    Ok((a.violations, a.files_checked))
 }
 
 /// Dumps the workspace call graph (deterministic text, for `lb-lint graph`).
@@ -214,14 +209,13 @@ mod tests {
     }
 
     #[test]
-    fn lint_workspace_runs() {
-        let (_, files) = lint_workspace(default_workspace_root(), &Config::default()).unwrap();
-        assert!(files > 50, "expected a real workspace, saw {files} files");
-    }
-
-    #[test]
     fn analysis_reports_semantic_coverage() {
         let a = analyze_workspace(default_workspace_root(), &Config::default()).unwrap();
+        assert!(
+            a.files_checked > 50,
+            "expected a real workspace, saw {} files",
+            a.files_checked
+        );
         assert!(
             !a.stats.root_names.is_empty(),
             "semantic layer found no entry-point roots"

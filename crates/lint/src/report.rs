@@ -1,23 +1,12 @@
 //! Violation reporting: text and JSON rendering, exit codes.
 
-use crate::rules::{Rule, Violation};
+use crate::rules::{AllowCounts, Rule, Violation};
 
 /// The process exit code for a set of violations: 1 when any rule fired
 /// (details are in the rendered output), 0 when clean. Usage/IO errors exit
-/// 2 (see the CLI). The historical per-rule bitmask lives on behind
-/// `--legacy-exit-bits` as [`exit_code_legacy`].
+/// 2 (see the CLI).
 pub fn exit_code(violations: &[Violation]) -> i32 {
     i32::from(!violations.is_empty())
-}
-
-/// The legacy bitmask exit code (`--legacy-exit-bits`): one bit per rule
-/// (R1 = 1, R2 = 2, R3 = 4, R4 = 8, R5 = 16, malformed directives = 32,
-/// R6 = 64, R7 = 128). The bitmask was exhausted before R8–R10 existed, so
-/// violations of those rules surface as the generic bit 1.
-pub fn exit_code_legacy(violations: &[Violation]) -> i32 {
-    violations
-        .iter()
-        .fold(0, |acc, v| acc | v.rule.legacy_exit_bit().unwrap_or(1))
 }
 
 /// Renders violations as human-readable text, one block per violation.
@@ -32,16 +21,12 @@ pub fn render_text(violations: &[Violation]) -> String {
             v.path, v.line, v.rule, v.message, v.snippet
         ));
     }
+    let files = count_files(violations);
     out.push_str(&format!(
-        "lb-lint: {} violation{} ({} file{})\n",
+        "lb-lint: {} violation{} ({files} file{})\n",
         violations.len(),
         if violations.len() == 1 { "" } else { "s" },
-        count_files(violations),
-        if count_files(violations) == 1 {
-            ""
-        } else {
-            "s"
-        },
+        if files == 1 { "" } else { "s" },
     ));
     out
 }
@@ -49,10 +34,19 @@ pub fn render_text(violations: &[Violation]) -> String {
 /// Renders the report as a deterministic JSON object (hand-rolled: the
 /// linter is zero-dependency by design). Violations appear in their sorted
 /// (path, line, rule) order, so byte-identical inputs give byte-identical
-/// reports.
-pub fn render_json(violations: &[Violation], files_checked: usize) -> String {
+/// reports. `allows` counts the `lb-lint: allow` directives, in total and
+/// per rule name.
+pub fn render_json(violations: &[Violation], files_checked: usize, allows: &AllowCounts) -> String {
+    let by_rule: Vec<String> = allows
+        .by_rule
+        .iter()
+        .map(|(rule, n)| format!("{}: {n}", json_string(rule.name())))
+        .collect();
     let mut out = format!(
-        "{{\n  \"version\": 2,\n  \"files_checked\": {files_checked},\n  \"violations\": ["
+        "{{\n  \"version\": 2,\n  \"files_checked\": {files_checked},\n  \
+         \"allows\": {{\"total\": {}, \"by_rule\": {{{}}}}},\n  \"violations\": [",
+        allows.directives,
+        by_rule.join(", ")
     );
     for (i, v) in violations.iter().enumerate() {
         if i > 0 {
@@ -101,19 +95,27 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Summary line for a clean run, naming every enforced rule.
-pub fn clean_summary(files_checked: usize) -> String {
+/// Summary lines for a clean run: every enforced rule, then the allow
+/// directives in force, in total and per rule.
+pub fn clean_summary(files_checked: usize, allows: &AllowCounts) -> String {
     let rules: Vec<String> = Rule::ALL.iter().map(|r| r.to_string()).collect();
+    let by_rule: Vec<String> = allows
+        .by_rule
+        .iter()
+        .map(|(rule, n)| format!("{rule} {n}"))
+        .collect();
     format!(
-        "lb-lint: {files_checked} files clean under {}\n",
-        rules.join(", ")
+        "lb-lint: {files_checked} files clean under {}\nlb-lint: {} allow directives: {}\n",
+        rules.join(", "),
+        allows.directives,
+        by_rule.join(", ")
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{lint_source, Config};
+    use crate::rules::{count_allows, lint_source, Config};
 
     fn sample() -> Vec<Violation> {
         lint_source(
@@ -123,35 +125,11 @@ mod tests {
         )
     }
 
-    fn with_rule(rule: Rule) -> Violation {
-        Violation {
-            rule,
-            path: "crates/x/src/foo.rs".into(),
-            line: 1,
-            message: "m".into(),
-            snippet: "s".into(),
-        }
-    }
-
     #[test]
     fn exit_codes() {
         let v = sample();
         assert_eq!(exit_code(&v), 1);
         assert_eq!(exit_code(&[]), 0);
-    }
-
-    #[test]
-    fn legacy_exit_code_bits() {
-        let v = sample();
-        assert_eq!(exit_code_legacy(&v), 1);
-        assert_eq!(exit_code_legacy(&[]), 0);
-        assert_eq!(exit_code_legacy(&[with_rule(Rule::NoUncheckedIndex)]), 128);
-        // R8–R10 have no bit of their own: generic bit 1.
-        assert_eq!(exit_code_legacy(&[with_rule(Rule::UnbudgetedLoop)]), 1);
-        assert_eq!(
-            exit_code_legacy(&[with_rule(Rule::CheckpointSchemaDrift)]),
-            1
-        );
     }
 
     #[test]
@@ -165,19 +143,41 @@ mod tests {
 
     #[test]
     fn json_is_escaped_and_structured() {
-        let json = render_json(&sample(), 3);
+        let json = render_json(&sample(), 3, &AllowCounts::default());
         assert!(json.starts_with('{'));
         assert!(json.contains("\"version\": 2"));
         assert!(json.contains("\"files_checked\": 3"));
+        assert!(json.contains("\"allows\": {\"total\": 0, \"by_rule\": {}}"));
         assert!(json.contains("\"rule\": \"no-panic\""));
         assert!(json.contains("\"line\": 1"));
-        let empty = render_json(&[], 0);
+        let empty = render_json(&[], 0, &AllowCounts::default());
         assert!(empty.contains("\"violations\": []"));
     }
 
     #[test]
+    fn allow_counts_are_reported() {
+        let allows = count_allows(
+            "fn f(o: Option<u32>) -> u32 { o.unwrap() } // lb-lint: allow(no-panic, panic-reachability) -- checked\n",
+        );
+        let json = render_json(&[], 1, &allows);
+        assert!(
+            json.contains("\"allows\": {\"total\": 1, \"by_rule\": {\"no-panic\": 1, \"panic-reachability\": 1}}"),
+            "{json}"
+        );
+        let summary = clean_summary(1, &allows);
+        assert!(
+            summary.contains("1 allow directives: R1 (no-panic) 1, R9 (panic-reachability) 1"),
+            "{summary}"
+        );
+    }
+
+    #[test]
     fn json_is_deterministic() {
-        assert_eq!(render_json(&sample(), 9), render_json(&sample(), 9));
+        let allows = AllowCounts::default();
+        assert_eq!(
+            render_json(&sample(), 9, &allows),
+            render_json(&sample(), 9, &allows)
+        );
     }
 
     #[test]

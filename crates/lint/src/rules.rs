@@ -1,4 +1,10 @@
-//! The six repo-specific lint rules and the per-file checking engine.
+//! The repo-specific lint rules and the per-file checking engine.
+//!
+//! Conventions rustc and clippy can check (no `unsafe`, no dropped
+//! `Result`, no `process::exit` in libraries, no ad-hoc `Instant::now`, no
+//! lossy casts in bound arithmetic) live in the workspace `[lints]` table
+//! and `clippy.toml`; the rules here are the ones the toolchain cannot
+//! express.
 //!
 //! Rules operate on the masked lines produced by [`crate::lexer::scan`], so
 //! they never fire inside strings or comments, and they respect the
@@ -6,29 +12,16 @@
 //! `--` is mandatory; an allow without one is itself a violation).
 
 use crate::lexer::{scan, ScannedFile};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-/// The enforced rules. Codes R1–R6 index the per-rule exit-code bits.
+/// The enforced rules. Codes are stable: R2–R6 moved to rustc/clippy and
+/// their codes are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// R1: no `unwrap()`/`expect()`/`panic!`/`todo!`/`unreachable!` in
     /// non-test library code.
     NoPanic,
-    /// R2: no lossy `as` casts between floats and integers in
-    /// bound-arithmetic modules.
-    NoLossyCast,
-    /// R3: every crate root carries `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
-    /// R4: public `Result`-returning solver/join/reduction entry points
-    /// carry `#[must_use]`.
-    MustUseResult,
-    /// R5: no `std::process::exit` outside `src/bin/`.
-    NoProcessExit,
-    /// R6: no ad-hoc `Instant::now()` wall-clock timing in solver library
-    /// code — work is measured by the engine layer's `RunStats` counters,
-    /// and wall-clock timing lives in the `experiments` harness.
-    NoAdhocTiming,
     /// R7: no unchecked `[i]` indexing in solver hot paths — a stray index
     /// panics instead of returning `Exhausted`/an error; use `get`,
     /// iterators, or a justified allow.
@@ -82,13 +75,8 @@ pub enum Rule {
 
 impl Rule {
     /// All real rules (excludes the directive pseudo-rule).
-    pub const ALL: [Rule; 16] = [
+    pub const ALL: [Rule; 11] = [
         Rule::NoPanic,
-        Rule::NoLossyCast,
-        Rule::ForbidUnsafe,
-        Rule::MustUseResult,
-        Rule::NoProcessExit,
-        Rule::NoAdhocTiming,
         Rule::NoUncheckedIndex,
         Rule::UnbudgetedLoop,
         Rule::PanicReachability,
@@ -105,11 +93,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoPanic => "no-panic",
-            Rule::NoLossyCast => "no-lossy-cast",
-            Rule::ForbidUnsafe => "forbid-unsafe",
-            Rule::MustUseResult => "must-use-result",
-            Rule::NoProcessExit => "no-process-exit",
-            Rule::NoAdhocTiming => "no-adhoc-timing",
             Rule::NoUncheckedIndex => "no-unchecked-index",
             Rule::UnbudgetedLoop => "unbudgeted-loop",
             Rule::PanicReachability => "panic-reachability",
@@ -124,15 +107,10 @@ impl Rule {
         }
     }
 
-    /// The short code (R1–R5, D0 for directives).
+    /// The short code (R1, R7–R16, D0 for directives).
     pub fn code(self) -> &'static str {
         match self {
             Rule::NoPanic => "R1",
-            Rule::NoLossyCast => "R2",
-            Rule::ForbidUnsafe => "R3",
-            Rule::MustUseResult => "R4",
-            Rule::NoProcessExit => "R5",
-            Rule::NoAdhocTiming => "R6",
             Rule::NoUncheckedIndex => "R7",
             Rule::UnbudgetedLoop => "R8",
             Rule::PanicReachability => "R9",
@@ -144,31 +122,6 @@ impl Rule {
             Rule::DurabilityOrdering => "R15",
             Rule::UnboundedBlocking => "R16",
             Rule::BadDirective => "D0",
-        }
-    }
-
-    /// The legacy (`--legacy-exit-bits`) exit-code bit for this rule. Rules
-    /// added after the bitmask was exhausted (R8–R16) have no bit of their
-    /// own; under the legacy scheme they surface as the generic bit 1.
-    pub fn legacy_exit_bit(self) -> Option<i32> {
-        match self {
-            Rule::NoPanic => Some(1),
-            Rule::NoLossyCast => Some(2),
-            Rule::ForbidUnsafe => Some(4),
-            Rule::MustUseResult => Some(8),
-            Rule::NoProcessExit => Some(16),
-            Rule::NoAdhocTiming => Some(64),
-            Rule::NoUncheckedIndex => Some(128),
-            Rule::BadDirective => Some(32),
-            Rule::UnbudgetedLoop
-            | Rule::PanicReachability
-            | Rule::CheckpointSchemaDrift
-            | Rule::UnboundedGrowth
-            | Rule::SwallowedResult
-            | Rule::SendHostileState
-            | Rule::LockDiscipline
-            | Rule::DurabilityOrdering
-            | Rule::UnboundedBlocking => None,
         }
     }
 
@@ -184,33 +137,19 @@ impl fmt::Display for Rule {
     }
 }
 
-/// How a file participates in linting, derived from its path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Ordinary library code: all rules apply.
-    Library,
-    /// Test or bench code (`tests/`, `benches/`): R1/R2/R4/R5 exempt.
-    TestOrBench,
-    /// Example code (`examples/`): exempt like tests — demo code may unwrap.
-    Example,
-    /// Binary code (`src/bin/`, `src/main.rs`): R5 exempt, R1 applies.
-    Bin,
-}
-
-impl FileKind {
-    /// Classifies a workspace-relative path (forward slashes).
-    pub fn classify(rel_path: &str) -> FileKind {
-        let p = rel_path.replace('\\', "/");
-        if p.contains("/tests/") || p.contains("/benches/") || p.starts_with("tests/") {
-            FileKind::TestOrBench
-        } else if p.contains("/examples/") || p.starts_with("examples/") {
-            FileKind::Example
-        } else if p.contains("/src/bin/") || p.ends_with("/src/main.rs") || p == "src/main.rs" {
-            FileKind::Bin
-        } else {
-            FileKind::Library
-        }
-    }
+/// Whether a workspace-relative path (forward slashes) is library code.
+/// Tests, benches, examples, and binaries are not: a panic is their failure
+/// mechanism, so the panic rules (R1, R7, R9) skip them.
+pub(crate) fn is_library(rel_path: &str) -> bool {
+    let p = rel_path.replace('\\', "/");
+    !(p.contains("/tests/")
+        || p.contains("/benches/")
+        || p.starts_with("tests/")
+        || p.contains("/examples/")
+        || p.starts_with("examples/")
+        || p.contains("/src/bin/")
+        || p.ends_with("/src/main.rs")
+        || p == "src/main.rs")
 }
 
 /// One violation found by the linter.
@@ -242,19 +181,10 @@ pub struct CheckpointSpec {
     pub version_const: String,
 }
 
-/// Linter configuration: which paths are bound-math (R2) and entry-point
-/// (R4) modules, plus the semantic-analysis scope (R8–R10).
+/// Linter configuration: the hot-path scope of R7 plus the
+/// semantic-analysis scopes (R8–R16).
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path substrings whose files carry the `no-lossy-cast` rule
-    /// (bound-arithmetic modules).
-    pub bound_math_paths: Vec<String>,
-    /// Path substrings whose public `Result`-returning fns must be
-    /// `#[must_use]` (solver/join/reduction entry points).
-    pub entry_point_paths: Vec<String>,
-    /// Path substrings exempt from the `no-adhoc-timing` rule: the engine
-    /// layer and the experiments harness are where wall-clock time belongs.
-    pub timing_exempt_paths: Vec<String>,
     /// Path substrings whose files carry the `no-unchecked-index` rule:
     /// solver hot paths, where a stray `[i]` is a panic on adversarial
     /// input rather than an `Exhausted`/error verdict.
@@ -334,32 +264,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            bound_math_paths: vec!["crates/join/src/agm.rs".into(), "crates/lp/src/".into()],
-            entry_point_paths: vec![
-                "crates/csp/src/solver/".into(),
-                "crates/sat/src/".into(),
-                "crates/join/src/".into(),
-                "crates/lp/src/".into(),
-                "crates/reductions/src/".into(),
-                "crates/graphalg/src/".into(),
-                "crates/serve/src/runner.rs".into(),
-            ],
-            timing_exempt_paths: vec![
-                "crates/engine/src/".into(),
-                "crates/core/src/experiments.rs".into(),
-                // The server's socket deadlines and the load generator's
-                // wall-clock pacing are real time by definition; solver
-                // progress in crates/serve/src/runner.rs stays tick-based.
-                "crates/serve/src/server.rs".into(),
-                "crates/serve/src/client.rs".into(),
-                "crates/serve/src/bench.rs".into(),
-                // Retry-backoff parking (`not_before`) is wall-clock by
-                // definition; slice accounting stays tick-based.
-                "crates/serve/src/scheduler.rs".into(),
-                // The storm soak drives a live server under deadlines.
-                "crates/chaos/src/storm.rs".into(),
-                "vendor/".into(),
-            ],
             index_checked_paths: vec![
                 "crates/serve/src/protocol.rs".into(),
                 "crates/sat/src/dpll.rs".into(),
@@ -490,17 +394,47 @@ impl Default for Config {
             ],
             accept_roots: vec![
                 ("crates/serve/src/server.rs".into(), "run".into()),
-                ("crates/serve/src/server.rs".into(), "handle_connection".into()),
+                (
+                    "crates/serve/src/server.rs".into(),
+                    "handle_connection".into(),
+                ),
             ],
             blessed_recovery_paths: vec!["crates/serve/src/sync.rs".into()],
         }
     }
 }
 
+/// How many well-formed `lb-lint: allow` directives some files carry: in
+/// total, and per rule named (a directive naming two rules counts once in
+/// the total and once under each rule).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AllowCounts {
+    /// Number of directives.
+    pub directives: usize,
+    /// Number of directives naming each rule.
+    pub by_rule: BTreeMap<Rule, usize>,
+}
+
+impl AllowCounts {
+    /// Adds another file's counts to these.
+    pub(crate) fn absorb(&mut self, other: &AllowCounts) {
+        self.directives += other.directives;
+        for (rule, n) in &other.by_rule {
+            *self.by_rule.entry(*rule).or_default() += n;
+        }
+    }
+}
+
+/// Counts the well-formed `lb-lint: allow` directives in one file.
+pub(crate) fn count_allows(source: &str) -> AllowCounts {
+    parse_allows(&scan(source)).counts
+}
+
 /// Allows parsed from `lb-lint:` directives: line → rules allowed there.
 pub(crate) struct Allows {
     pub(crate) by_line: HashMap<usize, BTreeSet<Rule>>,
     pub(crate) errors: Vec<(usize, String)>,
+    pub(crate) counts: AllowCounts,
 }
 
 impl Allows {
@@ -520,6 +454,7 @@ impl Allows {
 pub(crate) fn parse_allows(file: &ScannedFile) -> Allows {
     let mut by_line: HashMap<usize, BTreeSet<Rule>> = HashMap::new();
     let mut errors = Vec::new();
+    let mut counts = AllowCounts::default();
     for (idx, line) in file.lines.iter().enumerate() {
         let lineno = idx + 1;
         // Only a comment that *starts* with `lb-lint:` is a directive; prose
@@ -580,15 +515,23 @@ pub(crate) fn parse_allows(file: &ScannedFile) -> Allows {
         } else {
             lineno
         };
+        counts.directives += 1;
+        for rule in &rules {
+            *counts.by_rule.entry(*rule).or_default() += 1;
+        }
         by_line.entry(target).or_default().extend(rules);
     }
-    Allows { by_line, errors }
+    Allows {
+        by_line,
+        errors,
+        counts,
+    }
 }
 
 /// Lints one file's source text. `rel_path` is the workspace-relative path
 /// used for classification and reporting.
 pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
-    let kind = FileKind::classify(rel_path);
+    let library = is_library(rel_path);
     let file = scan(source);
     let allows = parse_allows(&file);
     let mut out = Vec::new();
@@ -603,15 +546,10 @@ pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violati
         });
     }
 
-    let allowed = |lineno: usize, rule: Rule| {
-        allows
-            .by_line
-            .get(&lineno)
-            .is_some_and(|set| set.contains(&rule))
-    };
+    let allowed = |lineno: usize, rule: Rule| allows.allowed(lineno, rule);
 
     // R1 — no panics in non-test library code.
-    if kind == FileKind::Library {
+    if library {
         for (idx, line) in file.lines.iter().enumerate() {
             if line.in_test {
                 continue;
@@ -639,106 +577,12 @@ pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violati
         }
     }
 
-    // R2 — no lossy float↔int casts in bound-math modules.
-    let is_bound_math = config
-        .bound_math_paths
-        .iter()
-        .any(|p| rel_path.contains(p.as_str()));
-    if is_bound_math && kind == FileKind::Library {
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let lineno = idx + 1;
-            if let Some(msg) = lossy_cast_in(&line.code) {
-                if !allowed(lineno, Rule::NoLossyCast) {
-                    out.push(Violation {
-                        rule: Rule::NoLossyCast,
-                        path: rel_path.to_string(),
-                        line: lineno,
-                        message: format!(
-                            "{msg} in bound arithmetic; use the checked helpers in `lb_lp::convert`/`lb_lp::intpow` or add `// lb-lint: allow(no-lossy-cast) -- reason`"
-                        ),
-                        snippet: snippet_at(source, lineno),
-                    });
-                }
-            }
-        }
-    }
-
-    // R3 — crate roots must forbid unsafe code.
-    let is_crate_root = rel_path.ends_with("src/lib.rs") || rel_path.ends_with("src/main.rs");
-    if is_crate_root {
-        let has_forbid = file
-            .lines
-            .iter()
-            .any(|l| l.code.contains("#![forbid(unsafe_code)]"));
-        if !has_forbid && !allowed(1, Rule::ForbidUnsafe) {
-            out.push(Violation {
-                rule: Rule::ForbidUnsafe,
-                path: rel_path.to_string(),
-                line: 1,
-                message: "crate root is missing `#![forbid(unsafe_code)]`".into(),
-                snippet: snippet_at(source, 1),
-            });
-        }
-    }
-
-    // R4 — public Result-returning entry points must be #[must_use].
-    let is_entry_point = config
-        .entry_point_paths
-        .iter()
-        .any(|p| rel_path.contains(p.as_str()));
-    if is_entry_point && kind == FileKind::Library {
-        for sig in public_fn_signatures(&file) {
-            if sig.in_test || !sig.returns_result {
-                continue;
-            }
-            if !sig.has_must_use && !allowed(sig.line, Rule::MustUseResult) {
-                out.push(Violation {
-                    rule: Rule::MustUseResult,
-                    path: rel_path.to_string(),
-                    line: sig.line,
-                    message: format!(
-                        "public fallible entry point `{}` returns `Result` without `#[must_use]`; callers silently dropping the result would discard both the value and the error",
-                        sig.name
-                    ),
-                    snippet: snippet_at(source, sig.line),
-                });
-            }
-        }
-    }
-
-    // R6 — no ad-hoc wall-clock timing in solver library code.
-    let timing_exempt = config
-        .timing_exempt_paths
-        .iter()
-        .any(|p| rel_path.contains(p.as_str()));
-    if kind == FileKind::Library && !timing_exempt {
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let lineno = idx + 1;
-            if contains_token(&line.code, "Instant::now()") && !allowed(lineno, Rule::NoAdhocTiming)
-            {
-                out.push(Violation {
-                    rule: Rule::NoAdhocTiming,
-                    path: rel_path.to_string(),
-                    line: lineno,
-                    message: "`Instant::now()` in solver library code makes results machine-dependent; report work through the engine layer's `RunStats` counters (or time in the `experiments` harness), or add `// lb-lint: allow(no-adhoc-timing) -- reason`".into(),
-                    snippet: snippet_at(source, lineno),
-                });
-            }
-        }
-    }
-
     // R7 — no unchecked `[i]` indexing in solver hot paths.
     let is_index_checked = config
         .index_checked_paths
         .iter()
         .any(|p| rel_path.contains(p.as_str()));
-    if is_index_checked && kind == FileKind::Library {
+    if is_index_checked && library {
         for (idx, line) in file.lines.iter().enumerate() {
             if line.in_test {
                 continue;
@@ -751,22 +595,6 @@ pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violati
                     path: rel_path.to_string(),
                     line: lineno,
                     message: "unchecked `[i]` indexing in a solver hot path panics on an out-of-range index; use `get`/iterators, or add `// lb-lint: allow(no-unchecked-index) -- reason` stating the bounds invariant".into(),
-                    snippet: snippet_at(source, lineno),
-                });
-            }
-        }
-    }
-
-    // R5 — no process::exit outside binaries.
-    if kind != FileKind::Bin && kind != FileKind::TestOrBench {
-        for (idx, line) in file.lines.iter().enumerate() {
-            let lineno = idx + 1;
-            if line.code.contains("process::exit") && !allowed(lineno, Rule::NoProcessExit) {
-                out.push(Violation {
-                    rule: Rule::NoProcessExit,
-                    path: rel_path.to_string(),
-                    line: lineno,
-                    message: "`std::process::exit` outside `src/bin/` skips destructors and poisons library reuse; return an error instead".into(),
                     snippet: snippet_at(source, lineno),
                 });
             }
@@ -797,39 +625,6 @@ pub(crate) fn contains_token(code: &str, needle: &str) -> bool {
         start = abs + needle.len();
     }
     false
-}
-
-const INT_TYPES: [&str; 12] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
-/// Detects a lossy float↔int `as` cast on a masked code line, returning a
-/// description of the cast if found.
-fn lossy_cast_in(code: &str) -> Option<String> {
-    let float_evidence = [
-        "f64", "f32", ".floor()", ".ceil()", ".round()", ".powf(", ".powi(", ".sqrt()", "to_f64",
-    ];
-    let mut search = 0;
-    while let Some(pos) = code[search..].find(" as ") {
-        let abs = search + pos;
-        let after = &code[abs + 4..];
-        let ty: String = after
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if ty == "f64" || ty == "f32" {
-            return Some(format!("`as {ty}` cast (int→float or float narrowing)"));
-        }
-        if INT_TYPES.contains(&ty.as_str()) {
-            let before = &code[..abs];
-            if float_evidence.iter().any(|m| before.contains(m)) {
-                return Some(format!("float-expression `as {ty}` cast (truncating)"));
-            }
-        }
-        search = abs + 4;
-    }
-    None
 }
 
 /// Detects a `container[index]` expression on a masked code line, returning
@@ -889,90 +684,6 @@ pub(crate) fn unchecked_index_in(code: &str) -> Option<usize> {
             continue;
         }
         return Some(i);
-    }
-    None
-}
-
-/// A discovered `pub fn` signature.
-struct FnSig {
-    name: String,
-    line: usize,
-    returns_result: bool,
-    has_must_use: bool,
-    in_test: bool,
-}
-
-/// Collects `pub fn` signatures (joined across lines up to the body brace)
-/// together with their attribute context.
-fn public_fn_signatures(file: &ScannedFile) -> Vec<FnSig> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-        let Some(fn_pos) = find_pub_fn(code) else {
-            continue;
-        };
-        let name: String = code[fn_pos..]
-            .chars()
-            .skip_while(|c| !c.is_whitespace())
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        // Join signature lines until the body `{` or a `;`.
-        let mut sig = String::new();
-        for l in &file.lines[idx..file.lines.len().min(idx + 24)] {
-            sig.push_str(&l.code);
-            sig.push(' ');
-            if l.code.contains('{') || l.code.trim_end().ends_with(';') {
-                break;
-            }
-        }
-        let returns_result = match sig.find("->") {
-            Some(arrow) => {
-                let ret = &sig[arrow + 2..];
-                let ret = ret.split('{').next().unwrap_or(ret);
-                contains_token(ret, "Result")
-            }
-            None => false,
-        };
-        // Attributes: walk upward over `#[...]` and doc lines.
-        let mut has_must_use = false;
-        let mut j = idx;
-        while j > 0 {
-            j -= 1;
-            let above = file.lines[j].code.trim();
-            if above.starts_with("#[") {
-                if above.contains("must_use") {
-                    has_must_use = true;
-                }
-            } else if above.is_empty() {
-                // Doc comments are masked to empty; keep climbing.
-                continue;
-            } else {
-                break;
-            }
-        }
-        out.push(FnSig {
-            name,
-            line: idx + 1,
-            returns_result,
-            has_must_use,
-            in_test: line.in_test,
-        });
-    }
-    out
-}
-
-/// Finds a `pub fn` (not `pub(crate) fn`, which is not public API) on a
-/// masked line, returning the byte offset of `fn`.
-fn find_pub_fn(code: &str) -> Option<usize> {
-    let mut search = 0;
-    while let Some(pos) = code[search..].find("pub fn ") {
-        let abs = search + pos;
-        let prev = code[..abs].chars().next_back();
-        if !prev.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-            return Some(abs + 4);
-        }
-        search = abs + 7;
     }
     None
 }
@@ -1043,121 +754,6 @@ fn f(o: Option<u32>) -> u32 { o.unwrap() }
     }
 
     #[test]
-    fn r2_flags_float_casts_in_bound_math() {
-        let src = "pub fn f(n: u64) -> f64 { n as f64 }\n";
-        let v = lint_source("crates/lp/src/x.rs", src, &Config::default());
-        assert!(v.iter().any(|v| v.rule == Rule::NoLossyCast));
-        // Same source outside bound-math modules: no R2.
-        let v = lint_source("crates/graph/src/x.rs", src, &Config::default());
-        assert!(!v.iter().any(|v| v.rule == Rule::NoLossyCast));
-    }
-
-    #[test]
-    fn r2_flags_truncating_float_to_int() {
-        let src = "fn f(s: f64) -> u64 { (s + 1e-9).floor().max(1.0) as u64 }\n";
-        let v = lint_source("crates/join/src/agm.rs", src, &Config::default());
-        assert!(v.iter().any(|v| v.rule == Rule::NoLossyCast));
-    }
-
-    #[test]
-    fn r2_permits_pure_int_widening() {
-        let src = "fn f(s: u32) -> u64 { s as u64 }\n";
-        let v = lint_source("crates/lp/src/x.rs", src, &Config::default());
-        assert!(!v.iter().any(|v| v.rule == Rule::NoLossyCast));
-    }
-
-    #[test]
-    fn r3_requires_forbid_unsafe() {
-        let v = lint_source("crates/x/src/lib.rs", "pub fn f() {}\n", &Config::default());
-        assert!(v.iter().any(|v| v.rule == Rule::ForbidUnsafe));
-        let v = lint_source(
-            "crates/x/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f() {}\n",
-            &Config::default(),
-        );
-        assert!(v.is_empty());
-        // Non-root files don't need it.
-        let v = lint_source(
-            "crates/x/src/util.rs",
-            "pub fn f() {}\n",
-            &Config::default(),
-        );
-        assert!(!v.iter().any(|v| v.rule == Rule::ForbidUnsafe));
-    }
-
-    #[test]
-    fn r4_requires_must_use_on_result_entry_points() {
-        let src = "pub fn solve(x: u32) -> Result<u32, String> { Ok(x) }\n";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(v.iter().any(|v| v.rule == Rule::MustUseResult));
-        let src = "#[must_use = \"solver verdicts must be checked\"]\npub fn solve(x: u32) -> Result<u32, String> { Ok(x) }\n";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn r4_multiline_signature() {
-        let src = "\
-pub fn solve(
-    x: u32,
-) -> Result<u32, String> {
-    Ok(x)
-}
-";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(v.iter().any(|v| v.rule == Rule::MustUseResult));
-    }
-
-    #[test]
-    fn r4_ignores_non_result_and_private_fns() {
-        let src = "\
-pub fn count(x: u32) -> u32 { x }
-fn helper() -> Result<(), String> { Ok(()) }
-pub(crate) fn internal() -> Result<(), String> { Ok(()) }
-";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn r5_flags_process_exit_in_library() {
-        let src = "fn die() { std::process::exit(1); }\n";
-        let v = lint_lib(src);
-        assert!(v.iter().any(|v| v.rule == Rule::NoProcessExit));
-        // Allowed in binaries.
-        let v = lint_source("crates/core/src/bin/tool.rs", src, &Config::default());
-        assert!(!v.iter().any(|v| v.rule == Rule::NoProcessExit));
-    }
-
-    #[test]
-    fn r6_flags_adhoc_timing_in_library() {
-        let src = "fn f() { let t = std::time::Instant::now(); let _ = t.elapsed(); }\n";
-        let v = lint_lib(src);
-        assert!(v.iter().any(|v| v.rule == Rule::NoAdhocTiming));
-        // Exempt in the engine layer, the experiments harness, binaries,
-        // tests, benches, and examples.
-        for path in [
-            "crates/engine/src/lib.rs",
-            "crates/core/src/experiments.rs",
-            "crates/core/src/bin/tool.rs",
-            "crates/x/benches/b.rs",
-            "examples/demo.rs",
-        ] {
-            let v = lint_source(path, src, &Config::default());
-            assert!(
-                !v.iter().any(|v| v.rule == Rule::NoAdhocTiming),
-                "R6 fired under exempt path {path}"
-            );
-        }
-    }
-
-    #[test]
-    fn r6_respects_allow_directive() {
-        let src = "fn f() { let _t = std::time::Instant::now(); } // lb-lint: allow(no-adhoc-timing) -- coarse watchdog only\n";
-        assert!(lint_lib(src).is_empty());
-    }
-
-    #[test]
     fn r7_flags_indexing_in_hot_paths_only() {
         let src = "fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n";
         let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
@@ -1222,28 +818,46 @@ mod tests {
 
     #[test]
     fn multi_rule_allow() {
-        let src = "pub fn f(n: u64) -> f64 { n as f64 } // lb-lint: allow(no-lossy-cast, no-panic) -- display only\n";
-        let v = lint_source("crates/lp/src/x.rs", src, &Config::default());
-        assert!(v.is_empty());
+        let src = "fn f(xs: &[u32]) -> u32 { xs[0].max(*xs.first().unwrap()) } // lb-lint: allow(no-unchecked-index, no-panic) -- xs is nonempty\n";
+        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
-    fn file_kinds() {
-        assert_eq!(FileKind::classify("crates/x/src/lib.rs"), FileKind::Library);
-        assert_eq!(
-            FileKind::classify("crates/x/tests/t.rs"),
-            FileKind::TestOrBench
-        );
-        assert_eq!(
-            FileKind::classify("crates/x/benches/b.rs"),
-            FileKind::TestOrBench
-        );
-        assert_eq!(FileKind::classify("examples/e.rs"), FileKind::Example);
-        assert_eq!(FileKind::classify("tests/gate.rs"), FileKind::TestOrBench);
-        assert_eq!(
-            FileKind::classify("crates/x/src/bin/tool.rs"),
-            FileKind::Bin
-        );
-        assert_eq!(FileKind::classify("src/main.rs"), FileKind::Bin);
+    fn allows_are_counted_per_directive_and_per_rule() {
+        let src = "\
+fn f(xs: &[u32]) -> u32 { xs[0] } // lb-lint: allow(no-unchecked-index, panic-reachability) -- nonempty
+// lb-lint: allow(no-panic) -- validated upstream
+fn g(o: Option<u32>) -> u32 { o.unwrap() }
+fn h() {} // lb-lint: allow(no-panic)
+";
+        let counts = count_allows(src);
+        assert_eq!(counts.directives, 2, "the reasonless allow is not counted");
+        assert_eq!(counts.by_rule.get(&Rule::NoPanic), Some(&1));
+        assert_eq!(counts.by_rule.get(&Rule::NoUncheckedIndex), Some(&1));
+        assert_eq!(counts.by_rule.get(&Rule::PanicReachability), Some(&1));
+    }
+
+    #[test]
+    fn removed_rule_names_are_bad_directives() {
+        // R2–R6 moved to rustc/clippy; a leftover allow naming one is stale.
+        let v = lint_lib("fn f() {} // lb-lint: allow(no-lossy-cast) -- display only\n");
+        assert!(v.iter().any(|v| v.rule == Rule::BadDirective), "{v:?}");
+    }
+
+    #[test]
+    fn library_classification() {
+        assert!(is_library("crates/x/src/lib.rs"));
+        assert!(is_library("crates/x/src/solver/mod.rs"));
+        for other in [
+            "crates/x/tests/t.rs",
+            "crates/x/benches/b.rs",
+            "examples/e.rs",
+            "tests/gate.rs",
+            "crates/x/src/bin/tool.rs",
+            "src/main.rs",
+        ] {
+            assert!(!is_library(other), "{other} is not library code");
+        }
     }
 }

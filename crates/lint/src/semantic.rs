@@ -41,8 +41,8 @@ use crate::graph::CallGraph;
 use crate::items::{self, ParsedFile, Span};
 use crate::lexer::{scan, ScannedFile};
 use crate::rules::{
-    contains_token, parse_allows, snippet_at, unchecked_index_in, Allows, CheckpointSpec, Config,
-    FileKind, Rule, Violation,
+    contains_token, is_library, parse_allows, snippet_at, unchecked_index_in, Allows,
+    CheckpointSpec, Config, Rule, Violation,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
@@ -528,8 +528,7 @@ pub fn check(
             .or_default();
         effects::tally(fe, agg);
     }
-    let (r_eff, _order) =
-        effects::check(&graph, &rels, &file_effects, config, &allowed, &snippet);
+    let (r_eff, _order) = effects::check(&graph, &rels, &file_effects, config, &allowed, &snippet);
     out.extend(r_eff);
 
     (out, stats)
@@ -558,10 +557,7 @@ fn effect_summaries(sem_files: &[SemFile], config: &Config) -> Vec<FileEffects> 
 fn prepare(files: &[(String, String)], config: &Config) -> Vec<SemFile> {
     files
         .iter()
-        .filter(|(rel, _)| {
-            FileKind::classify(rel) == FileKind::Library
-                && !path_matches(rel, &config.semantic_exclude_paths)
-        })
+        .filter(|(rel, _)| is_library(rel) && !path_matches(rel, &config.semantic_exclude_paths))
         .map(|(rel, source)| {
             let scanned = scan(source);
             let allows = parse_allows(&scanned);
@@ -683,8 +679,7 @@ pub fn effects_dump(files: &[(String, String)], config: &Config) -> String {
     let rels: Vec<String> = sem_files.iter().map(|f| f.rel.clone()).collect();
     let allowed = |_: &str, _: usize, _: Rule| false;
     let snip = |_: &str, _: usize| String::new();
-    let (_viol, order) =
-        effects::check(&graph, &rels, &file_effects, config, &allowed, &snip);
+    let (_viol, order) = effects::check(&graph, &rels, &file_effects, config, &allowed, &snip);
 
     let mut out = String::new();
     let mut per_crate: BTreeMap<String, CrateEffects> = BTreeMap::new();
@@ -728,7 +723,10 @@ pub fn effects_dump(files: &[(String, String)], config: &Config) -> String {
         }
     }
     for e in &order {
-        out.push_str(&format!("order {} -> {} at {}:{}\n", e.from, e.to, e.file, e.line));
+        out.push_str(&format!(
+            "order {} -> {} at {}:{}\n",
+            e.from, e.to, e.file, e.line
+        ));
     }
     for (name, ce) in &per_crate {
         out.push_str(&format!(

@@ -52,7 +52,10 @@ fn outer(m: &std::sync::Mutex<u32>) {
     let fe = effects_of(src);
     let outer = fe.fns.iter().find(|f| f.name == "outer").unwrap();
     let inner = fe.fns.iter().find(|f| f.name == "inner").unwrap();
-    assert!(outer.locks.is_empty(), "inner's lock must not leak: {outer:?}");
+    assert!(
+        outer.locks.is_empty(),
+        "inner's lock must not leak: {outer:?}"
+    );
     assert_eq!(inner.locks.len(), 1);
 }
 

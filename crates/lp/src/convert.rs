@@ -2,10 +2,9 @@
 //!
 //! Bound arithmetic (`lb-lp`, `lb-join::agm`) must never lose precision
 //! silently: a lossy `f64 as u64` can corrupt an AGM witness size, and a
-//! large `u64 as f64` rounds above 2^53. The `lb-lint` rule `no-lossy-cast`
-//! bans raw float↔int `as` casts in those modules; this module is the one
-//! sanctioned home for such casts, each annotated with the runtime check that
-//! makes it sound.
+//! large `u64 as f64` rounds above 2^53. Those modules deny clippy's lossy
+//! cast lints; this module is the one sanctioned home for such casts, each
+//! carrying an `#[expect]` naming the runtime check that makes it sound.
 
 /// Exact `u64 → f64`: `Some` iff the value round-trips without rounding
 /// (always true below 2^53, and for larger values that happen to be
@@ -13,25 +12,40 @@
 #[must_use = "the checked conversion result must be inspected; a None means the value is not exactly representable"]
 pub fn u64_to_f64_exact(n: u64) -> Option<f64> {
     const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
-    let f = n as f64; // lb-lint: allow(no-lossy-cast) -- round-trip checked below
+    #[expect(clippy::cast_precision_loss, reason = "round-trip checked below")]
+    let f = n as f64;
     if f >= TWO_POW_64 {
         // n rounded up to 2^64; the saturating back-cast would mask it.
         return None;
     }
-    let back = f as u64; // lb-lint: allow(no-lossy-cast) -- f < 2^64 checked above, round-trip checked below
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "f < 2^64 checked above, round-trip checked below"
+    )]
+    let back = f as u64;
     (back == n).then_some(f)
 }
 
 /// `u64 → f64` rounding to nearest — for display and plotting only, where a
 /// relative error of 2^-53 is irrelevant. Total (never fails).
 #[must_use = "conversion for display should be used, not dropped"]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "documented lossy display conversion, error ≤ 2^-53 relative"
+)]
 pub fn u64_to_f64_lossy(n: u64) -> f64 {
-    n as f64 // lb-lint: allow(no-lossy-cast) -- documented lossy display conversion, error ≤ 2^-53 relative
+    n as f64
 }
 
 /// Checked `f64 → u64` by flooring: `Some(⌊x⌋)` iff `x` is finite,
 /// non-negative, and its floor fits in `u64`.
 #[must_use = "the checked conversion result must be inspected; a None means the float was out of range"]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "range-checked above; floor of an in-range f64 is exact"
+)]
 pub fn f64_floor_to_u64(x: f64) -> Option<u64> {
     // 2^64 as the first f64 strictly above u64::MAX (u64::MAX itself is not
     // representable; the nearest f64 above it is exactly 2^64).
@@ -39,19 +53,24 @@ pub fn f64_floor_to_u64(x: f64) -> Option<u64> {
     if !x.is_finite() || !(0.0..TWO_POW_64).contains(&x) {
         return None;
     }
-    Some(x.floor() as u64) // lb-lint: allow(no-lossy-cast) -- range-checked above; floor of an in-range f64 is exact
+    Some(x.floor() as u64)
 }
 
 /// Exact `i128 → f64`: `Some` iff the value round-trips without rounding.
 #[must_use = "the checked conversion result must be inspected; a None means the value is not exactly representable"]
 pub fn i128_to_f64_exact(n: i128) -> Option<f64> {
     const TWO_POW_127: f64 = 170_141_183_460_469_231_731_687_303_715_884_105_728.0;
-    let f = n as f64; // lb-lint: allow(no-lossy-cast) -- round-trip checked below
+    #[expect(clippy::cast_precision_loss, reason = "round-trip checked below")]
+    let f = n as f64;
     if f >= TWO_POW_127 {
         // n rounded up to 2^127; the saturating back-cast would mask it.
         return None;
     }
-    let back = f as i128; // lb-lint: allow(no-lossy-cast) -- |f| ≤ 2^127 checked/representable, round-trip checked below
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "|f| ≤ 2^127 checked/representable, round-trip checked below"
+    )]
+    let back = f as i128;
     (back == n).then_some(f)
 }
 

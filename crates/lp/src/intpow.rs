@@ -46,8 +46,12 @@ struct BigUint {
 
 impl BigUint {
     fn from_u128(x: u128) -> Self {
-        let lo = x as u64; // lb-lint: allow(no-lossy-cast) -- limb split: low 64 bits, exact by construction
-        let hi = (x >> 64) as u64; // lb-lint: allow(no-lossy-cast) -- limb split: high 64 bits, exact by construction
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "limb split: low 64 bits, exact by construction"
+        )]
+        let lo = x as u64;
+        let hi = (x >> 64) as u64;
         let mut limbs = vec![lo, hi];
         while limbs.len() > 1 && limbs.last() == Some(&0) {
             limbs.pop();
@@ -60,11 +64,19 @@ impl BigUint {
         let mut carry: u128 = 0;
         for &l in &self.limbs {
             let prod = u128::from(l) * u128::from(m) + carry;
-            out.push(prod as u64); // lb-lint: allow(no-lossy-cast) -- limb split: low word of the product
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "limb split: low word of the product"
+            )]
+            out.push(prod as u64);
             carry = prod >> 64;
         }
         while carry > 0 {
-            out.push(carry as u64); // lb-lint: allow(no-lossy-cast) -- limb split: carry low word
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "limb split: carry low word"
+            )]
+            out.push(carry as u64);
             carry >>= 64;
         }
         while out.len() > 1 && out.last() == Some(&0) {
@@ -154,11 +166,19 @@ fn add(a: &BigUint, b: &BigUint) -> BigUint {
         let x = u128::from(*a.limbs.get(i).unwrap_or(&0));
         let y = u128::from(*b.limbs.get(i).unwrap_or(&0));
         let s = x + y + carry;
-        out.push(s as u64); // lb-lint: allow(no-lossy-cast) -- limb split: low word of the sum
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "limb split: low word of the sum"
+        )]
+        out.push(s as u64);
         carry = s >> 64;
     }
     if carry > 0 {
-        out.push(carry as u64); // lb-lint: allow(no-lossy-cast) -- limb carry, < 2^64 by construction
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "limb carry, < 2^64 by construction"
+        )]
+        out.push(carry as u64);
     }
     while out.len() > 1 && out.last() == Some(&0) {
         out.pop();

@@ -17,9 +17,17 @@
 //! * [`intpow`] — exact `⌊N^{p/q}⌋` and exact power comparisons, so witness
 //!   domain sizes never depend on `f64` rounding.
 //! * [`convert`] — checked float↔int conversions, the only sanctioned home
-//!   for float casts in bound arithmetic (see the `no-lossy-cast` lint rule).
+//!   for float casts in bound arithmetic (every such cast carries an
+//!   `#[expect]` against the cast lints denied below).
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss
+    )
+)]
 
 pub mod convert;
 pub mod covers;

@@ -69,8 +69,11 @@ impl Rational {
     /// Lossy conversion to `f64`, for **display only**. Bound decisions must
     /// go through the exact integer paths (`crate::intpow::floor_rational_pow`
     /// and `crate::intpow::cmp_pow`) instead.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "display-only: documented lossy; never feeds a bound decision"
+    )]
     pub fn to_f64(&self) -> f64 {
-        // lb-lint: allow(no-lossy-cast) -- display-only: documented lossy; never feeds a bound decision
         self.num as f64 / self.den as f64
     }
 

@@ -24,8 +24,6 @@
 //! * [`fourdomains`] — the §2 translations: join query ⇄ CSP ⇄ partitioned
 //!   subgraph isomorphism ⇄ relational-structure homomorphism.
 
-#![forbid(unsafe_code)]
-
 pub mod clique_to_csp;
 pub mod clique_to_special;
 pub mod clique_vc;

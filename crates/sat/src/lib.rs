@@ -21,8 +21,6 @@
 //! Every solver entry point takes a [`lb_engine::Budget`] and returns an
 //! [`lb_engine::Outcome`] paired with [`lb_engine::RunStats`] counters.
 
-#![forbid(unsafe_code)]
-
 pub mod brute;
 pub mod cnf;
 pub mod counting;

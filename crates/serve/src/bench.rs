@@ -8,6 +8,11 @@
 //! SIGKILLed and restarted mid-soak must produce byte-identical verdicts
 //! — that comparison is the soak harness's core invariant.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the load generator paces submissions and bounds its run in real time"
+)]
+
 use crate::client::{Backoff, Client, ClientError};
 use crate::job::{JobFamily, JobSpec, Verdict};
 use crate::runner;

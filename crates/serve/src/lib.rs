@@ -29,8 +29,6 @@
 //! generator (`bench`); `lbtool serve` / `lbtool submit` wrap the same
 //! entry points.
 
-#![forbid(unsafe_code)]
-
 pub mod bench;
 pub mod client;
 pub mod formats;

@@ -14,6 +14,11 @@
 //! [`Spool`] before it is acknowledged: records before `OK`, checkpoints
 //! before re-queueing, verdicts before a job is reported `done`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "retry-backoff parking (`not_before`) is wall-clock by definition; slice accounting stays tick-based"
+)]
+
 use crate::job::{Instance, JobRecord, JobSpec, JobStatus, Verdict};
 use crate::protocol::{Reject, StatusReport};
 use crate::runner::{self, SliceError, SliceOutcome};

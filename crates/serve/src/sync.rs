@@ -33,7 +33,9 @@ pub fn cond_wait_timeout<'a, T>(
     guard: MutexGuard<'a, T>,
     wait: Duration,
 ) -> MutexGuard<'a, T> {
-    cv.wait_timeout(guard, wait).unwrap_or_else(|e| e.into_inner()).0
+    cv.wait_timeout(guard, wait)
+        .unwrap_or_else(|e| e.into_inner())
+        .0
 }
 
 #[cfg(test)]

@@ -13,6 +13,11 @@
 //! * **typed overload** — quota, capacity, and drain rejections arrive as
 //!   `ERR` lines with backoff hints, never as a hang.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the soak bounds a live server with wall-clock deadlines"
+)]
+
 use lb_serve::bench;
 use lb_serve::client::{Client, ClientError};
 use lb_serve::job::{JobFamily, JobSpec};

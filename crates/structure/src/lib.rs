@@ -19,8 +19,6 @@
 //! [`lb_engine::Budget`] and returns an [`lb_engine::Outcome`] paired with
 //! [`lb_engine::RunStats`] operation counters.
 
-#![forbid(unsafe_code)]
-
 pub mod convert;
 pub mod core;
 pub mod grohe;

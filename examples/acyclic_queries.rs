@@ -7,6 +7,11 @@
 //!
 //! Run with: `cargo run --release --example acyclic_queries`
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the walkthrough prints wall-clock timings next to the results"
+)]
+
 use lowerbounds::engine::Budget;
 use lowerbounds::join::acyclic::{is_acyclic, is_empty_acyclic, yannakakis};
 use lowerbounds::join::{binary, wcoj, Atom, Database, JoinQuery, Table};

@@ -8,6 +8,11 @@
 //!
 //! Run with: `cargo run --release --example csp_treewidth`
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the walkthrough prints wall-clock timings next to the results"
+)]
+
 use lowerbounds::csp::generators::random_ktree_csp;
 use lowerbounds::csp::solver::{backtracking, treewidth_dp, BacktrackConfig};
 use lowerbounds::engine::Budget;

@@ -7,6 +7,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the walkthrough prints wall-clock timings next to the results"
+)]
+
 use lowerbounds::engine::Budget;
 use lowerbounds::join::{agm, binary, wcoj, JoinQuery};
 use std::time::Instant;

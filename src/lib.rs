@@ -5,6 +5,4 @@
 //! layout. All functionality lives in the member crates; see the
 //! [`lowerbounds`] umbrella crate for the public API.
 
-#![forbid(unsafe_code)]
-
 pub use lowerbounds as lb;
