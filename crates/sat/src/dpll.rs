@@ -22,6 +22,27 @@
 //! Chained resumes therefore produce the same verdict and the same summed
 //! [`RunStats`] as one uninterrupted run (the slice-equivalence invariant,
 //! machine-checked in `tests/resume_properties.rs`).
+//!
+//! # Derived state
+//!
+//! No step rescans the clause database. Per-literal occurrence lists drive
+//! counts that every assign and unassign updates: per clause, its true and
+//! unassigned literals; a bitset of *hot* clauses (no true literal, at most
+//! one unassigned: the conflicts and units); the number of satisfied
+//! clauses; and per variable, its positive and negative occurrences in
+//! clauses without a true literal. The unit scan jumps from hot clause to
+//! hot clause, `Choose` compares the satisfied count with the clause count
+//! and takes the `MostFrequent` argmax over the variable counts, and the
+//! purity snapshot is read off the same counts. The jumps land on exactly
+//! the clauses a full rescan would stop at, in the same order, so trails,
+//! [`RunStats`] and checkpoint bytes do not depend on how the state is kept
+//! (`tests/dpll_replay_pins.rs` pins them).
+//!
+//! The counts are a function of the formula and the assignment alone, so
+//! they are not checkpointed: every `solve`/`solve_resumable` call rebuilds
+//! them in O(|F|) from the assignment it starts from. Keeping them out of
+//! the payload keeps the checkpoint format, and every checkpoint already
+//! spooled by a served job, valid.
 
 use crate::cnf::{CnfFormula, Lit};
 use lb_engine::checkpoint::{
@@ -70,17 +91,6 @@ pub struct DpllSolver {
     config: DpllConfig,
 }
 
-/// Clause status under a partial assignment.
-enum ClauseState {
-    Satisfied,
-    /// All literals false.
-    Conflict,
-    /// Exactly one literal unassigned, the rest false.
-    Unit(Lit),
-    /// Two or more literals unassigned.
-    Open,
-}
-
 /// Where the machine resumes within the current decision level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
@@ -123,6 +133,223 @@ struct Machine {
     phase: Phase,
 }
 
+/// Search state derived from [`Machine::assignment`], updated on every
+/// assignment change so no step of the search rescans the clause database.
+/// It is a pure function of the formula and the assignment: never
+/// checkpointed, rebuilt in O(|F|) at the start of every [`Machine::run`].
+struct Derived {
+    occurs: Occurrences,
+    counts: Counts,
+}
+
+/// Per-literal occurrence lists in CSR form: the clauses containing the
+/// literal with code `c` are `clauses[start[c]..start[c + 1]]`.
+struct Occurrences {
+    start: Vec<usize>,
+    clauses: Vec<usize>,
+}
+
+/// Clause and variable counts under the current assignment.
+#[derive(Debug, PartialEq, Eq)]
+struct Counts {
+    /// Per clause: literals currently true.
+    true_lits: Vec<usize>,
+    /// Per clause: literals currently unassigned.
+    free: Vec<usize>,
+    /// Bit `c` is set iff clause `c` is *hot*: no true literal and at most
+    /// one unassigned one, i.e. a conflict or a unit.
+    hot: Vec<u64>,
+    /// Clauses with at least one true literal.
+    satisfied: usize,
+    /// Per variable: positive and negative occurrences in clauses without
+    /// a true literal (whatever the variable's own value).
+    pos: Vec<usize>,
+    neg: Vec<usize>,
+}
+
+impl Derived {
+    fn new(f: &CnfFormula, assignment: &[Option<bool>]) -> Derived {
+        // Counting sort of (literal, clause) pairs into CSR.
+        let mut start = vec![0usize; 2 * f.num_vars() + 1];
+        f.clauses().iter().flatten().for_each(|l| {
+            if let Some(s) = start.get_mut(l.code() + 1) {
+                *s += 1;
+            }
+        });
+        let mut total = 0;
+        start.iter_mut().for_each(|s| {
+            total += *s;
+            *s = total;
+        });
+        let mut clauses = vec![0usize; total];
+        let mut next = start.clone();
+        f.clauses().iter().enumerate().for_each(|(c, clause)| {
+            clause.iter().for_each(|l| {
+                if let Some(slot) = next.get_mut(l.code()) {
+                    if let Some(entry) = clauses.get_mut(*slot) {
+                        *entry = c;
+                    }
+                    *slot += 1;
+                }
+            });
+        });
+        let mut counts = Counts {
+            true_lits: vec![0; f.clauses().len()],
+            free: f.clauses().iter().map(Vec::len).collect(),
+            hot: vec![0; f.clauses().len().div_ceil(64)],
+            satisfied: 0,
+            pos: vec![0; f.num_vars()],
+            neg: vec![0; f.num_vars()],
+        };
+        f.clauses().iter().enumerate().for_each(|(c, clause)| {
+            counts.tally(clause, true);
+            counts.set_hot(c, clause.len() <= 1);
+        });
+        let mut derived = Derived {
+            occurs: Occurrences { start, clauses },
+            counts,
+        };
+        assignment.iter().enumerate().for_each(|(v, a)| {
+            if let Some(b) = *a {
+                derived.update(f, Lit::new(v, b), true);
+            }
+        });
+        derived
+    }
+
+    /// Sets variable `v` to `value`, updating the counts for whatever
+    /// changed. Setting a variable to the value it already has is a no-op,
+    /// so a trail naming an unassigned variable cannot skew the counts.
+    fn set(
+        &mut self,
+        f: &CnfFormula,
+        assignment: &mut [Option<bool>],
+        v: usize,
+        value: Option<bool>,
+    ) {
+        let Some(slot) = assignment.get_mut(v) else {
+            return;
+        };
+        let old = std::mem::replace(slot, value);
+        if old == value {
+            return;
+        }
+        if let Some(b) = old {
+            self.update(f, Lit::new(v, b), false);
+        }
+        if let Some(b) = value {
+            self.update(f, Lit::new(v, b), true);
+        }
+    }
+
+    /// `lit` became true (`assign`) or stopped being true; either way its
+    /// negation moved between false and unassigned.
+    fn update(&mut self, f: &CnfFormula, lit: Lit, assign: bool) {
+        let Derived { occurs, counts } = self;
+        occurs
+            .of(lit)
+            .iter()
+            .for_each(|&c| counts.touch(f, c, assign, true));
+        occurs
+            .of(lit.negated())
+            .iter()
+            .for_each(|&c| counts.touch(f, c, assign, false));
+    }
+}
+
+impl Occurrences {
+    fn of(&self, lit: Lit) -> &[usize] {
+        let from = self.start.get(lit.code()).copied().unwrap_or(0);
+        let to = self.start.get(lit.code() + 1).copied().unwrap_or(from);
+        self.clauses.get(from..to).unwrap_or(&[])
+    }
+}
+
+impl Counts {
+    /// One literal of clause `c` was assigned (`assign`) or unassigned;
+    /// `is_true` says whether that literal is, or was, the true one.
+    fn touch(&mut self, f: &CnfFormula, c: usize, assign: bool, is_true: bool) {
+        let (Some(free), Some(t)) = (self.free.get_mut(c), self.true_lits.get_mut(c)) else {
+            return;
+        };
+        let was_satisfied = *t > 0;
+        if assign {
+            *free -= 1;
+            *t += usize::from(is_true);
+        } else {
+            *free += 1;
+            *t -= usize::from(is_true);
+        }
+        let satisfied = *t > 0;
+        let hot = !satisfied && *free <= 1;
+        if satisfied != was_satisfied {
+            if satisfied {
+                self.satisfied += 1;
+            } else {
+                self.satisfied -= 1;
+            }
+            self.tally(f.clauses().get(c).map_or(&[], Vec::as_slice), !satisfied);
+        }
+        self.set_hot(c, hot);
+    }
+
+    /// Adds (or removes) one clause's literals to the per-variable counts.
+    fn tally(&mut self, clause: &[Lit], add: bool) {
+        clause.iter().for_each(|l| {
+            let side = if l.is_positive() {
+                &mut self.pos
+            } else {
+                &mut self.neg
+            };
+            if let Some(n) = side.get_mut(l.var()) {
+                if add {
+                    *n += 1;
+                } else {
+                    *n -= 1;
+                }
+            }
+        });
+    }
+
+    fn set_hot(&mut self, c: usize, hot: bool) {
+        if let Some(word) = self.hot.get_mut(c / 64) {
+            let bit = 1u64 << (c % 64);
+            if hot {
+                *word |= bit;
+            } else {
+                *word &= !bit;
+            }
+        }
+    }
+
+    /// The first hot clause at index `from` or later.
+    fn next_hot(&self, from: usize) -> Option<usize> {
+        let (word, bit) = (from / 64, from % 64);
+        self.hot.iter().enumerate().skip(word).find_map(|(i, &w)| {
+            let w = if i == word { w & (!0u64 << bit) } else { w };
+            (w != 0).then(|| i * 64 + w.trailing_zeros() as usize)
+        })
+    }
+
+    /// The unassigned literal of hot clause `c`, or `None` if it has none
+    /// (a conflict).
+    fn unit_literal(&self, f: &CnfFormula, c: usize, assignment: &[Option<bool>]) -> Option<Lit> {
+        if self.free.get(c) == Some(&0) {
+            return None;
+        }
+        f.clauses()
+            .get(c)?
+            .iter()
+            .copied()
+            .find(|l| assignment.get(l.var()) == Some(&None))
+    }
+
+    /// Occurrences of `v` in clauses without a true literal.
+    fn occurrences(&self, v: usize) -> usize {
+        self.pos.get(v).copied().unwrap_or(0) + self.neg.get(v).copied().unwrap_or(0)
+    }
+}
+
 impl Machine {
     fn fresh(f: &CnfFormula) -> Machine {
         Machine {
@@ -139,40 +366,26 @@ impl Machine {
     }
 
     /// Undoes the current level's simplification trail and starts unwinding.
-    fn fail_level(&mut self) {
-        // lb-lint: allow(unbudgeted-loop) -- drains the trail of a failed level; entries were charged when assigned
-        for v in self.trail.drain(..) {
-            // lb-lint: allow(no-unchecked-index, panic-reachability) -- the trail only holds assigned variable ids < num_vars
-            self.assignment[v] = None;
-        }
+    fn fail_level(&mut self, f: &CnfFormula, derived: &mut Derived) {
+        std::mem::take(&mut self.trail)
+            .into_iter()
+            .for_each(|v| derived.set(f, &mut self.assignment, v, None));
         self.phase = Phase::Unwind;
     }
 
-    /// Computes the purity snapshot over unresolved clauses.
-    fn compute_purity(&mut self, f: &CnfFormula) {
-        let n = f.num_vars();
-        self.pure_pos = vec![false; n];
-        self.pure_neg = vec![false; n];
-        // lb-lint: allow(unbudgeted-loop) -- single purity scan, linear in the clause database
-        for clause in f.clauses() {
-            if matches!(
-                DpllSolver::clause_state(clause, &self.assignment),
-                ClauseState::Satisfied
-            ) {
-                continue;
-            }
-            // lb-lint: allow(unbudgeted-loop) -- single purity scan, linear in the clause database
-            for &l in clause {
-                // lb-lint: allow(no-unchecked-index, panic-reachability) -- l.var() < num_vars, validated by CnfFormula::add_clause
-                if self.assignment[l.var()].is_none() {
-                    if l.is_positive() {
-                        self.pure_pos[l.var()] = true; // lb-lint: allow(no-unchecked-index, panic-reachability) -- l.var() < num_vars, validated by CnfFormula::add_clause
-                    } else {
-                        self.pure_neg[l.var()] = true; // lb-lint: allow(no-unchecked-index, panic-reachability) -- l.var() < num_vars, validated by CnfFormula::add_clause
-                    }
-                }
-            }
-        }
+    /// Snapshots purity from the maintained occurrence counts: a variable
+    /// is pure-positive when it is unassigned and occurs positively in some
+    /// clause without a true literal.
+    fn compute_purity(&mut self, derived: &Derived) {
+        let snapshot = |counts: &[usize]| -> Vec<bool> {
+            counts
+                .iter()
+                .zip(&self.assignment)
+                .map(|(&n, a)| a.is_none() && n > 0)
+                .collect()
+        };
+        self.pure_pos = snapshot(&derived.counts.pos);
+        self.pure_neg = snapshot(&derived.counts.neg);
     }
 
     /// Runs micro-steps until a verdict or a failed charge. Every counted
@@ -185,36 +398,43 @@ impl Machine {
         config: &DpllConfig,
         ticker: &mut Ticker,
     ) -> Result<bool, ExhaustReason> {
+        let mut derived = Derived::new(f, &self.assignment);
         loop {
             match self.phase {
                 Phase::UnitScan { clause, changed } => {
+                    // Only hot clauses (conflicts and units) need a visit;
+                    // the scan jumps between them in index order.
                     let mut i = clause;
                     let mut changed = changed;
                     let mut conflict = false;
-                    while let Some(c) = f.clauses().get(i) {
-                        match DpllSolver::clause_state(c, &self.assignment) {
-                            ClauseState::Conflict => {
+                    while let Some(c) = derived.counts.next_hot(i) {
+                        i = c + 1;
+                        match derived.counts.unit_literal(f, c, &self.assignment) {
+                            None => {
                                 conflict = true;
                                 break;
                             }
-                            ClauseState::Unit(l) if config.unit_propagation => {
-                                // lb-lint: allow(no-unchecked-index, panic-reachability) -- l.var() < num_vars, validated by CnfFormula::add_clause
-                                self.assignment[l.var()] = Some(l.is_positive());
+                            Some(l) if config.unit_propagation => {
+                                derived.set(
+                                    f,
+                                    &mut self.assignment,
+                                    l.var(),
+                                    Some(l.is_positive()),
+                                );
                                 self.trail.push(l.var());
                                 ticker.record_intermediate(self.trail.len() as u64);
                                 changed = true;
-                                i += 1;
                                 self.phase = Phase::UnitScan { clause: i, changed };
                                 ticker.propagation()?;
                             }
-                            _ => i += 1,
+                            Some(_) => {}
                         }
                     }
                     if conflict {
-                        self.fail_level();
+                        self.fail_level(f, &mut derived);
                         ticker.backtrack()?;
                     } else if config.pure_literal && !changed {
-                        self.compute_purity(f);
+                        self.compute_purity(&derived);
                         self.phase = Phase::PureScan {
                             var: 0,
                             changed: false,
@@ -229,15 +449,13 @@ impl Machine {
                     }
                 }
                 Phase::PureScan { var, changed } => {
-                    let n = f.num_vars();
                     let mut v = var;
                     let mut changed = changed;
-                    while v < n {
-                        // lb-lint: allow(no-unchecked-index) -- v < num_vars = len of the per-variable vectors
-                        let pure =
-                            self.assignment[v].is_none() && (self.pure_pos[v] ^ self.pure_neg[v]); // lb-lint: allow(no-unchecked-index, panic-reachability) -- v < num_vars = len of the per-variable vectors
-                        if pure {
-                            self.assignment[v] = Some(self.pure_pos[v]); // lb-lint: allow(no-unchecked-index, panic-reachability) -- v < num_vars = len of the per-variable vectors
+                    while let Some(a) = self.assignment.get(v) {
+                        let pos = self.pure_pos.get(v).copied().unwrap_or(false);
+                        let neg = self.pure_neg.get(v).copied().unwrap_or(false);
+                        if a.is_none() && (pos ^ neg) {
+                            derived.set(f, &mut self.assignment, v, Some(pos));
                             self.trail.push(v);
                             ticker.record_intermediate(self.trail.len() as u64);
                             changed = true;
@@ -260,47 +478,27 @@ impl Machine {
                     };
                 }
                 Phase::Choose => {
-                    let all_satisfied = f.clauses().iter().all(|c| {
-                        matches!(
-                            DpllSolver::clause_state(c, &self.assignment),
-                            ClauseState::Satisfied
-                        )
-                    });
-                    if all_satisfied {
+                    if derived.counts.satisfied == f.clauses().len() {
                         return Ok(true);
                     }
+                    let mut unassigned = self
+                        .assignment
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, a)| a.is_none())
+                        .map(|(v, _)| v);
                     let var = match config.branching {
-                        Branching::FirstUnassigned => {
-                            self.assignment.iter().position(|a| a.is_none())
-                        }
+                        Branching::FirstUnassigned => unassigned.next(),
+                        // `max_by_key` keeps the last of equal maxima.
                         Branching::MostFrequent => {
-                            let mut count = vec![0usize; f.num_vars()];
-                            // lb-lint: allow(unbudgeted-loop) -- unit scan, linear in the clause database per charged node
-                            for clause in f.clauses() {
-                                if matches!(
-                                    DpllSolver::clause_state(clause, &self.assignment),
-                                    ClauseState::Satisfied
-                                ) {
-                                    continue;
-                                }
-                                // lb-lint: allow(unbudgeted-loop) -- scans one clause; bounded by clause width
-                                for &l in clause {
-                                    // lb-lint: allow(no-unchecked-index, panic-reachability) -- l.var() < num_vars, validated by CnfFormula::add_clause
-                                    if self.assignment[l.var()].is_none() {
-                                        count[l.var()] += 1; // lb-lint: allow(no-unchecked-index, panic-reachability) -- l.var() < num_vars, validated by CnfFormula::add_clause
-                                    }
-                                }
-                            }
-                            (0..f.num_vars())
-                                .filter(|&v| self.assignment[v].is_none()) // lb-lint: allow(no-unchecked-index, panic-reachability) -- v < num_vars = len of the per-variable vectors
-                                .max_by_key(|&v| count[v]) // lb-lint: allow(no-unchecked-index, panic-reachability) -- v < num_vars = len of the per-variable vectors
+                            unassigned.max_by_key(|&v| derived.counts.occurrences(v))
                         }
                     };
                     match var {
                         None => {
                             // No unassigned variables but not all clauses
                             // satisfied: dead end.
-                            self.fail_level();
+                            self.fail_level(f, &mut derived);
                             ticker.backtrack()?;
                         }
                         Some(var) => {
@@ -311,7 +509,7 @@ impl Machine {
                                 trail,
                             });
                             ticker.record_intermediate(self.frames.len() as u64);
-                            self.assignment[var] = Some(true); // lb-lint: allow(no-unchecked-index, panic-reachability) -- var came from an index over 0..num_vars
+                            derived.set(f, &mut self.assignment, var, Some(true));
                             self.phase = Phase::UnitScan {
                                 clause: 0,
                                 changed: false,
@@ -326,17 +524,15 @@ impl Machine {
                         if !top.tried_false {
                             top.tried_false = true;
                             let var = top.var;
-                            self.assignment[var] = Some(false); // lb-lint: allow(no-unchecked-index, panic-reachability) -- frame vars came from an index over 0..num_vars
+                            derived.set(f, &mut self.assignment, var, Some(false));
                             self.phase = Phase::UnitScan {
                                 clause: 0,
                                 changed: false,
                             };
                         } else if let Some(frame) = self.frames.pop() {
-                            self.assignment[frame.var] = None; // lb-lint: allow(no-unchecked-index, panic-reachability) -- frame vars came from an index over 0..num_vars
-                                                               // lb-lint: allow(unbudgeted-loop) -- unwinds one frame's trail; assignments were charged when made
-                            for v in frame.trail {
-                                self.assignment[v] = None; // lb-lint: allow(no-unchecked-index, panic-reachability) -- the trail only holds assigned variable ids < num_vars
-                            }
+                            std::iter::once(frame.var)
+                                .chain(frame.trail)
+                                .for_each(|v| derived.set(f, &mut self.assignment, v, None));
                         }
                     }
                 },
@@ -559,29 +755,6 @@ impl DpllSolver {
         };
         Ok((outcome, ticker.stats()))
     }
-
-    fn clause_state(clause: &[Lit], assignment: &[Option<bool>]) -> ClauseState {
-        let mut unassigned: Option<Lit> = None;
-        let mut unassigned_count = 0usize;
-        // lb-lint: allow(unbudgeted-loop) -- scans one clause; bounded by clause width
-        for &l in clause {
-            // lb-lint: allow(no-unchecked-index, panic-reachability) -- l.var() < num_vars, validated by CnfFormula::add_clause
-            match assignment[l.var()] {
-                Some(v) if v == l.is_positive() => return ClauseState::Satisfied,
-                Some(_) => {}
-                None => {
-                    unassigned = Some(l);
-                    unassigned_count += 1;
-                }
-            }
-        }
-        match unassigned_count {
-            0 => ClauseState::Conflict,
-            // lb-lint: allow(no-panic, panic-reachability) -- invariant: exactly one unassigned literal was counted in this clause
-            1 => ClauseState::Unit(unassigned.expect("counted one")),
-            _ => ClauseState::Open,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -760,5 +933,31 @@ mod tests {
             .solve_resumable(&f2, &Budget::unlimited(), Some(&ck))
             .unwrap_err();
         assert!(matches!(err, CheckpointError::InstanceMismatch { .. }));
+    }
+
+    #[test]
+    fn incremental_counts_match_a_rebuild() {
+        // Tautologies and a unit clause alongside random 3-clauses; 70
+        // clauses span two bitset words.
+        let mut clauses = vec![vec![l(1), l(-1)], vec![l(2), l(-2), l(3)], vec![l(4)]];
+        clauses.extend(
+            generators::random_ksat(9, 67, 3, 11)
+                .clauses()
+                .iter()
+                .cloned(),
+        );
+        let f = CnfFormula::from_clauses(9, clauses);
+        let mut assignment = vec![None; 9];
+        let mut derived = Derived::new(&f, &assignment);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let v = (state % 9) as usize;
+            let value = [None, Some(false), Some(true)][(state >> 8) as usize % 3];
+            derived.set(&f, &mut assignment, v, value);
+            assert_eq!(derived.counts, Derived::new(&f, &assignment).counts);
+        }
     }
 }

@@ -445,10 +445,9 @@ impl Scheduler {
         self.wake.notify_all();
     }
 
-    /// True once drain was requested and no slice is still in flight.
-    pub fn drained(&self) -> bool {
-        let state = lock_state(&self.state);
-        state.draining && state.jobs.values().all(|e| !e.running)
+    /// True once drain was requested.
+    pub fn draining(&self) -> bool {
+        lock_state(&self.state).draining
     }
 
     fn worker_loop(&self) {

@@ -16,7 +16,7 @@ use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::spool::{Spool, SpoolError};
 use lb_engine::parse::{ParseError, ParseErrorKind};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -200,25 +200,22 @@ impl Server {
     }
 
     /// Accepts connections until a `DRAIN` request lands, then waits for
-    /// workers to park and returns. Every connection gets its own handler
-    /// thread; over-cap connections are shed with a typed overload line.
+    /// open connections to close and for workers to finish their in-flight
+    /// slice, and returns. Every connection gets its own handler thread;
+    /// over-cap connections are shed with a typed overload line.
     pub fn run(self) -> Result<(), SpoolError> {
         let workers = self.sched.spawn_workers();
-        // Polling accept so the loop notices drain promptly even when no
-        // connection arrives to tell it.
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| SpoolError::Io {
-                path: self.cfg.addr.clone(),
-                error: e.to_string(),
-            })?;
+        // `accept` blocks; the `DRAIN` handler wakes it by connecting to
+        // this address once the scheduler is draining.
+        let wake = self.local_addr();
         let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         let mut conn_index: u64 = 0;
         loop {
-            if self.sched.drained() {
+            let accepted = self.listener.accept();
+            if self.sched.draining() {
                 break;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
                     conn_index += 1;
                     let live = self.conns.fetch_add(1, Ordering::SeqCst);
@@ -241,21 +238,18 @@ impl Server {
                     };
                     handlers.push(thread::spawn(move || {
                         match wrap {
-                            Some(plan) => {
-                                handle_connection(FaultStream::new(stream, &plan), &sched, &cfg)
-                            }
-                            None => handle_connection(stream, &sched, &cfg),
+                            Some(plan) => handle_connection(
+                                FaultStream::new(stream, &plan),
+                                &sched,
+                                &cfg,
+                                wake,
+                            ),
+                            None => handle_connection(stream, &sched, &cfg, wake),
                         }
                         conns.fetch_sub(1, Ordering::SeqCst);
                     }));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    eprintln!("accept error: {e}");
-                    thread::sleep(Duration::from_millis(20));
-                }
+                Err(e) => eprintln!("accept error: {e}"),
             }
             handlers.retain(|h| !h.is_finished());
         }
@@ -266,6 +260,15 @@ impl Server {
             let _join = w.join();
         }
         Ok(())
+    }
+}
+
+/// Wakes the blocking accept loop after a drain: one connection to the
+/// listener, closed at once. A failure is logged; the loop then notices
+/// the drain at the next connection instead.
+fn wake_accept_loop(addr: SocketAddr) {
+    if let Err(e) = TcpStream::connect_timeout(&addr, Duration::from_millis(1_000)) {
+        eprintln!("drain wake-up connect to {addr} failed: {e}");
     }
 }
 
@@ -286,19 +289,30 @@ fn shed_connection(stream: TcpStream, retry_after_ms: u64) {
         stream.set_write_timeout(Some(Duration::from_millis(500))),
     );
     let mut stream = stream;
-    let line = Reject::Overload { retry_after_ms }.to_line();
-    let _shed = writeln!(stream, "{line}");
+    let _shed = respond(&mut stream, &Reject::Overload { retry_after_ms }.to_line());
 }
 
+/// Sends `line` and its newline in one write: a separate newline write on
+/// an unbuffered socket waits out Nagle plus the peer's delayed ACK.
 fn respond<W: Write>(stream: &mut W, line: &str) -> bool {
-    writeln!(stream, "{line}").is_ok() && stream.flush().is_ok()
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    stream.write_all(framed.as_bytes()).is_ok() && stream.flush().is_ok()
 }
 
 /// Serves one connection: requests in a loop until the peer closes, the
 /// idle timeout fires with nothing pending, or an unrecoverable read error.
 /// Generic over [`SessionStream`] so the same handler serves clean sockets
 /// and fault-injected ones — the robustness posture is identical either way.
-fn handle_connection<S: SessionStream>(stream: S, sched: &Arc<Scheduler>, cfg: &ServerConfig) {
+/// `wake` is the listener's address, connected to after a `DRAIN` so the
+/// accept loop sees it.
+fn handle_connection<S: SessionStream>(
+    stream: S,
+    sched: &Arc<Scheduler>,
+    cfg: &ServerConfig,
+    wake: Option<SocketAddr>,
+) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -399,6 +413,9 @@ fn handle_connection<S: SessionStream>(stream: S, sched: &Arc<Scheduler>, cfg: &
             Request::Stats => sched.stats_line(),
             Request::Drain => {
                 sched.drain();
+                if let Some(addr) = wake {
+                    wake_accept_loop(addr);
+                }
                 "OK draining".to_string()
             }
             Request::Status { job_id } => match sched.status(&job_id) {
@@ -412,6 +429,42 @@ fn handle_connection<S: SessionStream>(stream: S, sched: &Arc<Scheduler>, cfg: &
         };
         if !respond(&mut write_half, &reply) {
             return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Write` double recording each `write` call's bytes.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn respond_sends_line_and_newline_in_one_write() {
+        for line in [
+            "PONG",
+            "OK j1",
+            "",
+            &Reject::Overload { retry_after_ms: 5 }.to_line(),
+        ] {
+            let mut out = Recorder::default();
+            assert!(respond(&mut out, line));
+            assert_eq!(out.writes, vec![format!("{line}\n").into_bytes()]);
         }
     }
 }
