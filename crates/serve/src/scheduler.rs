@@ -22,7 +22,7 @@
 use crate::job::{Instance, JobRecord, JobSpec, JobStatus, Verdict};
 use crate::protocol::{Reject, StatusReport};
 use crate::runner::{self, SliceError, SliceOutcome};
-use crate::spool::Spool;
+use crate::spool::{Progress, Spool};
 use crate::sync::{cond_wait, cond_wait_timeout, lock_recover};
 use lb_engine::fault::{with_io_plan, IoFaultPlan};
 use lb_engine::{exhaustion_diagnostic, Budget, Checkpoint};
@@ -197,8 +197,8 @@ impl Scheduler {
                     state.jobs.insert(id, settled_entry(rec));
                 }
                 JobStatus::Queued => {
-                    let (resume, discarded) = spool.resume_point(&rec);
                     let mut rec = rec;
+                    let (resume, discarded) = spool.resume_point(&mut rec);
                     let mut evidence = Vec::new();
                     if let Some(why) = discarded {
                         // Degraded-checkpoint recovery: the frontier blob
@@ -582,43 +582,67 @@ impl Scheduler {
         state.counters.quarantined += 1;
     }
 
-    /// Applies one finished slice's outcome under the lock, persisting
-    /// whatever must survive a crash before the job becomes visible in its
-    /// new state.
-    fn settle_slice(
-        &self,
-        id: &str,
-        result: Result<(SliceOutcome, lb_engine::RunStats), runner::SliceError>,
-    ) {
-        // lb-lint: allow(lock-discipline) -- persistence ordering: the slice
-        // outcome, its checkpoint, and the job's new state must land in the
-        // spool atomically with respect to concurrent submit/steal, so the
-        // saves happen under the state lock; contention is bounded because
-        // settle runs once per finished slice, not per request.
+    /// Applies one finished slice's outcome. A suspension is persisted
+    /// with one [`Spool::save_progress`] made outside the state lock: the
+    /// worker still owns the job there (`running` is set and the job is in
+    /// no queue), so nothing else reads or writes its frontier or counters
+    /// until the job is re-queued.
+    fn settle_slice(&self, id: &str, result: SliceResult) {
+        let Some((progress, checkpoint)) = self.settle(id, Settle::Slice(result)) else {
+            return;
+        };
+        let saved = self.spool.save_progress(id, progress, &checkpoint);
+        self.settle(id, Settle::Spooled { checkpoint, saved });
+    }
+
+    /// The locked half of [`Scheduler::settle_slice`]. A suspension that
+    /// keeps running comes back as the counters and frontier to spool;
+    /// everything else settles here.
+    fn settle(&self, id: &str, step: Settle) -> Option<(Progress, Checkpoint)> {
+        // lb-lint: allow(lock-discipline) -- the writes still made under
+        // the lock are the rare state changes that must be durable before
+        // any other thread sees them: the verdict (so a `STATUS` after
+        // `done` never races its fsync, see `finish`), a ladder rung's
+        // attempt count, and quarantine. A suspension's progress write,
+        // the per-slice one, happens in `settle_slice` with the lock free.
         let mut state = lock_state(&self.state);
+        let result = match step {
+            Settle::Slice(result) => result,
+            Settle::Spooled { checkpoint, saved } => {
+                let tenant = {
+                    let entry = state.jobs.get_mut(id)?;
+                    entry.running = false;
+                    entry.resume = Some(checkpoint);
+                    entry.rec.spec.tenant.clone()
+                };
+                // A failed write is a ladder rung: the job keeps its
+                // in-memory frontier, but repeated spool faults quarantine
+                // it instead of silently degrading forever.
+                if let Err(e) = saved {
+                    let why = format!("could not spool progress: {e}");
+                    self.fail_attempt(&mut state, id, &why, false);
+                    return None;
+                }
+                enqueue(&mut state, id, &tenant);
+                drop(state);
+                self.wake.notify_one();
+                return None;
+            }
+        };
         state.counters.slices += 1;
-        {
-            let Some(entry) = state.jobs.get_mut(id) else {
-                return;
-            };
-            entry.running = false;
-        }
+        state.jobs.get_mut(id)?.running = false;
         match result {
             Ok((SliceOutcome::Done(v), stats)) => {
                 let ticks = stats.total_ops();
-                if let Some(entry) = state.jobs.get_mut(id) {
-                    entry.rec.spent += ticks;
-                }
+                state.jobs.get_mut(id)?.rec.spent += ticks;
                 state.counters.ticks += ticks;
                 self.finish(&mut state, id, v);
             }
             Ok((SliceOutcome::Suspended { reason, checkpoint }, stats)) => {
                 let ticks = stats.total_ops();
                 state.counters.ticks += ticks;
-                let (over_budget, stalled, tenant) = {
-                    let Some(entry) = state.jobs.get_mut(id) else {
-                        return;
-                    };
+                let (over_budget, stalled) = {
+                    let entry = state.jobs.get_mut(id)?;
                     entry.rec.spent += ticks;
                     if ticks == 0 {
                         entry.stalled += 1;
@@ -628,7 +652,6 @@ impl Scheduler {
                     (
                         entry.rec.spec.budget.is_some_and(|t| entry.rec.spent >= t),
                         entry.stalled,
-                        entry.rec.spec.tenant.clone(),
                     )
                 };
                 if over_budget {
@@ -636,7 +659,7 @@ impl Scheduler {
                     // Same shared diagnostic lbtool prints on exit 3.
                     let why = exhaustion_diagnostic(&reason.to_string(), None);
                     self.finish(&mut state, id, Verdict::Unknown(why));
-                    return;
+                    return None;
                 }
                 if stalled >= self.cfg.max_attempts.max(1) {
                     // Budget livelock: slices keep suspending without a
@@ -652,35 +675,18 @@ impl Scheduler {
                         &format!("budget livelock: {stalled} consecutive zero-progress slices"),
                         false,
                     );
-                    return;
+                    return None;
                 }
                 state.counters.preemptions += 1;
-                // Persist frontier then record; only then re-queue. A crash
-                // between the two replays from the older frontier — slower,
-                // never wrong. A *failed* save is a ladder rung: the job
-                // keeps its in-memory frontier, but repeated spool faults
-                // quarantine it instead of silently degrading forever.
-                let saved_ckpt = self.spool.save_checkpoint(id, &checkpoint);
-                let saved_rec = match state.jobs.get_mut(id) {
-                    Some(entry) => {
-                        entry.rec.preemptions += 1;
-                        entry.resume = Some(checkpoint);
-                        self.spool.save_record(&entry.rec)
-                    }
-                    None => return,
+                // The worker keeps the job through the progress write.
+                let entry = state.jobs.get_mut(id)?;
+                entry.running = true;
+                entry.rec.preemptions += 1;
+                let progress = Progress {
+                    preemptions: entry.rec.preemptions,
+                    spent: entry.rec.spent,
                 };
-                if let Err(e) = saved_ckpt.and(saved_rec) {
-                    self.fail_attempt(
-                        &mut state,
-                        id,
-                        &format!("could not spool progress: {e}"),
-                        false,
-                    );
-                    return;
-                }
-                enqueue(&mut state, id, &tenant);
-                drop(state);
-                self.wake.notify_one();
+                return Some((progress, checkpoint));
             }
             Err(SliceError::Checkpoint(e)) => {
                 // The frontier blob failed to decode or re-encode: discard
@@ -700,10 +706,16 @@ impl Scheduler {
                 );
             }
         }
+        None
     }
 
     /// Settles a job: verdict into the record, record onto disk, frontier
     /// artifacts cleaned, accounting updated.
+    ///
+    /// The verdict write stays under the state lock on purpose. A `STATUS`
+    /// that arrives during its fsync waits for it and answers `done`;
+    /// written outside the lock, the job would answer `queued` until the
+    /// poller's next round, which made short jobs slower overall.
     fn finish(&self, state: &mut State, id: &str, verdict: Verdict) {
         let Some(entry) = state.jobs.get_mut(id) else {
             return;
@@ -724,6 +736,21 @@ impl Scheduler {
         }
         state.counters.done += 1;
     }
+}
+
+/// A finished slice as [`runner::solve_slice`] returns it.
+type SliceResult = Result<(SliceOutcome, lb_engine::RunStats), SliceError>;
+
+/// The two locked steps of [`Scheduler::settle_slice`].
+enum Settle {
+    /// Apply a finished slice.
+    Slice(SliceResult),
+    /// Store the frontier whose progress write just returned `saved`,
+    /// then re-queue the job (or climb the ladder if the write failed).
+    Spooled {
+        checkpoint: Checkpoint,
+        saved: Result<(), crate::spool::SpoolError>,
+    },
 }
 
 /// What [`Scheduler::recover`] found and did.
@@ -924,6 +951,51 @@ mod tests {
         // Once the backoff expires the job is runnable again.
         let (pick3, _) = pick_next(&mut state, until + Duration::from_millis(1));
         assert_eq!(pick3.as_deref(), Some(parked.as_str()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_suspension_makes_one_write_and_leaves_the_record_alone() {
+        let (dir, spool) = scratch("onewrite");
+        let (sched, _) = Scheduler::recover(spool.clone(), cfg(3)).unwrap();
+        let id = sched.submit(spec("acme")).unwrap();
+        let admitted = fs::read(spool.job_path(&id)).unwrap();
+        // One one-tick slice, run and settled the way a worker does it.
+        let suspend = || {
+            let instance = {
+                let mut state = lock_state(&sched.state);
+                let entry = state.jobs.get_mut(&id).unwrap();
+                entry.running = true;
+                Arc::clone(entry.instance.as_ref().unwrap())
+            };
+            let result = runner::solve_slice(&instance, &Budget::ticks(1), None);
+            assert!(matches!(result, Ok((SliceOutcome::Suspended { .. }, _))));
+            sched.settle_slice(&id, result);
+        };
+        // A second atomic write inside the settle would fail here.
+        let plan = IoFaultPlan::new().with_point(lb_engine::fault::IoFaultKind::TmpWrite, 2);
+        with_io_plan(&plan, suspend);
+        let status = sched.status(&id).unwrap();
+        assert_eq!(status.state, "queued");
+        assert_eq!((status.attempts, status.preemptions), (0, 1));
+
+        suspend();
+        suspend();
+        assert_eq!(
+            fs::read(spool.job_path(&id)).unwrap(),
+            admitted,
+            "suspensions must not rewrite the record"
+        );
+        let status = sched.status(&id).unwrap();
+        let (_, progress) = spool.load_progress(&id).unwrap().unwrap();
+        assert_eq!(
+            progress,
+            Some(Progress {
+                preemptions: 3,
+                spent: status.spent
+            })
+        );
+        assert!(status.spent > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

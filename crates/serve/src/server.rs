@@ -210,6 +210,7 @@ impl Server {
         let wake = self.local_addr();
         let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         let mut conn_index: u64 = 0;
+        let mut accept_errors: u32 = 0;
         loop {
             let accepted = self.listener.accept();
             if self.sched.draining() {
@@ -217,6 +218,7 @@ impl Server {
             }
             match accepted {
                 Ok((stream, _)) => {
+                    accept_errors = 0;
                     conn_index += 1;
                     let live = self.conns.fetch_add(1, Ordering::SeqCst);
                     if live >= self.cfg.max_conns {
@@ -249,7 +251,17 @@ impl Server {
                         conns.fetch_sub(1, Ordering::SeqCst);
                     }));
                 }
-                Err(e) => eprintln!("accept error: {e}"),
+                Err(e) => {
+                    // A persistent error (`EMFILE`) would otherwise spin
+                    // this loop; one stray error costs no pause.
+                    accept_errors = accept_errors.saturating_add(1);
+                    let pause = accept_backoff(accept_errors);
+                    eprintln!(
+                        "accept error ({accept_errors} in a row, pausing {} ms): {e}",
+                        pause.as_millis()
+                    );
+                    thread::sleep(pause);
+                }
             }
             handlers.retain(|h| !h.is_finished());
         }
@@ -261,6 +273,20 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// How long the accept loop pauses after `consecutive` failed accepts in
+/// a row: nothing after the first, then 5 ms doubling per further error,
+/// capped at 1 s. A successful accept resets the count, so healthy
+/// accepts are never delayed.
+fn accept_backoff(consecutive: u32) -> Duration {
+    const BASE_MS: u64 = 5;
+    const CAP_MS: u64 = 1_000;
+    if consecutive < 2 {
+        return Duration::ZERO;
+    }
+    let doublings = (consecutive - 2).min(16);
+    Duration::from_millis((BASE_MS << doublings).min(CAP_MS))
 }
 
 /// Wakes the blocking accept loop after a drain: one connection to the
@@ -452,6 +478,17 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    #[test]
+    fn accept_backoff_doubles_from_the_second_error_and_caps() {
+        let ms = |n| accept_backoff(n).as_millis();
+        assert_eq!((ms(0), ms(1)), (0, 0), "a lone error costs no pause");
+        assert_eq!((ms(2), ms(3), ms(4)), (5, 10, 20));
+        assert_eq!(ms(8), 320);
+        assert_eq!(ms(9), 640);
+        assert_eq!(ms(10), 1_000, "capped");
+        assert_eq!(ms(u32::MAX), 1_000);
     }
 
     #[test]

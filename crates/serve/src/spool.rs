@@ -2,8 +2,13 @@
 //! `kill -9`.
 //!
 //! ```text
-//! <spool>/jobs/<id>.job                versioned text record (see [`crate::job`])
-//! <spool>/ckpt/<id>.lbck               the job's LBCK frontier, absent when none
+//! <spool>/jobs/<id>.job                versioned text record (see [`crate::job`]),
+//!                                      written at admission, on a ladder rung and
+//!                                      at the verdict — never per slice
+//! <spool>/ckpt/<id>.lbck               the job's progress: a 30-byte envelope
+//!                                      (`LBPG`, version, preemptions, spent,
+//!                                      header FNV-1a) in front of its LBCK
+//!                                      frontier; absent when none
 //! <spool>/quarantine/<id>.job          a dead-lettered record (or raw bytes when
 //!                                      the record itself failed to decode)
 //! <spool>/quarantine/<id>.evidence     the per-attempt evidence that sent it there
@@ -18,9 +23,17 @@
 //! never re-run (no duplicated verdicts); a `queued` record resumes from
 //! its spooled checkpoint, or from scratch when the checkpoint is absent
 //! or fails to decode — losing at most one slice of work, never soundness.
+//! A suspension is one write ([`Spool::save_progress`]): frontier and
+//! counters land together, so the record's `preemptions`/`spent` may be
+//! stale, and recovery keeps the larger of record and envelope. A bare
+//! LBCK blob (older spools, [`Spool::save_checkpoint`]) still loads, with
+//! the record's counters.
 
 use crate::job::{JobRecord, JobStatus};
-use lb_engine::checkpoint::{atomic_write, cleanup_artifacts, Checkpoint, CheckpointError};
+use lb_engine::checkpoint::{
+    atomic_write, cleanup_artifacts, fnv1a, Checkpoint, CheckpointError, PayloadReader,
+    PayloadWriter,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -58,6 +71,66 @@ fn io_err(path: &Path) -> impl Fn(std::io::Error) -> SpoolError + '_ {
         path: path.display().to_string(),
         error: e.to_string(),
     }
+}
+
+/// The two per-job counters a suspension persists beside its frontier.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Progress {
+    /// Suspensions so far.
+    pub preemptions: u64,
+    /// Ticks spent so far across all slices.
+    pub spent: u64,
+}
+
+/// `LBPG`: the magic of the progress envelope in front of a frontier.
+const PROGRESS_MAGIC: u32 = u32::from_le_bytes(*b"LBPG");
+const PROGRESS_VERSION: u16 = 1;
+
+/// Encodes `progress` as the envelope header (magic, version, the two
+/// counters, an FNV-1a of those bytes) followed by the LBCK bytes of `ck`.
+fn encode_progress(progress: Progress, ck: &Checkpoint) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    w.u32(PROGRESS_MAGIC)
+        .u16(PROGRESS_VERSION)
+        .u64(progress.preemptions)
+        .u64(progress.spent);
+    let mut bytes = w.finish();
+    let sum = fnv1a(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes.extend_from_slice(&ck.to_bytes());
+    bytes
+}
+
+/// Decodes a `ckpt/<id>.lbck` file: an envelope yields its counters, a
+/// bare LBCK blob yields none. Any torn or corrupt byte is a typed error.
+fn decode_progress(bytes: &[u8]) -> Result<(Checkpoint, Option<Progress>), CheckpointError> {
+    if !bytes.starts_with(&PROGRESS_MAGIC.to_le_bytes()) {
+        return Ok((Checkpoint::from_bytes(bytes)?, None));
+    }
+    let mut r = PayloadReader::new(bytes);
+    let _magic = r.u32()?;
+    let version = r.u16()?;
+    if version != PROGRESS_VERSION {
+        return Err(CheckpointError::Malformed {
+            what: format!("progress envelope v{version}, this build reads v{PROGRESS_VERSION}"),
+            offset: 4,
+        });
+    }
+    let progress = Progress {
+        preemptions: r.u64()?,
+        spent: r.u64()?,
+    };
+    let header_len = r.offset();
+    let recorded = r.u64()?;
+    let computed = fnv1a(&bytes[..header_len]);
+    if recorded != computed {
+        return Err(CheckpointError::Corrupted {
+            expected: computed,
+            found: recorded,
+        });
+    }
+    let ck = Checkpoint::from_bytes(&bytes[r.offset()..])?;
+    Ok((ck, Some(progress)))
 }
 
 /// What [`Spool::recover`] found on disk.
@@ -134,21 +207,42 @@ impl Spool {
         Ok(())
     }
 
-    /// Atomically persists a job's frontier checkpoint.
+    /// Atomically persists a job's frontier checkpoint as a bare LBCK
+    /// blob, with no counters; recovery then uses the record's.
     pub fn save_checkpoint(&self, id: &str, ck: &Checkpoint) -> Result<(), SpoolError> {
         ck.save(&self.ckpt_path(id))?;
         Ok(())
     }
 
-    /// Loads a job's frontier, if one was spooled. `Ok(None)` when absent;
-    /// a present-but-undecodable blob is the typed error (the caller
-    /// restarts the job from scratch — sound, merely slower).
-    pub fn load_checkpoint(&self, id: &str) -> Result<Option<Checkpoint>, CheckpointError> {
+    /// Atomically persists a suspension: the job's counters and its
+    /// frontier in one write, so a crash can never split them.
+    pub fn save_progress(
+        &self,
+        id: &str,
+        progress: Progress,
+        ck: &Checkpoint,
+    ) -> Result<(), SpoolError> {
+        atomic_write(&self.ckpt_path(id), &encode_progress(progress, ck))?;
+        Ok(())
+    }
+
+    /// Loads a job's frontier and, from an envelope, its counters.
+    /// `Ok(None)` when absent; a present-but-undecodable file is the typed
+    /// error (the caller restarts the job from scratch — sound, merely
+    /// slower).
+    pub(crate) fn load_progress(
+        &self,
+        id: &str,
+    ) -> Result<Option<(Checkpoint, Option<Progress>)>, CheckpointError> {
         let path = self.ckpt_path(id);
         if !path.exists() {
             return Ok(None);
         }
-        Checkpoint::load(&path).map(Some)
+        let bytes = fs::read(&path).map_err(|e| CheckpointError::Io {
+            path: path.display().to_string(),
+            error: e.to_string(),
+        })?;
+        decode_progress(&bytes).map(Some)
     }
 
     /// Removes a settled job's checkpoint and any stale `.tmp` sibling.
@@ -324,13 +418,22 @@ impl Spool {
 
     /// A `queued` record's resume point: its spooled checkpoint when it
     /// decodes, otherwise none (restart from scratch) plus the rendered
-    /// reason it was discarded.
-    pub fn resume_point(&self, rec: &JobRecord) -> (Option<Checkpoint>, Option<String>) {
+    /// reason it was discarded. An envelope's counters raise `rec`'s where
+    /// they are larger: the record is not rewritten per slice, but a
+    /// failed progress write leaves the record ahead of the envelope.
+    pub fn resume_point(&self, rec: &mut JobRecord) -> (Option<Checkpoint>, Option<String>) {
         if !matches!(rec.status, JobStatus::Queued) {
             return (None, None);
         }
-        match self.load_checkpoint(&rec.id) {
-            Ok(found) => (found, None),
+        match self.load_progress(&rec.id) {
+            Ok(Some((ck, progress))) => {
+                if let Some(p) = progress {
+                    rec.preemptions = rec.preemptions.max(p.preemptions);
+                    rec.spent = rec.spent.max(p.spent);
+                }
+                (Some(ck), None)
+            }
+            Ok(None) => (None, None),
             Err(e) => (None, Some(e.to_string())),
         }
     }
