@@ -208,7 +208,7 @@ fn e13_acyclic() {
         let mut grid = Table::new(2);
         for i in 0..s {
             for j in 0..s {
-                grid.push(vec![i, j]);
+                grid.push(&[i, j]);
             }
         }
         grid.normalize();

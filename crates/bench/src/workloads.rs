@@ -17,13 +17,13 @@ pub fn adversarial_triangle_db(n: u64) -> (JoinQuery, Database, u64) {
     let mut grid = Table::new(2);
     for a in 0..s {
         for b in 0..s {
-            grid.push(vec![a, b]);
+            grid.push(&[a, b]);
         }
     }
     grid.normalize();
     let mut diag = Table::new(2);
     for i in 0..s {
-        diag.push(vec![i, i]);
+        diag.push(&[i, i]);
     }
     diag.normalize();
     let mut db = Database::new();

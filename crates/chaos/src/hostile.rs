@@ -326,7 +326,7 @@ mod tests {
             // intersection runs in leapfrog (heavy) mode.
             for name in ["R", "S"] {
                 let t = db.table(name).expect("present");
-                let mut leads: Vec<u64> = t.rows().iter().map(|r| r[0]).collect();
+                let mut leads: Vec<u64> = t.rows().map(|r| r[0]).collect();
                 leads.sort_unstable();
                 leads.dedup();
                 assert!(leads.len() >= 4, "seed {seed}: {name} lead width");

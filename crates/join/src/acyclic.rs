@@ -217,7 +217,6 @@ fn load_anns(q: &JoinQuery, db: &Database) -> Vec<Ann> {
         }
         let rows: Vec<Vec<Value>> = table
             .rows()
-            .iter()
             .filter(|row| {
                 atom.attrs.iter().enumerate().all(|(c, a)| {
                     // lb-lint: allow(no-panic) -- invariant: a is drawn from atom.attrs
@@ -356,7 +355,7 @@ fn is_empty_inner(
             let table = db.table(&atom.relation).expect("validated");
             Ann {
                 attrs: atom.attrs.clone(),
-                rows: table.rows().to_vec(),
+                rows: table.rows().map(<[Value]>::to_vec).collect(),
             }
         })
         .collect();
@@ -498,14 +497,14 @@ mod tests {
         let mut big = Table::new(2);
         for i in 0..50u64 {
             for j in 0..50u64 {
-                big.push(vec![i, j]);
+                big.push(&[i, j]);
             }
         }
         big.normalize();
         db.insert("R0", big.clone());
         db.insert("R1", big);
         let mut empty_link = Table::new(2);
-        empty_link.push(vec![1000, 1000]);
+        empty_link.push(&[1000, 1000]);
         empty_link.normalize();
         db.insert("R2", empty_link);
         let (out, stats) = yannakakis(&q, &db, &Budget::unlimited()).unwrap();

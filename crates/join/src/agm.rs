@@ -312,6 +312,6 @@ mod tests {
         assert!(answer <= 9);
         // Diagonal property: R's rows all have equal columns.
         let r = db.table("R").unwrap();
-        assert!(r.rows().iter().all(|row| row[0] == row[1]));
+        assert!(r.rows().all(|row| row[0] == row[1]));
     }
 }

@@ -66,7 +66,6 @@ fn left_deep_inner(
         }
         let rows: Vec<Vec<Value>> = table
             .rows()
-            .iter()
             .filter(|row| {
                 atom.attrs.iter().enumerate().all(|(c, a)| {
                     // lb-lint: allow(no-panic, panic-reachability) -- invariant: a is drawn from atom.attrs

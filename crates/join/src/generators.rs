@@ -33,15 +33,15 @@ pub fn random_database(
     let mut db = Database::new();
     for atom in &q.atoms {
         let arity = atom.attrs.len();
-        let mut rows = Vec::with_capacity(rows_per_relation);
+        let mut table = Table::new(arity);
+        let mut row = vec![0; arity];
         for _ in 0..rows_per_relation {
-            rows.push(
-                (0..arity)
-                    .map(|_| rng.gen_range(0..domain) as Value)
-                    .collect(),
-            );
+            row.iter_mut()
+                .for_each(|v| *v = rng.gen_range(0..domain) as Value);
+            table.push(&row);
         }
-        db.insert(&atom.relation, Table::from_rows(arity, rows));
+        table.normalize();
+        db.insert(&atom.relation, table);
     }
     db
 }
@@ -89,11 +89,14 @@ pub fn skewed_database(
     let mut db = Database::new();
     for atom in &q.atoms {
         let arity = atom.attrs.len();
-        let mut rows = Vec::with_capacity(rows_per_relation);
+        let mut table = Table::new(arity);
+        let mut row = vec![0; arity];
         for _ in 0..rows_per_relation {
-            rows.push((0..arity).map(|_| draw(&mut rng)).collect());
+            row.iter_mut().for_each(|v| *v = draw(&mut rng));
+            table.push(&row);
         }
-        db.insert(&atom.relation, Table::from_rows(arity, rows));
+        table.normalize();
+        db.insert(&atom.relation, table);
     }
     db
 }
@@ -106,7 +109,7 @@ pub fn planted_triangle_database(rows_per_relation: usize, domain: u64, seed: u6
     for name in ["R", "S", "T"] {
         // lb-lint: allow(no-panic) -- invariant: the table named name was inserted into db just above
         let mut t = db.table(name).expect("present").clone();
-        t.push(vec![0, 0]);
+        t.push(&[0, 0]);
         t.normalize();
         db.insert(name, t);
     }
@@ -133,8 +136,8 @@ mod tests {
         let b = random_binary_database(&q, 10, 5, 2);
         for atom in &q.atoms {
             assert_eq!(
-                a.table(&atom.relation).unwrap().rows(),
-                b.table(&atom.relation).unwrap().rows()
+                a.table(&atom.relation).unwrap(),
+                b.table(&atom.relation).unwrap()
             );
         }
     }

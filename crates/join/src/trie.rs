@@ -5,8 +5,10 @@
 //! prefixes' last values, grouped by parent, with a flat `child_start`
 //! offset array mapping each entry to its children's contiguous range on
 //! the next level. Built once per (query, variable order) during
-//! preparation — replacing the old per-query `projected_sorted` row
-//! clones that the generic join binary-searched row-major.
+//! preparation, from a flat row-major buffer (stride = arity): straight
+//! from the [`Table`]'s own storage when the atom's projection is the
+//! identity and the rows are strictly increasing, otherwise from one
+//! projected, sorted and deduplicated copy.
 //!
 //! Iterator state over a trie is tiny: a level index plus a `[lo, hi)`
 //! range into that level's value column — exactly the three `usize`s the
@@ -14,6 +16,8 @@
 //! leapfrog `seek(v)` primitive with galloping (exponential probe then
 //! binary search), so a seek over a run of `g` skipped values costs
 //! O(log g) comparisons instead of the O(g) a linear scan would pay.
+//!
+//! [`Table`]: crate::Table
 
 use crate::Value;
 
@@ -37,73 +41,67 @@ pub struct Trie {
     heavy_threshold: usize,
 }
 
-/// Integer square root (largest `x` with `x·x ≤ n`).
-fn isqrt(n: usize) -> usize {
-    let mut x = 0usize;
-    // lb-lint: allow(unbudgeted-loop) -- O(√n) once at trie build, before any search runs
-    while (x + 1).saturating_mul(x + 1) <= n {
-        x += 1;
-    }
-    x
-}
-
 impl Trie {
-    /// Builds a trie from rows that are sorted lexicographically,
-    /// deduplicated, and all of length `arity`. Rows violating that
-    /// contract are skipped defensively (short rows) or produce a trie
+    /// Builds a trie over `rows` rows of `arity` values each, read from the
+    /// row-major buffer `flat`; the rows must be sorted lexicographically
+    /// and deduplicated. For arity 0 `flat` is empty and `rows` alone says
+    /// how many empty rows there are (zero or one for a normalized table).
+    /// For wider rows at most `flat.len() / arity` rows are read, so a
+    /// trailing partial row is ignored; rows out of order produce a trie
     /// that simply reflects the given order.
-    pub fn build(rows: &[Vec<Value>], arity: usize) -> Trie {
+    pub fn build(flat: &[Value], arity: usize, rows: usize) -> Trie {
         let mut levels: Vec<Level> = (0..arity)
             .map(|_| Level {
                 vals: Vec::new(),
                 child_start: Vec::new(),
             })
             .collect();
-        let mut prev: Option<&Vec<Value>> = None;
-        // lb-lint: allow(unbudgeted-loop) -- trie construction, linear in one relation; runs once before search
-        for row in rows {
-            if row.len() < arity {
-                continue;
-            }
-            let split = match prev {
-                None => 0,
-                Some(p) => (0..arity)
-                    .find(|&d| row.get(d) != p.get(d))
-                    .unwrap_or(arity),
-            };
-            // lb-lint: allow(unbudgeted-loop) -- opens at most `arity` entries per row; part of the linear build
-            for d in split..arity {
-                let next_len = if d + 1 < arity {
-                    levels.get(d + 1).map_or(0, |l| l.vals.len())
-                } else {
-                    0
-                };
-                let Some(v) = row.get(d).copied() else {
-                    continue;
-                };
-                if let Some(level) = levels.get_mut(d) {
-                    level.vals.push(v); // lb-lint: allow(unbounded-growth) -- the trie is a linear-size index of one input relation, built before the search
-                    if d + 1 < arity {
-                        level.child_start.push(next_len); // lb-lint: allow(unbounded-growth) -- same linear-size index as above
-                    }
-                }
-            }
-            prev = Some(row);
+        let source = flat
+            .chunks_exact(arity.max(1))
+            .take(if arity == 0 { 0 } else { rows });
+        let num_rows = if arity == 0 { rows } else { source.len() };
+        if let Some(deepest) = levels.last_mut() {
+            deepest.vals.reserve_exact(num_rows);
         }
+        source
+            .clone()
+            .zip(std::iter::once(None).chain(source.map(Some)))
+            .for_each(|(row, prev)| {
+                // A row opens one entry on every level from the first column
+                // where it differs from its predecessor down to the leaf.
+                let split = prev.map_or(0, |p: &[Value]| {
+                    p.iter().zip(row).position(|(a, b)| a != b).unwrap_or(arity)
+                });
+                // Deepest first, so each entry's children start where the
+                // entry just opened one level down sits.
+                let mut below: Option<usize> = None;
+                levels
+                    .iter_mut()
+                    .zip(row)
+                    .skip(split)
+                    .rev()
+                    .for_each(|(level, &v)| {
+                        level.vals.push(v);
+                        if let Some(len) = below {
+                            level.child_start.push(len - 1);
+                        }
+                        below = Some(level.vals.len());
+                    });
+            });
         // Close every non-leaf level with its sentinel offset.
-        // lb-lint: allow(unbudgeted-loop) -- bounded by arity; finishes the one-time build
-        for d in 0..arity {
-            if d + 1 < arity {
-                let next_len = levels.get(d + 1).map_or(0, |l| l.vals.len());
-                if let Some(level) = levels.get_mut(d) {
-                    level.child_start.push(next_len); // lb-lint: allow(unbounded-growth) -- one sentinel per level, bounded by arity
+        levels
+            .iter_mut()
+            .rev()
+            .fold(None, |below: Option<usize>, level| {
+                if let Some(len) = below {
+                    level.child_start.push(len);
                 }
-            }
-        }
+                Some(level.vals.len())
+            });
         Trie {
             levels,
-            rows: rows.len(),
-            heavy_threshold: isqrt(rows.len()).max(4),
+            rows: num_rows,
+            heavy_threshold: num_rows.isqrt().max(4),
         }
     }
 
@@ -192,11 +190,12 @@ impl Trie {
 mod tests {
     use super::*;
 
-    fn rows(raw: &[&[Value]]) -> Vec<Vec<Value>> {
+    /// Sorted, deduplicated rows, flattened row-major.
+    fn rows(raw: &[&[Value]]) -> Vec<Value> {
         let mut out: Vec<Vec<Value>> = raw.iter().map(|r| r.to_vec()).collect();
         out.sort_unstable();
         out.dedup();
-        out
+        out.concat()
     }
 
     #[test]
@@ -204,6 +203,7 @@ mod tests {
         let t = Trie::build(
             &rows(&[&[1, 10], &[1, 20], &[3, 30], &[3, 31], &[7, 10]]),
             2,
+            5,
         );
         assert_eq!(t.num_levels(), 2);
         assert_eq!(t.level_len(0), 3); // 1, 3, 7
@@ -222,10 +222,10 @@ mod tests {
 
     #[test]
     fn empty_and_unary_tries() {
-        let t = Trie::build(&[], 2);
+        let t = Trie::build(&[], 2, 0);
         assert_eq!(t.level_len(0), 0);
         assert_eq!(t.seek(0, 0, 0, 5), 0);
-        let t = Trie::build(&rows(&[&[4], &[9], &[2]]), 1);
+        let t = Trie::build(&rows(&[&[4], &[9], &[2]]), 1, 3);
         assert_eq!(t.level_len(0), 3);
         assert_eq!(t.value(0, 0), Some(2));
         assert_eq!(t.child_range(0, 0), (0, 0));
@@ -237,8 +237,7 @@ mod tests {
         // dedup (single entry), long skipped run, target past the end,
         // target before the start, exact hits at window boundaries.
         let vals: Vec<Value> = (0..1000u64).map(|i| i * 3).collect();
-        let raw: Vec<Vec<Value>> = vals.iter().map(|&v| vec![v]).collect();
-        let t = Trie::build(&raw, 1);
+        let t = Trie::build(&vals, 1, vals.len());
         for target in [
             0u64, 1, 2, 3, 4, 1497, 1498, 1499, 1500, 2996, 2997, 2998, 3000,
         ] {
@@ -264,7 +263,7 @@ mod tests {
 
     #[test]
     fn find_reports_exact_hits_only() {
-        let t = Trie::build(&rows(&[&[2], &[4], &[8], &[16], &[32]]), 1);
+        let t = Trie::build(&rows(&[&[2], &[4], &[8], &[16], &[32]]), 1, 5);
         assert_eq!(t.find(0, 0, 5, 8), Some(2));
         assert_eq!(t.find(0, 0, 5, 9), None);
         assert_eq!(t.find(0, 3, 5, 8), None); // outside the range
@@ -273,17 +272,50 @@ mod tests {
 
     #[test]
     fn heavy_threshold_tracks_sqrt() {
-        let raw: Vec<Vec<Value>> = (0..400u64).map(|v| vec![v]).collect();
-        assert_eq!(Trie::build(&raw, 1).heavy_threshold(), 20);
-        assert_eq!(Trie::build(&raw[..9], 1).heavy_threshold(), 4); // floor of 4
-        assert_eq!(Trie::build(&[], 1).heavy_threshold(), 4);
+        let raw: Vec<Value> = (0..400u64).collect();
+        assert_eq!(Trie::build(&raw, 1, 400).heavy_threshold(), 20);
+        assert_eq!(Trie::build(&raw[..9], 1, 9).heavy_threshold(), 4); // floor of 4
+        assert_eq!(Trie::build(&[], 1, 0).heavy_threshold(), 4);
     }
 
     #[test]
-    fn short_rows_are_skipped_defensively() {
-        let t = Trie::build(&[vec![1], vec![2, 5]], 2);
+    fn a_trailing_partial_row_is_ignored() {
+        let t = Trie::build(&[2, 5, 7], 2, 2);
+        assert_eq!(t.rows(), 1);
         assert_eq!(t.level_len(0), 1);
         assert_eq!(t.value(0, 0), Some(2));
         assert_eq!(t.child_range(0, 0), (0, 1));
+        assert_eq!(t.level_len(1), 1);
+    }
+
+    #[test]
+    fn a_nullary_trie_counts_its_empty_rows() {
+        let t = Trie::build(&[], 0, 1);
+        assert_eq!(t.num_levels(), 0);
+        assert_eq!(t.rows(), 1);
+        assert_eq!(Trie::build(&[], 0, 0).rows(), 0);
+    }
+
+    #[test]
+    fn a_row_count_caps_the_rows_read() {
+        let t = Trie::build(&[1, 2, 3, 4], 1, 2);
+        assert_eq!(t.rows(), 2);
+        assert_eq!(t.level_len(0), 2);
+    }
+
+    #[test]
+    fn three_levels_share_prefixes() {
+        let t = Trie::build(
+            &rows(&[&[1, 2, 3], &[1, 2, 4], &[1, 5, 0], &[2, 0, 0]]),
+            3,
+            4,
+        );
+        assert_eq!((t.level_len(0), t.level_len(1), t.level_len(2)), (2, 3, 4));
+        assert_eq!(t.child_range(0, 0), (0, 2)); // 2, 5
+        assert_eq!(t.child_range(0, 1), (2, 3)); // 0
+        assert_eq!(t.child_range(1, 0), (0, 2)); // 3, 4
+        assert_eq!(t.child_range(1, 1), (2, 3)); // 0
+        assert_eq!(t.child_range(1, 2), (3, 4)); // 0
+        assert_eq!(t.value(2, 3), Some(0));
     }
 }

@@ -52,7 +52,7 @@
 //! [`RunStats::tuples`]: lb_engine::RunStats::tuples
 //! [`RunStats`]: lb_engine::RunStats
 
-use crate::database::Database;
+use crate::database::{sort_dedup_rows, Database};
 use crate::query::{AnswerTuple, JoinQuery};
 use crate::trie::Trie;
 use crate::Value;
@@ -152,53 +152,75 @@ fn prepare(q: &JoinQuery, db: &Database, order: Option<&[String]>) -> Result<Pre
         }
         None => attrs.clone(),
     };
-    // lb-lint: allow(no-panic, panic-reachability) -- invariant: the order was just verified to cover every query attribute
-    let rank_of = |name: &str| order.iter().position(|a| a == name).expect("validated");
+    let rank_of = |name: &str| {
+        order
+            .iter()
+            .position(|a| a == name)
+            .ok_or_else(|| JoinError::BadOrder(format!("order {order:?} lacks attribute {name}")))
+    };
 
-    let mut atoms = Vec::with_capacity(q.atoms.len());
-    // lb-lint: allow(unbudgeted-loop) -- plan construction, linear in database size; runs once before search
-    for atom in &q.atoms {
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: validate_for checked every atom's relation before the join ran
-        let table = db.table(&atom.relation).expect("validated");
-        // Distinct attributes with their first column position.
-        let mut distinct: Vec<(usize, usize)> = Vec::new(); // (rank, column)
-                                                            // lb-lint: allow(unbudgeted-loop) -- plan construction, linear in database size; runs once before search
-        for (col, a) in atom.attrs.iter().enumerate() {
-            let r = rank_of(a);
-            if !distinct.iter().any(|&(dr, _)| dr == r) {
-                distinct.push((r, col)); // lb-lint: allow(unbounded-growth) -- one entry per distinct attribute, bounded by atom arity
-            }
-        }
-        distinct.sort_unstable();
-        let var_ranks: Vec<usize> = distinct.iter().map(|&(r, _)| r).collect();
-        // Filter diagonal rows (repeated attributes must agree), project to
-        // distinct columns in rank order.
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        // lb-lint: allow(unbudgeted-loop) -- plan construction, linear in database size; runs once before search
-        'rows: for row in table.rows() {
-            // Check repeated attributes agree.
-            // lb-lint: allow(unbudgeted-loop) -- plan construction, linear in database size; runs once before search
-            for (col, a) in atom.attrs.iter().enumerate() {
-                let r = rank_of(a);
-                let first_col = distinct
-                    .iter()
-                    .find(|&&(dr, _)| dr == r)
-                    // lb-lint: allow(no-panic, panic-reachability) -- invariant: every attribute rank was entered into distinct above
-                    .expect("present")
-                    .1;
-                // lb-lint: allow(no-unchecked-index, panic-reachability) -- col < arity = row.len(), checked by validate_for
-                if row[col] != row[first_col] {
-                    continue 'rows;
-                }
-            }
-            // lb-lint: allow(no-unchecked-index, panic-reachability) -- distinct columns are positions within this atom's row
-            rows.push(distinct.iter().map(|&(_, col)| row[col]).collect()); // lb-lint: allow(unbounded-growth) -- projected copy of one input table, linear in database size
-        }
-        rows.sort_unstable();
-        rows.dedup();
-        let trie = Trie::build(&rows, var_ranks.len());
-        atoms.push(PreparedAtom { var_ranks, trie }); // lb-lint: allow(unbounded-growth) -- one prepared atom per query atom
-    }
+    let atoms = q
+        .atoms
+        .iter()
+        .map(|atom| {
+            let table = db.table(&atom.relation).ok_or_else(|| {
+                JoinError::BadDatabase(format!("missing table {}", atom.relation))
+            })?;
+            // (rank, column) per attribute; a repeated attribute's first
+            // column sorts first within its rank.
+            let mut cols: Vec<(usize, usize)> = atom
+                .attrs
+                .iter()
+                .enumerate()
+                .map(|(col, a)| Ok((rank_of(a)?, col)))
+                .collect::<Result<_, JoinError>>()?;
+            cols.sort_unstable();
+            // Repeated attributes must agree: (column, first column) pairs.
+            let diagonal: Vec<(usize, usize)> = cols
+                .iter()
+                .filter_map(|&(r, col)| {
+                    let first = cols
+                        .iter()
+                        .find(|&&(fr, _)| fr == r)
+                        .map_or(col, |&(_, c)| c);
+                    (first != col).then_some((col, first))
+                })
+                .collect();
+            cols.dedup_by_key(|&mut (r, _)| r);
+            let var_ranks: Vec<usize> = cols.iter().map(|&(r, _)| r).collect();
+            let k = cols.len();
+            let flat = table.flat();
+            let identity =
+                diagonal.is_empty() && cols.iter().enumerate().all(|(i, &(_, c))| i == c);
+            let trie = if identity
+                && flat
+                    .chunks_exact(k.max(1))
+                    .zip(flat.chunks_exact(k.max(1)).skip(1))
+                    .all(|(a, b)| a < b)
+            {
+                // Columns already in rank order and rows strictly
+                // increasing: the table is its own projection.
+                Trie::build(flat, k, table.len())
+            } else {
+                // Filter diagonal rows, project to the distinct columns in
+                // rank order, then sort and dedup the projection.
+                let mut projected: Vec<Value> = Vec::with_capacity(table.len() * k);
+                table
+                    .rows()
+                    .filter(|row| {
+                        diagonal
+                            .iter()
+                            .all(|&(col, first)| row.get(col) == row.get(first))
+                    })
+                    .for_each(|row| {
+                        projected.extend(cols.iter().filter_map(|&(_, col)| row.get(col).copied()));
+                    });
+                sort_dedup_rows(&mut projected, k);
+                Trie::build(&projected, k, projected.len() / k.max(1))
+            };
+            Ok(PreparedAtom { var_ranks, trie })
+        })
+        .collect::<Result<Vec<_>, JoinError>>()?;
     Ok(Prepared {
         atoms,
         num_vars: attrs.len(),
@@ -264,7 +286,7 @@ enum Phase {
 }
 
 /// One bound variable: the intersection state at its level.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Frame {
     /// Atoms whose next unbound column is this level's variable.
     participants: Vec<usize>,
@@ -356,10 +378,12 @@ impl Machine {
         }
     }
 
-    /// Pops the exhausted top frame and advances the parent (if any).
-    /// Returns false when the stack is empty (search over).
-    fn pop_level(&mut self) -> bool {
-        self.frames.pop();
+    /// Pops the exhausted top frame onto `spare` and advances the parent
+    /// (if any). Returns false when the stack is empty (search over).
+    fn pop_level(&mut self, spare: &mut Vec<Frame>) -> bool {
+        if let Some(frame) = self.frames.pop() {
+            spare.push(frame);
+        }
         match self.frames.last_mut() {
             None => false,
             Some(parent) => {
@@ -369,15 +393,18 @@ impl Machine {
         }
     }
 
-    /// Runs micro-steps until the next answer tuple (`Ok(Some(..))`, in
-    /// global variable order, machine positioned to continue past it), the
-    /// end of the search (`Ok(None)`), or a failed charge (`Err`, machine
-    /// resumable).
+    /// Runs micro-steps until the next answer tuple (`Ok(true)`: the tuple
+    /// is in `self.tuple`, in global variable order, and the machine is
+    /// positioned to continue past it), the end of the search (`Ok(false)`),
+    /// or a failed charge (`Err`, machine resumable). Popped frames go to
+    /// `spare` and are refilled when a level opens, so the search
+    /// allocates nothing per frame once the stack has reached its depth.
     fn run(
         &mut self,
         p: &Prepared,
         ticker: &mut Ticker,
-    ) -> Result<Option<Vec<Value>>, ExhaustReason> {
+        spare: &mut Vec<Frame>,
+    ) -> Result<bool, ExhaustReason> {
         loop {
             match self.phase {
                 Phase::Enter => {
@@ -387,73 +414,70 @@ impl Machine {
                         ticker.tuple()?;
                         continue;
                     }
+                    let mut frame = spare.pop().unwrap_or_default();
                     // Atoms whose next unbound column is this variable.
-                    let participants: Vec<usize> = p
-                        .atoms
-                        .iter()
-                        .zip(&self.ranges)
-                        .enumerate()
-                        .filter(|(_, (a, r))| a.var_ranks.get(r.depth) == Some(&level))
-                        .map(|(i, _)| i)
-                        .collect();
+                    frame.participants.clear();
+                    frame.participants.extend(
+                        p.atoms
+                            .iter()
+                            .zip(&self.ranges)
+                            .enumerate()
+                            .filter(|(_, (a, r))| a.var_ranks.get(r.depth) == Some(&level))
+                            .map(|(i, _)| i),
+                    );
                     debug_assert!(
-                        !participants.is_empty(),
+                        !frame.participants.is_empty(),
                         "every variable occurs in some atom"
                     );
-                    let saved: Vec<Range> = participants
-                        .iter()
-                        .map(|&i| {
-                            self.ranges.get(i).copied().unwrap_or(Range {
-                                lo: 0,
-                                hi: 0,
-                                depth: 0,
-                            })
+                    frame.saved.clear();
+                    frame.saved.extend(frame.participants.iter().map(|&i| {
+                        self.ranges.get(i).copied().unwrap_or(Range {
+                            lo: 0,
+                            hi: 0,
+                            depth: 0,
                         })
-                        .collect();
+                    }));
+                    let saved = &frame.saved;
                     // Smallest entry range leads the intersection.
-                    let Some(driver) = (0..participants.len())
+                    let Some(driver) = (0..saved.len())
                         .min_by_key(|&s| saved.get(s).map_or(0, |r| r.hi.saturating_sub(r.lo)))
                     else {
                         // Unreachable for well-formed queries; finish
                         // soundly instead of panicking.
-                        return Ok(None);
+                        return Ok(false);
                     };
                     let min_width = saved.get(driver).map_or(0, |r| r.hi.saturating_sub(r.lo));
                     // Heavy/light split ("Skew Strikes Back"): leapfrog
                     // only when even the smallest residual range is a
                     // heavy block of its relation.
-                    let heavy = participants.len() >= 2
-                        && participants
+                    let heavy = frame.participants.len() >= 2
+                        && frame
+                            .participants
                             .get(driver)
                             .and_then(|&i| p.atoms.get(i))
                             .is_some_and(|a| min_width >= a.trie.heavy_threshold());
-                    let frame = Frame {
-                        heavy,
-                        driver,
-                        cur: if heavy {
-                            0
-                        } else {
-                            saved.get(driver).map_or(0, |r| r.lo)
-                        },
-                        pos: if heavy {
-                            saved.iter().map(|r| r.lo).collect()
-                        } else {
-                            Vec::new()
-                        },
-                        turn: 0,
-                        agreed: 0,
-                        max_v: 0,
-                        v: 0,
-                        participants,
-                        saved,
+                    frame.heavy = heavy;
+                    frame.driver = driver;
+                    frame.cur = if heavy {
+                        0
+                    } else {
+                        saved.get(driver).map_or(0, |r| r.lo)
                     };
+                    frame.pos.clear();
+                    if heavy {
+                        frame.pos.extend(frame.saved.iter().map(|r| r.lo));
+                    }
+                    frame.turn = 0;
+                    frame.agreed = 0;
+                    frame.max_v = 0;
+                    frame.v = 0;
                     self.frames.push(frame);
                     ticker.record_intermediate(self.frames.len() as u64);
                     self.phase = Phase::Step;
                 }
                 Phase::Step => {
                     let Some(frame) = self.frames.last() else {
-                        return Ok(None);
+                        return Ok(false);
                     };
                     if frame.heavy {
                         // One leapfrog micro-step: examine or seek the
@@ -530,11 +554,11 @@ impl Machine {
                         };
                         match action {
                             LeapAction::Exhausted => {
-                                if !self.pop_level() {
+                                if !self.pop_level(spare) {
                                     // Still charge the exhausting seek so a
                                     // resumed run replays the same op count.
                                     ticker.trie_advance()?;
-                                    return Ok(None);
+                                    return Ok(false);
                                 }
                                 self.phase = Phase::Step;
                                 ticker.trie_advance()?;
@@ -546,7 +570,7 @@ impl Machine {
                                 pos,
                             } => {
                                 let Some(frame) = self.frames.last_mut() else {
-                                    return Ok(None);
+                                    return Ok(false);
                                 };
                                 if let (Some(j), Some(pp)) = (pos, frame.pos.get_mut(slot)) {
                                     *pp = j;
@@ -558,7 +582,7 @@ impl Machine {
                             }
                             LeapAction::Agreed { max_v, pos } => {
                                 let Some(frame) = self.frames.last_mut() else {
-                                    return Ok(None);
+                                    return Ok(false);
                                 };
                                 if let (Some(j), Some(pp)) = (pos, frame.pos.get_mut(slot)) {
                                     *pp = j;
@@ -590,13 +614,13 @@ impl Machine {
                             None => {
                                 // Level exhausted: ascend (uncharged, like
                                 // the classic generic join).
-                                if !self.pop_level() {
-                                    return Ok(None);
+                                if !self.pop_level(spare) {
+                                    return Ok(false);
                                 }
                             }
                             Some(v) => {
                                 let Some(frame) = self.frames.last_mut() else {
-                                    return Ok(None);
+                                    return Ok(false);
                                 };
                                 frame.v = v;
                                 self.phase = Phase::Narrow { idx: 0 };
@@ -608,7 +632,7 @@ impl Machine {
                 Phase::Narrow { idx } => {
                     let level = self.frames.len().saturating_sub(1);
                     let Some(frame) = self.frames.last_mut() else {
-                        return Ok(None);
+                        return Ok(false);
                     };
                     let Some(&atom_i) = frame.participants.get(idx) else {
                         // All participants narrowed: the candidate is in
@@ -660,7 +684,7 @@ impl Machine {
                 Phase::Bind => {
                     let level = self.frames.len().saturating_sub(1);
                     let Some(frame) = self.frames.last_mut() else {
-                        return Ok(None);
+                        return Ok(false);
                     };
                     // Narrow every participant to the children of its
                     // matched entry, then bind the agreed value.
@@ -694,7 +718,6 @@ impl Machine {
                 }
                 Phase::Emit => {
                     // Deliver the bound tuple and position past it.
-                    let out = self.tuple.clone();
                     match self.frames.last_mut() {
                         None => self.phase = Phase::Step, // nullary query: next run() finishes
                         Some(parent) => {
@@ -702,7 +725,7 @@ impl Machine {
                             self.phase = Phase::Step;
                         }
                     }
-                    return Ok(Some(out));
+                    return Ok(true);
                 }
             }
         }
@@ -995,14 +1018,11 @@ fn instance_digest(q: &JoinQuery, db: &Database, order: Option<&[String]>) -> u6
             d.str(a);
         }
         if let Some(table) = db.table(&atom.relation) {
-            d.usize(table.arity()).usize(table.rows().len());
-            // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
-            for row in table.rows() {
-                // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
-                for &v in row {
-                    d.u64(v);
-                }
-            }
+            // Row-major values: the same sequence as row by row.
+            d.usize(table.arity()).usize(table.len());
+            table.flat().iter().for_each(|&v| {
+                d.u64(v);
+            });
         }
     }
     d.finish()
@@ -1033,19 +1053,20 @@ pub fn join(
     let pos_of = attr_positions(&attrs, &ord);
     let mut ticker = Ticker::new(budget);
     let mut m = Machine::fresh(&p);
+    let mut spare = Vec::new();
     let mut out = Vec::new();
     let result = loop {
-        match m.run(&p, &mut ticker) {
-            Ok(Some(t)) => {
+        match m.run(&p, &mut ticker, &mut spare) {
+            Ok(true) => {
                 out.push(
                     pos_of
                         .iter()
-                        .map(|&i| t.get(i).copied().unwrap_or(0))
+                        .map(|&i| m.tuple.get(i).copied().unwrap_or(0))
                         .collect::<Vec<Value>>(),
                 );
                 ticker.record_intermediate(out.len() as u64);
             }
-            Ok(None) => break Ok(()),
+            Ok(false) => break Ok(()),
             Err(reason) => break Err(reason),
         }
     };
@@ -1073,19 +1094,20 @@ pub fn join_foreach<F: FnMut(&[Value])>(
     let pos_of = attr_positions(&attrs, &ord);
     let mut ticker = Ticker::new(budget);
     let mut m = Machine::fresh(&p);
+    let mut spare = Vec::new();
     let mut buf = vec![0; attrs.len()];
     let mut n = 0u64;
     let result = loop {
-        match m.run(&p, &mut ticker) {
-            Ok(Some(t)) => {
-                // lb-lint: allow(unbudgeted-loop) -- permutes one emitted tuple into attribute order; bounded by arity, one pass per charged tuple
-                for (slot, &i) in buf.iter_mut().zip(&pos_of) {
-                    *slot = t.get(i).copied().unwrap_or(0);
-                }
+        match m.run(&p, &mut ticker, &mut spare) {
+            Ok(true) => {
+                // Permute the tuple into attribute order (bounded by arity).
+                buf.iter_mut()
+                    .zip(&pos_of)
+                    .for_each(|(slot, &i)| *slot = m.tuple.get(i).copied().unwrap_or(0));
                 n += 1;
                 visit(&buf);
             }
-            Ok(None) => break Ok(Some(n)),
+            Ok(false) => break Ok(Some(n)),
             Err(reason) => break Err(reason),
         }
     };
@@ -1116,8 +1138,8 @@ pub fn is_empty(
     let p = prepare(q, db, order)?;
     let mut ticker = Ticker::new(budget);
     let mut m = Machine::fresh(&p);
-    let result = match m.run(&p, &mut ticker) {
-        Ok(found) => Ok(Some(found.is_none())),
+    let result = match m.run(&p, &mut ticker, &mut Vec::new()) {
+        Ok(found) => Ok(Some(!found)),
         Err(reason) => Err(reason),
     };
     Ok(ticker.finish(result))
@@ -1141,10 +1163,11 @@ pub fn count_resumable(
         None => (Machine::fresh(&p), 0),
     };
     let mut ticker = Ticker::new(budget);
+    let mut spare = Vec::new();
     let outcome = loop {
-        match m.run(&p, &mut ticker) {
-            Ok(Some(_)) => n += 1,
-            Ok(None) => break ResumableOutcome::Sat(n),
+        match m.run(&p, &mut ticker, &mut spare) {
+            Ok(true) => n += 1,
+            Ok(false) => break ResumableOutcome::Sat(n),
             Err(reason) => {
                 break ResumableOutcome::Suspended {
                     reason,
@@ -1176,8 +1199,8 @@ pub fn is_empty_resumable(
         None => (Machine::fresh(&p), 0),
     };
     let mut ticker = Ticker::new(budget);
-    let outcome = match m.run(&p, &mut ticker) {
-        Ok(found) => ResumableOutcome::Sat(found.is_none()),
+    let outcome = match m.run(&p, &mut ticker, &mut Vec::new()) {
+        Ok(found) => ResumableOutcome::Sat(!found),
         Err(reason) => ResumableOutcome::Suspended {
             reason,
             checkpoint: Checkpoint::new(
@@ -1591,6 +1614,19 @@ mod tests {
             err,
             ResumeError::Checkpoint(CheckpointError::InstanceMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_nullary_atom_trie_counts_the_tables_row() {
+        let q = JoinQuery::new(vec![Atom::new("R", &["a", "b"]), Atom::new("U", &[])]);
+        let mut db = tiny_triangle_db();
+        let mut unit = Table::new(0);
+        unit.push(&[]);
+        unit.normalize();
+        db.insert("U", unit);
+        let p = prepare(&q, &db, None).unwrap();
+        assert_eq!(p.atoms[1].trie.rows(), 1);
+        assert_eq!(p.atoms[0].trie.rows(), db.table("R").unwrap().len());
     }
 
     #[test]

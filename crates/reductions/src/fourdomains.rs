@@ -54,7 +54,6 @@ pub fn join_to_csp(q: &JoinQuery, db: &Database) -> Result<(CspInstance, Vec<u64
             // lb-lint: allow(no-panic) -- invariant: join_to_csp validated the database against the query up front
             .expect("validated")
             .rows()
-            .iter()
             .map(|row| row.iter().map(|v| value_id[v]).collect())
             .collect();
         inst.add_constraint(Constraint::new(

@@ -273,7 +273,7 @@ mod tests {
         };
         let wire = render_submit(&spec);
         match parse_request_bytes(wire.as_bytes()) {
-            Ok(Request::Submit(parsed)) => assert_eq!(parsed, spec),
+            Ok(Request::Submit(parsed)) => assert_eq!(parsed.spec(), &spec),
             other => panic!("expected Submit, got {other:?}"),
         }
     }

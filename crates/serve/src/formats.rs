@@ -226,14 +226,18 @@ pub fn format_csp(inst: &CspInstance) -> String {
 pub fn parse_db(text: &str) -> Result<Database, ParseError> {
     use lb_join::Value;
     let mut db = Database::new();
-    let mut open: Option<(String, usize, Table)> = None;
+    let mut open: Option<(String, Table)> = None;
+    // One token buffer and one row buffer serve every line.
+    let mut toks: Vec<(usize, &str)> = Vec::new();
+    let mut row: Vec<Value> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let toks: Vec<(usize, &str)> = tokens(raw).collect();
+        toks.clear();
+        toks.extend(tokens(raw));
         let (kw_col, kw) = toks[0];
         if kw == "rel" {
             if toks.len() != 3 {
@@ -258,15 +262,13 @@ pub fn parse_db(text: &str) -> Result<Database, ParseError> {
                     },
                 ));
             }
-            if let Some((prev_name, _, mut prev_table)) =
-                open.replace((name, arity, Table::new(arity)))
-            {
+            if let Some((prev_name, mut prev_table)) = open.replace((name, Table::new(arity))) {
                 prev_table.normalize();
                 db.insert(&prev_name, prev_table);
             }
             continue;
         }
-        let Some((_, arity, table)) = open.as_mut() else {
+        let Some((_, table)) = open.as_mut() else {
             return Err(ParseError::new(
                 lineno,
                 kw_col,
@@ -275,24 +277,24 @@ pub fn parse_db(text: &str) -> Result<Database, ParseError> {
                 },
             ));
         };
-        if toks.len() != *arity {
+        if toks.len() != table.arity() {
             return Err(ParseError::new(
                 lineno,
                 kw_col,
                 ParseErrorKind::CountMismatch {
                     what: "row values".to_string(),
-                    declared: *arity,
+                    declared: table.arity(),
                     found: toks.len(),
                 },
             ));
         }
-        let mut row = Vec::with_capacity(*arity);
+        row.clear();
         for &(col, tok) in &toks {
             row.push(parse_num::<Value>(lineno, col, tok, "row value")?);
         }
-        table.push(row);
+        table.push(&row);
     }
-    if let Some((name, _, mut table)) = open {
+    if let Some((name, mut table)) = open {
         table.normalize();
         db.insert(&name, table);
     }
@@ -482,8 +484,8 @@ mod tests {
         let db2 = parse_db(&dbtext).unwrap();
         assert_eq!(q2.atoms.len(), q.atoms.len());
         for atom in &q.atoms {
-            let orig = db.table(&atom.relation).map(|t| t.rows().to_vec());
-            let back = db2.table(&atom.relation).map(|t| t.rows().to_vec());
+            let orig = db.table(&atom.relation);
+            let back = db2.table(&atom.relation);
             assert_eq!(orig, back, "relation {} drifted", atom.relation);
         }
     }

@@ -134,6 +134,40 @@ impl JobSpec {
     }
 }
 
+/// A submission whose payload is parsed: a [`JobSpec`] and the
+/// [`Instance`] parsed from that spec's own payload. Only
+/// [`Submission::parse`] pairs the two, so the payload a scheduler spools
+/// is always the one it runs.
+#[derive(Clone, Debug)]
+pub struct Submission {
+    spec: JobSpec,
+    instance: Instance,
+}
+
+impl Submission {
+    /// Parses `spec`'s payload once and keeps the result with the spec.
+    /// Errors are payload-relative, as for [`JobSpec::instance`].
+    pub fn parse(spec: JobSpec) -> Result<Self, ParseError> {
+        let instance = spec.instance()?;
+        Ok(Submission { spec, instance })
+    }
+
+    /// The submission as it will be spooled.
+    pub fn spec(&self) -> &JobSpec {
+        &self.spec
+    }
+
+    /// The instance parsed from [`Submission::spec`]'s payload.
+    pub fn instance(&self) -> &Instance {
+        &self.instance
+    }
+
+    /// Splits the pair for the scheduler to store.
+    pub fn into_parts(self) -> (JobSpec, Instance) {
+        (self.spec, self.instance)
+    }
+}
+
 /// A parsed, validated instance ready for the runner.
 #[derive(Clone, Debug)]
 pub enum Instance {

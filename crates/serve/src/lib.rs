@@ -41,7 +41,7 @@ pub mod server;
 pub mod spool;
 pub mod sync;
 
-pub use job::{Instance, JobFamily, JobRecord, JobSpec, JobStatus, Verdict};
+pub use job::{Instance, JobFamily, JobRecord, JobSpec, JobStatus, Submission, Verdict};
 pub use protocol::{Command, Reject, Request, StatusReport};
 pub use scheduler::{Scheduler, SchedulerConfig};
 pub use server::{Server, ServerConfig};

@@ -19,7 +19,7 @@
 //! client-visible `retry-after-ms` backoff hint: the server sheds load, it
 //! never hangs.
 
-use crate::job::{JobFamily, JobSpec, Verdict};
+use crate::job::{JobFamily, JobSpec, Submission, Verdict};
 use lb_engine::parse::{tokens, ParseError, ParseErrorKind};
 
 /// Hard cap on one request line, bytes. Longer lines are rejected (and the
@@ -62,8 +62,8 @@ pub enum Command {
     },
 }
 
-/// A complete, validated request (payload included and parse-checked).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A complete, validated request (payload included and parsed).
+#[derive(Clone, Debug)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -76,8 +76,9 @@ pub enum Request {
         /// The `j<N>` id being queried.
         job_id: String,
     },
-    /// A fully validated submission.
-    Submit(JobSpec),
+    /// A fully validated submission: the payload is parsed once, here,
+    /// and the instance travels with its spec to the scheduler.
+    Submit(Submission),
 }
 
 fn malformed(line: usize, col: usize, what: String) -> ParseError {
@@ -351,11 +352,11 @@ pub fn assemble(
                 payload: text,
             };
             // Payload-relative error lines shift to stream coordinates.
-            spec.instance().map_err(|mut e| {
+            let submission = Submission::parse(spec).map_err(|mut e| {
                 e.line += first_payload_line - 1;
                 e
             })?;
-            Ok(Request::Submit(spec))
+            Ok(Request::Submit(submission))
         }
     }
 }

@@ -19,7 +19,7 @@
     reason = "retry-backoff parking (`not_before`) is wall-clock by definition; slice accounting stays tick-based"
 )]
 
-use crate::job::{Instance, JobRecord, JobSpec, JobStatus, Verdict};
+use crate::job::{Instance, JobRecord, JobStatus, Submission, Verdict};
 use crate::protocol::{Reject, StatusReport};
 use crate::runner::{self, SliceError, SliceOutcome};
 use crate::spool::{Progress, Spool};
@@ -285,14 +285,12 @@ impl Scheduler {
             .collect()
     }
 
-    /// Admission control + durable enqueue. `OK <id>` semantics: the id is
+    /// Admission control + durable enqueue of a submission whose payload
+    /// the protocol layer already parsed. `OK <id>` semantics: the id is
     /// returned only after the record is atomically on disk, so an
     /// acknowledged job is never lost.
-    pub fn submit(&self, spec: JobSpec) -> Result<String, Reject> {
-        let instance = match spec.instance() {
-            Ok(i) => Arc::new(i),
-            Err(e) => return Err(Reject::Parse(e)),
-        };
+    pub fn submit(&self, submission: Submission) -> Result<String, Reject> {
+        let (spec, instance) = submission.into_parts();
         let (id, rec) = {
             let mut state = lock_state(&self.state);
             if state.draining {
@@ -354,7 +352,7 @@ impl Scheduler {
             id.clone(),
             Entry {
                 rec,
-                instance: Some(instance),
+                instance: Some(Arc::new(instance)),
                 running: false,
                 resume: None,
                 not_before: None,
@@ -842,7 +840,7 @@ fn pick_next(state: &mut State, now: Instant) -> (Option<String>, Option<Instant
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobFamily;
+    use crate::job::{JobFamily, JobSpec};
     use std::fs;
     use std::path::PathBuf;
 
@@ -863,6 +861,13 @@ mod tests {
         }
     }
 
+    /// Submits `spec(tenant)` the way the protocol layer does: parsed once.
+    fn submit(sched: &Scheduler, tenant: &str) -> String {
+        sched
+            .submit(Submission::parse(spec(tenant)).unwrap())
+            .unwrap()
+    }
+
     fn cfg(max_attempts: u64) -> SchedulerConfig {
         SchedulerConfig {
             max_attempts,
@@ -875,7 +880,7 @@ mod tests {
     fn fail_attempt_backs_off_then_quarantines_with_evidence() {
         let (dir, spool) = scratch("ladder");
         let (sched, _) = Scheduler::recover(spool.clone(), cfg(2)).unwrap();
-        let id = sched.submit(spec("acme")).unwrap();
+        let id = submit(&sched, "acme");
 
         // First strike: re-queued behind a backoff, counter persisted.
         {
@@ -933,8 +938,8 @@ mod tests {
     fn pick_next_skips_parked_jobs_and_reports_the_wake_time() {
         let (dir, spool) = scratch("park");
         let (sched, _) = Scheduler::recover(spool, cfg(3)).unwrap();
-        let parked = sched.submit(spec("slow")).unwrap();
-        let runnable = sched.submit(spec("fast")).unwrap();
+        let parked = submit(&sched, "slow");
+        let runnable = submit(&sched, "fast");
         let now = Instant::now();
         let until = now + Duration::from_millis(500);
         let mut state = lock_state(&sched.state);
@@ -958,7 +963,7 @@ mod tests {
     fn a_suspension_makes_one_write_and_leaves_the_record_alone() {
         let (dir, spool) = scratch("onewrite");
         let (sched, _) = Scheduler::recover(spool.clone(), cfg(3)).unwrap();
-        let id = sched.submit(spec("acme")).unwrap();
+        let id = submit(&sched, "acme");
         let admitted = fs::read(spool.job_path(&id)).unwrap();
         // One one-tick slice, run and settled the way a worker does it.
         let suspend = || {
@@ -1003,7 +1008,7 @@ mod tests {
     fn budget_livelock_climbs_the_ladder_but_keeps_the_frontier() {
         let (dir, spool) = scratch("livelock");
         let (sched, _) = Scheduler::recover(spool, cfg(3)).unwrap();
-        let id = sched.submit(spec("acme")).unwrap();
+        let id = submit(&sched, "acme");
         let suspend = || {
             // A suspended slice that made zero tick progress.
             let instance = {

@@ -448,7 +448,7 @@ fn handle_connection<S: SessionStream>(
                 Some(report) => report.to_line(),
                 None => Reject::UnknownJob { job_id }.to_line(),
             },
-            Request::Submit(spec) => match sched.submit(spec) {
+            Request::Submit(submission) => match sched.submit(submission) {
                 Ok(id) => format!("OK {id}"),
                 Err(reject) => reject.to_line(),
             },

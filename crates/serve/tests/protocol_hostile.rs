@@ -4,6 +4,7 @@
 //! everything else to a positioned, typed [`ParseError`] whose rendering
 //! carries the `line:col:` position a client can act on.
 
+use lb_serve::job::Instance;
 use lb_serve::protocol::{
     parse_command, parse_request_bytes, Reject, Request, MAX_LINE_BYTES, MAX_PAYLOAD_LINES,
 };
@@ -95,11 +96,12 @@ fn oversized_lines_are_rejected_at_the_cap() {
 fn valid_submissions_round_trip_through_the_parser() {
     let bytes = std::fs::read(corpus_dir().join("valid-submit-clique.req")).expect("fixture");
     match parse_request_bytes(&bytes).expect("valid fixture parses") {
-        Request::Submit(spec) => {
+        Request::Submit(submission) => {
+            let spec = submission.spec();
             assert_eq!(spec.tenant, "acme");
             assert_eq!(spec.k, 3);
             assert_eq!(spec.budget, Some(500));
-            spec.instance().expect("validated payload re-parses");
+            assert!(matches!(submission.instance(), Instance::Clique(_, 3)));
         }
         other => panic!("expected Submit, got {other:?}"),
     }

@@ -43,7 +43,7 @@ fn main() {
     let mut grid = Table::new(2);
     for i in 0..s {
         for j in 0..s {
-            grid.push(vec![i, j]);
+            grid.push(&[i, j]);
         }
     }
     grid.normalize();

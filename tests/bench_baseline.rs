@@ -1,8 +1,9 @@
 //! Tier-1 guard on the committed WCOJ baseline: the pinned workloads,
 //! re-run fresh, must match `BENCH_wcoj.json` within its tolerance. This
 //! is the same comparison CI's `bench regression` job performs via
-//! `experiments bench-wcoj --check`; having it in `cargo test` means the
-//! baseline cannot rot silently between CI configurations.
+//! `experiments bench-wcoj --check`; having it in the root package's
+//! `cargo test` means the baseline cannot rot silently between CI
+//! configurations.
 //!
 //! Op counts are machine-independent, so this is deterministic — a failure
 //! here means the join machine changed behaviour and the file needs a
@@ -12,11 +13,8 @@
 use lb_bench::bench_wcoj;
 
 fn committed() -> bench_wcoj::Report {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_wcoj.json"
-    ))
-    .expect("BENCH_wcoj.json is committed at the repo root");
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_wcoj.json"))
+        .expect("BENCH_wcoj.json is committed at the repo root");
     bench_wcoj::from_json(&text).expect("committed baseline parses")
 }
 

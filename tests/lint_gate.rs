@@ -29,7 +29,7 @@ use std::process::{Command, Output};
 
 /// The most `lb-lint: allow` directives the workspace may carry. Lower it
 /// when a change removes allows; never raise it.
-const ALLOW_CEILING: usize = 327;
+const ALLOW_CEILING: usize = 306;
 
 #[test]
 fn workspace_is_lint_clean() {
