@@ -1,13 +1,19 @@
-//! Injected I/O faults against the atomic checkpoint save path.
+//! Injected I/O faults against the atomic checkpoint save path and the
+//! frame-log append path.
 //!
 //! The claim under test is the spool's crash-safety contract: no matter
 //! where a save dies — during the tmp write, the fsync, or the rename —
 //! the destination file is always either *absent* or *the previous valid
 //! version*, a torn `.tmp` sibling is the worst surviving debris, and
 //! reading any of it back yields a typed [`CheckpointError`], never a
-//! panic and never a conjured frontier.
+//! panic and never a conjured frontier. For an append — a torn write of
+//! half the frame, or a failed `fdatasync` — reading the log back yields
+//! its last complete frame or a typed error, never a frame that was not
+//! fully written.
 
-use lb_engine::checkpoint::{tmp_sibling, Checkpoint, CheckpointError, SolverFamily};
+use lb_engine::checkpoint::{
+    append_frame, encode_frame, read_frames, tmp_sibling, Checkpoint, CheckpointError, SolverFamily,
+};
 use lb_engine::fault::with_io_plan;
 use lb_engine::{IoFaultKind, IoFaultPlan};
 use std::path::{Path, PathBuf};
@@ -155,4 +161,97 @@ fn io_plans_round_trip_their_spec_string() {
         .is_ok());
     assert!("save-write@".parse::<IoFaultPlan>().is_err());
     assert!("save-frobnicate@1".parse::<IoFaultPlan>().is_err());
+}
+
+/// The payloads of a log's complete frames; the whole file must be
+/// complete frames (an append never leaves a torn tail behind it).
+fn complete_payloads(path: &Path) -> Vec<Vec<u8>> {
+    let bytes = std::fs::read(path).expect("log readable");
+    let log = read_frames(&bytes).expect("an append never corrupts the log");
+    assert_eq!(
+        log.complete_len,
+        bytes.len(),
+        "no torn tail after an append"
+    );
+    log.frames.iter().map(|f| f.payload.to_vec()).collect()
+}
+
+#[test]
+fn every_append_stage_fault_leaves_the_last_complete_frame() {
+    for (kind, stage) in [
+        (IoFaultKind::TmpWrite, "append-write"),
+        (IoFaultKind::Sync, "fdatasync"),
+    ] {
+        let path = scratch(&format!("append-{stage}.log"));
+        let _fresh = std::fs::remove_file(&path);
+        append_frame(&path, 1, b"old").expect("baseline append");
+        let before = std::fs::read(&path).expect("log");
+
+        let plan = IoFaultPlan::new().with_point(kind, 1);
+        let err = with_io_plan(&plan, || append_frame(&path, 2, b"new"))
+            .expect_err("injected fault must surface as an error");
+        match err {
+            CheckpointError::Io { error, .. } => assert!(
+                error.contains(&format!("injected io fault: {stage}")),
+                "{stage}: got `{error}`"
+            ),
+            other => panic!("{stage}: expected CheckpointError::Io, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).expect("log"), before, "{stage}");
+        assert_eq!(complete_payloads(&path), [b"old".to_vec()], "{stage}");
+
+        // A retry with no plan active lands behind the old frame.
+        append_frame(&path, 2, b"new").expect("retry must succeed");
+        assert_eq!(
+            complete_payloads(&path),
+            [b"old".to_vec(), b"new".to_vec()],
+            "{stage}"
+        );
+    }
+}
+
+#[test]
+fn a_torn_append_reads_back_as_the_last_complete_frame() {
+    // What a crash between the torn write and its rollback leaves: every
+    // prefix of the new frame behind a complete one.
+    let old = encode_frame(1, b"complete").expect("frame");
+    let new = encode_frame(2, &[0xab; 48]).expect("frame");
+    for cut in 0..new.len() {
+        let mut bytes = old.clone();
+        bytes.extend_from_slice(&new[..cut]);
+        let log = read_frames(&bytes).expect("a torn tail is not corruption");
+        assert_eq!(log.complete_len, old.len(), "cut at {cut}");
+        let payloads: Vec<&[u8]> = log.frames.iter().map(|f| f.payload).collect();
+        assert_eq!(payloads, [&b"complete"[..]], "cut at {cut}");
+    }
+}
+
+#[test]
+fn rename_faults_never_fire_on_an_append() {
+    let path = scratch("append-rename.log");
+    let _fresh = std::fs::remove_file(&path);
+    let plan = IoFaultPlan::new().with_point(IoFaultKind::Rename, 1);
+    with_io_plan(&plan, || append_frame(&path, 1, b"lands")).expect("an append has no rename");
+    assert_eq!(complete_payloads(&path), [b"lands".to_vec()]);
+}
+
+#[test]
+fn seeded_fault_storms_never_tear_a_log() {
+    let path = scratch("append-storm.log");
+    let _fresh = std::fs::remove_file(&path);
+    let mut landed: Vec<Vec<u8>> = Vec::new();
+    for seed in 0..200u64 {
+        let plan = IoFaultPlan::from_seed(seed);
+        with_io_plan(&plan, || {
+            // Several appends per scope so multi-point plans hit attempts > 1.
+            for i in 0..3u8 {
+                let payload = vec![(seed % 251) as u8 ^ i; 1 + (seed as usize % 40)];
+                if append_frame(&path, 1 + i, &payload).is_ok() {
+                    landed.push(payload);
+                }
+            }
+        });
+        assert_eq!(complete_payloads(&path), landed, "seed {seed}");
+    }
+    assert!(landed.len() < 600, "some storms must fail an append");
 }

@@ -562,6 +562,212 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     Ok(())
 }
 
+/// The 4-byte magic that opens every frame of a frame log ([`append_frame`]).
+pub const FRAME_MAGIC: [u8; 4] = *b"LBJF";
+
+/// Frame header length: magic + kind + payload length + header check.
+const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 4;
+
+/// The low 32 bits of the FNV-1a-64 of a frame's first nine header bytes:
+/// a flipped length byte must not pass for a frame that runs past the end
+/// of the log (which would read as a torn tail, not as corruption).
+fn frame_header_check(head: &[u8]) -> u32 {
+    (fnv1a(head) & 0xffff_ffff) as u32
+}
+
+/// Encodes one frame of a frame log (all integers little-endian):
+///
+/// ```text
+/// offset  size  field
+/// 0       4     magic "LBJF"
+/// 4       1     kind (caller-defined)
+/// 5       4     payload length `n` (u32)
+/// 9       4     header check: low 32 bits of FNV-1a-64 over bytes [0, 9)
+/// 13      n     payload
+/// 13+n    8     FNV-1a-64 over bytes [0, 13+n)
+/// ```
+///
+/// A payload over the 64 MiB container cap is a typed error.
+pub fn encode_frame(kind: u8, payload: &[u8]) -> Result<Vec<u8>, CheckpointError> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&n| u64::from(n) <= MAX_PAYLOAD_LEN)
+        .ok_or_else(|| CheckpointError::Malformed {
+            what: format!(
+                "frame payload of {} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap",
+                payload.len()
+            ),
+            offset: 5,
+        })?;
+    let mut w = PayloadWriter::new();
+    w.bytes(&FRAME_MAGIC).u8(kind).u32(len);
+    let mut out = w.finish();
+    let check = frame_header_check(&out);
+    out.reserve(4 + payload.len() + CHECKSUM_LEN);
+    out.extend_from_slice(&check.to_le_bytes());
+    out.extend_from_slice(payload);
+    let sum = fnv1a(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    Ok(out)
+}
+
+/// One complete frame of a frame log, borrowed from the log's bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// The caller-defined kind byte.
+    pub kind: u8,
+    /// Byte offset of the frame within the log.
+    pub offset: usize,
+    /// The frame's payload.
+    pub payload: &'a [u8],
+}
+
+/// A frame log as [`read_frames`] found it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FrameLog<'a> {
+    /// Every complete frame, in append order.
+    pub frames: Vec<Frame<'a>>,
+    /// Length of the complete prefix. Bytes past it are a torn final
+    /// frame: an append whose sync never returned.
+    pub complete_len: usize,
+}
+
+impl<'a> FrameLog<'a> {
+    /// The last complete frame of `kind`, if any.
+    pub fn last(&self, kind: u8) -> Option<&Frame<'a>> {
+        self.frames.iter().rev().find(|f| f.kind == kind)
+    }
+}
+
+/// What starts at one offset of a frame log.
+enum FrameAt<'a> {
+    /// A complete frame: its kind, its payload and its total length.
+    Complete(u8, &'a [u8], usize),
+    /// Fewer bytes than the header, or than the length it declares.
+    Short,
+    /// A header or trailing checksum that fails, with what failed.
+    Bad(String),
+}
+
+/// Reads the frame at the start of `rest`.
+fn frame_at(rest: &[u8]) -> FrameAt<'_> {
+    if rest.len() < FRAME_HEADER_LEN {
+        return FrameAt::Short;
+    }
+    let head = &rest[..9];
+    let mut check = [0u8; 4];
+    check.copy_from_slice(&rest[9..FRAME_HEADER_LEN]);
+    if head[..4] != FRAME_MAGIC || u32::from_le_bytes(check) != frame_header_check(head) {
+        return FrameAt::Bad("frame header fails its magic or check".into());
+    }
+    let mut len = [0u8; 4];
+    len.copy_from_slice(&head[5..9]);
+    let body_end = FRAME_HEADER_LEN + u32::from_le_bytes(len) as usize;
+    let end = body_end + CHECKSUM_LEN;
+    if rest.len() < end {
+        return FrameAt::Short;
+    }
+    let mut sum = [0u8; 8];
+    sum.copy_from_slice(&rest[body_end..end]);
+    let recorded = u64::from_le_bytes(sum);
+    let computed = fnv1a(&rest[..body_end]);
+    if recorded != computed {
+        return FrameAt::Bad(format!(
+            "frame checksum {recorded:#018x} recorded, {computed:#018x} computed"
+        ));
+    }
+    FrameAt::Complete(head[4], &rest[FRAME_HEADER_LEN..body_end], end)
+}
+
+/// Splits a frame log into its complete frames.
+///
+/// A bad frame (failed magic, header check or checksum) that no complete
+/// frame follows is a torn append, as is a short final frame: it is left
+/// out and `complete_len` stops before it. That covers a write cut short
+/// and a tail whose size landed but whose bytes never did (zeros, or a
+/// stale sector). A bad frame with a complete frame after it is
+/// corruption: a typed error with the bad frame's offset. Never a panic,
+/// and never a frame that was not fully written.
+pub fn read_frames(bytes: &[u8]) -> Result<FrameLog<'_>, CheckpointError> {
+    let mut frames = Vec::new();
+    let mut at = 0;
+    loop {
+        match frame_at(&bytes[at..]) {
+            FrameAt::Complete(kind, payload, len) => {
+                frames.push(Frame {
+                    kind,
+                    offset: at,
+                    payload,
+                });
+                at += len;
+            }
+            FrameAt::Short => break,
+            FrameAt::Bad(what) => {
+                let followed = (at + 1..bytes.len())
+                    .any(|p| matches!(frame_at(&bytes[p..]), FrameAt::Complete(..)));
+                if followed {
+                    return Err(CheckpointError::Malformed { what, offset: at });
+                }
+                break;
+            }
+        }
+    }
+    Ok(FrameLog {
+        frames,
+        complete_len: at,
+    })
+}
+
+/// Appends one frame ([`encode_frame`]) to the log at `path`, creating it
+/// if absent, and `fdatasync`s it. Once this returns `Ok`, the frame
+/// survives any crash. A failed write or sync truncates the log back to
+/// its length before the call, so the next append never lands behind a
+/// torn frame; a crash before that rollback leaves the torn frame, which
+/// [`read_frames`] reports as a torn tail.
+///
+/// Consults the same [`fault::IoFaultPlan`](crate::fault::IoFaultPlan) as
+/// [`atomic_write`], one save attempt per call: `TmpWrite` lands half the
+/// frame, then fails; `Sync` fails the `fdatasync`. An append has no
+/// rename, so `Rename` points never fire here.
+pub fn append_frame(path: &Path, kind: u8, payload: &[u8]) -> Result<(), CheckpointError> {
+    let frame = encode_frame(kind, payload)?;
+    let attempt = crate::fault::io_attempt_begin();
+    let fail = |stage: crate::fault::IoFaultKind| crate::fault::io_should_fail(stage, attempt);
+    let io_err = |error: String| CheckpointError::Io {
+        path: path.display().to_string(),
+        error,
+    };
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| io_err(e.to_string()))?;
+    let start = file.metadata().map_err(|e| io_err(e.to_string()))?.len();
+    let landed = if fail(crate::fault::IoFaultKind::TmpWrite) {
+        // Torn append: a prefix lands, then the "device" gives out.
+        file.write_all(&frame[..frame.len() / 2])
+            .map_err(|e| e.to_string())
+            .and(Err("injected io fault: append-write".to_string()))
+    } else {
+        file.write_all(&frame).map_err(|e| e.to_string())
+    }
+    .and_then(|()| {
+        if fail(crate::fault::IoFaultKind::Sync) {
+            return Err("injected io fault: fdatasync".to_string());
+        }
+        file.sync_data().map_err(|e| e.to_string())
+    });
+    let Err(error) = landed else {
+        return Ok(());
+    };
+    match file.set_len(start).and_then(|()| file.sync_data()) {
+        Ok(()) => Err(io_err(error)),
+        Err(undo) => Err(io_err(format!(
+            "{error}; rollback to {start} bytes also failed: {undo}"
+        ))),
+    }
+}
+
 /// Removes the artifact at `path` *and* any stale [`tmp_sibling`] left by a
 /// save that was killed between tmp-write and rename. Missing files are
 /// fine (cleanup is idempotent); the first real I/O error is returned as a
@@ -653,6 +859,12 @@ impl PayloadWriter {
     /// An empty payload.
     pub fn new() -> PayloadWriter {
         PayloadWriter { buf: Vec::new() }
+    }
+
+    /// Appends raw bytes, with no length prefix.
+    pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
     }
 
     /// Appends a u8.
@@ -1024,6 +1236,99 @@ mod tests {
             Checkpoint::load(&dir.join("missing.ck")).unwrap_err(),
             CheckpointError::Io { .. }
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn three_frame_log() -> (Vec<u8>, Vec<usize>) {
+        let mut log = Vec::new();
+        let mut ends = Vec::new();
+        for (kind, payload) in [(1u8, &b"record"[..]), (2, &[7u8; 40][..]), (1, &b""[..])] {
+            log.extend(encode_frame(kind, payload).unwrap());
+            ends.push(log.len());
+        }
+        (log, ends)
+    }
+
+    #[test]
+    fn every_prefix_reads_as_its_complete_frames() {
+        let (log, ends) = three_frame_log();
+        // Behind each prefix, nothing, or a tail whose size landed but
+        // whose bytes never did (zeros, or a stale sector): both are torn.
+        let tails = [(0u8, 0), (0, 1), (0, 12), (0, 13), (0, 64), (0xff, 13)];
+        for n in 0..=log.len() {
+            let complete = ends.iter().filter(|&&e| e <= n).count();
+            for (fill, tail) in tails {
+                let mut torn = log[..n].to_vec();
+                torn.resize(n + tail, fill);
+                let read = read_frames(&torn).unwrap();
+                assert_eq!(
+                    read.frames.len(),
+                    complete,
+                    "prefix {n} + {tail} x {fill:#x}"
+                );
+                assert_eq!(
+                    read.complete_len,
+                    ends[..complete].last().copied().unwrap_or(0)
+                );
+            }
+        }
+        let read = read_frames(&log).unwrap();
+        assert_eq!(read.last(1).unwrap().payload, b"");
+        assert_eq!(read.last(2).unwrap().payload, &[7u8; 40][..]);
+        assert_eq!(read.last(3), None);
+    }
+
+    #[test]
+    fn every_flip_before_the_final_frame_is_typed_corruption() {
+        let (log, ends) = three_frame_log();
+        for i in 0..ends[1] {
+            let mut evil = log.clone();
+            evil[i] ^= 0x20;
+            match read_frames(&evil) {
+                Err(CheckpointError::Malformed { offset, .. }) => {
+                    assert!(offset <= i, "byte {i}: offset {offset} past the flip");
+                }
+                other => panic!("byte {i}: expected corruption, got {other:?}"),
+            }
+        }
+        // A flip anywhere in the final frame, header included, reads as a
+        // torn tail: no complete frame follows it.
+        for i in ends[1]..log.len() {
+            let mut evil = log.clone();
+            evil[i] ^= 0x20;
+            assert_eq!(
+                read_frames(&evil).unwrap().complete_len,
+                ends[1],
+                "byte {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn append_frame_round_trips_and_rolls_back_faults() {
+        use crate::fault::{with_io_plan, IoFaultKind, IoFaultPlan};
+        let dir = std::env::temp_dir().join(format!("lbjf-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.log");
+        let _fresh = std::fs::remove_file(&path);
+        append_frame(&path, 1, b"first").unwrap();
+        let before = std::fs::read(&path).unwrap();
+        for kind in [IoFaultKind::TmpWrite, IoFaultKind::Sync] {
+            let plan = IoFaultPlan::new().with_point(kind, 1);
+            let err = with_io_plan(&plan, || append_frame(&path, 2, b"second")).unwrap_err();
+            assert!(err.to_string().contains("injected"), "{err}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                before,
+                "{kind:?} rolled back"
+            );
+        }
+        append_frame(&path, 2, b"second").unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let read = read_frames(&bytes).unwrap();
+        assert_eq!(read.complete_len, bytes.len());
+        let payloads: Vec<&[u8]> = read.frames.iter().map(|f| f.payload).collect();
+        assert_eq!(payloads, vec![&b"first"[..], &b"second"[..]]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

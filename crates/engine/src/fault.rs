@@ -244,7 +244,10 @@ thread_local! {
 /// Which stage of an atomic checkpoint save an [`IoFaultPlan`] point
 /// targets. The atomic-save pipeline is tmp-write → fsync → rename; a fault
 /// at any stage must leave the *destination* file untouched (the previous
-/// checkpoint, or absence), with at most a torn `.tmp` sibling behind.
+/// checkpoint, or absence), with at most a torn `.tmp` sibling behind. A
+/// frame-log append (`lb_engine::checkpoint::append_frame`) has the first
+/// two stages only (write → `fdatasync`) and must leave the log's complete
+/// frames as they were.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum IoFaultKind {
     /// The write into the `.tmp` sibling fails partway: only a prefix of
@@ -289,13 +292,14 @@ pub struct IoFaultPoint {
 }
 
 /// A deterministic schedule of injected I/O failures for the atomic
-/// checkpoint-save pipeline (`lb_engine::checkpoint::atomic_write`).
+/// checkpoint-save pipeline (`lb_engine::checkpoint::atomic_write`) and
+/// the frame-log append (`lb_engine::checkpoint::append_frame`).
 ///
 /// Where [`FaultPlan`] counts solver operations, an `IoFaultPlan` counts
-/// *save attempts*: the Nth `atomic_write` call inside a [`with_io_plan`]
-/// scope fails at the scheduled stage with a typed
+/// *save attempts*: the Nth `atomic_write` or `append_frame` call inside a
+/// [`with_io_plan`] scope fails at the scheduled stage with a typed
 /// [`CheckpointError::Io`](crate::CheckpointError::Io) — never a panic, and
-/// never a torn destination file. The chaos suite uses this to prove the
+/// never a torn destination file or log. The chaos suite uses this to prove the
 /// spool's crash-safety invariant without real disk failures.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IoFaultPlan {
@@ -463,10 +467,10 @@ impl Drop for RestoreIo {
 }
 
 /// Runs `f` with `plan` installed as this thread's active I/O fault
-/// schedule. Every `lb_engine::checkpoint::atomic_write` call inside `f`
-/// counts as one save attempt and consults the schedule. Calls nest; the
-/// previous schedule (with its consumption cursors) is restored when the
-/// scope ends, panic or not.
+/// schedule. Every `lb_engine::checkpoint::atomic_write` or `append_frame`
+/// call inside `f` counts as one save attempt and consults the schedule.
+/// Calls nest; the previous schedule (with its consumption cursors) is
+/// restored when the scope ends, panic or not.
 pub fn with_io_plan<R>(plan: &IoFaultPlan, f: impl FnOnce() -> R) -> R {
     let compiled = ActiveIoFaults::compile(plan);
     let prev = ACTIVE_IO.with(|p| p.borrow_mut().replace(compiled));

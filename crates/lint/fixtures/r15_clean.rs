@@ -9,9 +9,17 @@ impl Spool {
 
 pub fn enqueue(_id: u32) {}
 
+pub fn append_frame(_id: u32) {}
+
 pub fn ack_saved(spool: &Spool, id: u32) -> String {
     spool.save_record(id);
     format!("OK {id}")
+}
+
+pub fn ack_appended(id: u32) -> String {
+    append_frame(id);
+    let line = format!("OK {id}");
+    line
 }
 
 pub fn requeue_after_save(spool: &Spool, id: u32) {

@@ -371,16 +371,22 @@ impl Default for Config {
                 "write_all".into(),
                 "flush".into(),
                 "sync_all".into(),
+                "sync_data".into(),
+                "append_frame".into(),
                 "accept".into(),
                 "rename".into(),
             ],
             blocking_macros: vec!["write".into(), "writeln".into()],
             durability_methods: vec![
                 "atomic_write".into(),
+                "append_frame".into(),
                 "save_record".into(),
                 "save_checkpoint".into(),
+                "save_progress".into(),
+                "discard_progress".into(),
                 "quarantine".into(),
                 "sync_all".into(),
+                "sync_data".into(),
             ],
             timeout_guard_methods: vec![
                 "set_read_timeout".into(),

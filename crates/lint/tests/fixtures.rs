@@ -624,6 +624,23 @@ fn r15_gate_flips_when_the_ack_moves_above_the_save() {
 }
 
 #[test]
+fn r15_gate_flips_when_the_ack_moves_above_the_append() {
+    // Acceptance: an `OK` formed before the log append it reports is an
+    // acknowledgment no durability effect dominates.
+    let mutated = fixture("r15_clean.rs").replacen(
+        "    append_frame(id);\n    let line = format!(\"OK {id}\");",
+        "    let line = format!(\"OK {id}\");\n    append_frame(id);",
+        1,
+    );
+    assert_ne!(mutated, fixture("r15_clean.rs"), "the mutation must apply");
+    let v = semantic_violations_src(mutated, "crates/s/src/solver.rs", &fx_config());
+    assert!(
+        v.iter().any(|v| v.rule == Rule::DurabilityOrdering),
+        "an ack that precedes its append must flip the gate to failing: {v:?}"
+    );
+}
+
+#[test]
 fn r16_violating_fixture_flags_root_and_transitive_reads() {
     let v = semantic_violations("r16_violating.rs", "crates/s/src/net.rs", &fx_config());
     assert!(

@@ -11,8 +11,9 @@
 //! waiting for queue space.
 //!
 //! Every state transition that must survive `kill -9` goes through the
-//! [`Spool`] before it is acknowledged: records before `OK`, checkpoints
-//! before re-queueing, verdicts before a job is reported `done`.
+//! [`Spool`] before it is acknowledged: each is one frame appended to the
+//! job's log — the record before `OK`, progress before re-queueing, the
+//! verdict before a job is reported `done`.
 
 #![expect(
     clippy::disallowed_methods,
@@ -137,13 +138,14 @@ impl Scheduler {
         spool: Spool,
         cfg: SchedulerConfig,
     ) -> Result<(Arc<Scheduler>, RecoveryReport), crate::spool::SpoolError> {
-        let recovered = spool.recover()?;
+        let mut recovered = spool.recover()?;
         let mut report = RecoveryReport {
             resumed: 0,
             settled: 0,
             quarantined: recovered.quarantined.len(),
             restarted_from_scratch: 0,
             stale_tmp_removed: recovered.stale_tmp_removed,
+            torn_tails: recovered.torn_tails,
             skipped: recovered
                 .skipped
                 .iter()
@@ -164,7 +166,9 @@ impl Scheduler {
             per_tenant: BTreeMap::new(),
             draining: false,
             next_job_number: recovered.next_job_number,
-            dead_lettered: recovered.dead_lettered.into_iter().collect(),
+            dead_lettered: std::mem::take(&mut recovered.dead_lettered)
+                .into_iter()
+                .collect(),
             counters: Counters::default(),
         };
         let settled_entry = |rec: JobRecord| Entry {
@@ -176,12 +180,12 @@ impl Scheduler {
             evidence: Vec::new(),
             stalled: 0,
         };
-        for rec in recovered.quarantined {
+        for rec in std::mem::take(&mut recovered.quarantined) {
             // Terminal: serve STATUS from the dead-letter record, never
             // re-run. Not counted active — the tenant's quota is free.
             state.jobs.insert(rec.id.clone(), settled_entry(rec));
         }
-        for rec in recovered.records {
+        for rec in std::mem::take(&mut recovered.records) {
             let id = rec.id.clone();
             match &rec.status {
                 JobStatus::Done(_) => {
@@ -198,13 +202,16 @@ impl Scheduler {
                 }
                 JobStatus::Queued => {
                     let mut rec = rec;
-                    let (resume, discarded) = spool.resume_point(&mut rec);
+                    let (resume, discarded) = recovered.resume_point(&mut rec);
                     let mut evidence = Vec::new();
                     if let Some(why) = discarded {
                         // Degraded-checkpoint recovery: the frontier blob
                         // failed typed decode, so the job restarts from
                         // scratch — one rung up the ladder, never lost,
-                        // never wedging the queue.
+                        // never wedging the queue. The discard is made
+                        // durable first, so the next recovery does not
+                        // discard the same frontier and climb again.
+                        spool.discard_progress(&rec.id)?;
                         rec.attempts += 1;
                         evidence.push(format!(
                             "attempt {}: checkpoint discarded on recovery: {why}",
@@ -287,8 +294,8 @@ impl Scheduler {
 
     /// Admission control + durable enqueue of a submission whose payload
     /// the protocol layer already parsed. `OK <id>` semantics: the id is
-    /// returned only after the record is atomically on disk, so an
-    /// acknowledged job is never lost.
+    /// returned only after the record's frame is synced into the job's
+    /// log, so an acknowledged job is never lost.
     pub fn submit(&self, submission: Submission) -> Result<String, Reject> {
         let (spec, instance) = submission.into_parts();
         let (id, rec) = {
@@ -523,8 +530,8 @@ impl Scheduler {
             (entry.rec.attempts, entry.rec.spec.tenant.clone())
         };
         if discard_resume {
-            if let Err(e) = self.spool.remove_checkpoint(id) {
-                eprintln!("warning: {id}: could not remove checkpoint: {e}");
+            if let Err(e) = self.spool.discard_progress(id) {
+                eprintln!("warning: {id}: could not discard checkpoint: {e}");
             }
         }
         if attempts >= self.cfg.max_attempts.max(1) {
@@ -581,10 +588,10 @@ impl Scheduler {
     }
 
     /// Applies one finished slice's outcome. A suspension is persisted
-    /// with one [`Spool::save_progress`] made outside the state lock: the
-    /// worker still owns the job there (`running` is set and the job is in
-    /// no queue), so nothing else reads or writes its frontier or counters
-    /// until the job is re-queued.
+    /// with one [`Spool::save_progress`] append made outside the state
+    /// lock: the worker still owns the job there (`running` is set and the
+    /// job is in no queue), so nothing else reads or writes its frontier
+    /// or counters until the job is re-queued.
     fn settle_slice(&self, id: &str, result: SliceResult) {
         let Some((progress, checkpoint)) = self.settle(id, Settle::Slice(result)) else {
             return;
@@ -598,11 +605,12 @@ impl Scheduler {
     /// everything else settles here.
     fn settle(&self, id: &str, step: Settle) -> Option<(Progress, Checkpoint)> {
         // lb-lint: allow(lock-discipline) -- the writes still made under
-        // the lock are the rare state changes that must be durable before
-        // any other thread sees them: the verdict (so a `STATUS` after
-        // `done` never races its fsync, see `finish`), a ladder rung's
-        // attempt count, and quarantine. A suspension's progress write,
-        // the per-slice one, happens in `settle_slice` with the lock free.
+        // the lock are the state changes that must be durable before any
+        // other thread sees them: the verdict's one-frame append (so a
+        // `STATUS` after `done` never races its fdatasync, see `finish`),
+        // a ladder rung's append, and quarantine. A suspension's progress
+        // append, the per-slice one, happens in `settle_slice` with the
+        // lock free.
         let mut state = lock_state(&self.state);
         let result = match step {
             Settle::Slice(result) => result,
@@ -707,13 +715,14 @@ impl Scheduler {
         None
     }
 
-    /// Settles a job: verdict into the record, record onto disk, frontier
-    /// artifacts cleaned, accounting updated.
+    /// Settles a job: verdict into the record, the record appended to the
+    /// job's log, accounting updated.
     ///
-    /// The verdict write stays under the state lock on purpose. A `STATUS`
-    /// that arrives during its fsync waits for it and answers `done`;
-    /// written outside the lock, the job would answer `queued` until the
-    /// poller's next round, which made short jobs slower overall.
+    /// The verdict append stays under the state lock on purpose. A
+    /// `STATUS` that arrives during its `fdatasync` (tens of microseconds)
+    /// waits for it and answers `done`; written outside the lock, the job
+    /// would answer `queued` until the poller's next round, which made
+    /// short jobs slower overall.
     fn finish(&self, state: &mut State, id: &str, verdict: Verdict) {
         let Some(entry) = state.jobs.get_mut(id) else {
             return;
@@ -723,9 +732,6 @@ impl Scheduler {
         entry.instance = None;
         if let Err(e) = self.spool.save_record(&entry.rec) {
             eprintln!("warning: {id}: could not persist verdict: {e}");
-        }
-        if let Err(e) = self.spool.remove_checkpoint(id) {
-            eprintln!("warning: {id}: could not remove checkpoint: {e}");
         }
         let tenant = entry.rec.spec.tenant.clone();
         state.active = state.active.saturating_sub(1);
@@ -760,6 +766,9 @@ pub struct RecoveryReport {
     pub settled: usize,
     /// Stale `.tmp` files swept.
     pub stale_tmp_removed: usize,
+    /// Torn final frames cut off job logs, and never-acknowledged logs
+    /// removed (see [`crate::spool::Recovered::torn_tails`]).
+    pub torn_tails: usize,
     /// Undecodable record files, with their typed errors.
     pub skipped: Vec<String>,
     /// Checkpoints discarded as undecodable (job restarts from scratch).
@@ -841,6 +850,8 @@ fn pick_next(state: &mut State, now: Instant) -> (Option<String>, Option<Instant
 mod tests {
     use super::*;
     use crate::job::{JobFamily, JobSpec};
+    use crate::spool::{decode_progress, PROGRESS_FRAME, RECORD_FRAME};
+    use lb_engine::checkpoint::read_frames;
     use std::fs;
     use std::path::PathBuf;
 
@@ -868,6 +879,59 @@ mod tests {
             .unwrap()
     }
 
+    /// Submits a triangle count on K6: many suspensions at two-tick slices.
+    fn submit_long(sched: &Scheduler, tenant: &str) -> String {
+        let mut payload = String::from("6\n");
+        for u in 0..6 {
+            for v in u + 1..6 {
+                payload.push_str(&format!("{u} {v}\n"));
+            }
+        }
+        let spec = JobSpec {
+            payload,
+            ..spec(tenant)
+        };
+        sched.submit(Submission::parse(spec).unwrap()).unwrap()
+    }
+
+    /// The `(kind, payload)` of every complete frame in a job's log.
+    fn frames(spool: &Spool, id: &str) -> Vec<(u8, Vec<u8>)> {
+        let bytes = fs::read(spool.job_path(id)).unwrap();
+        let log = read_frames(&bytes).unwrap();
+        assert_eq!(log.complete_len, bytes.len(), "no torn tail in process");
+        log.frames
+            .iter()
+            .map(|f| (f.kind, f.payload.to_vec()))
+            .collect()
+    }
+
+    /// The last record frame of a job's log.
+    fn last_record(spool: &Spool, id: &str) -> JobRecord {
+        let frames = frames(spool, id);
+        let (_, text) = frames
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == RECORD_FRAME)
+            .unwrap();
+        JobRecord::decode(std::str::from_utf8(text).unwrap()).unwrap()
+    }
+
+    /// Runs one slice of `ticks` the way a worker does: take the job and
+    /// its frontier under the lock, solve outside it, settle.
+    fn run_slice(sched: &Scheduler, id: &str, ticks: u64) {
+        let (instance, resume) = {
+            let mut state = lock_state(&sched.state);
+            let entry = state.jobs.get_mut(id).unwrap();
+            entry.running = true;
+            (
+                Arc::clone(entry.instance.as_ref().unwrap()),
+                entry.resume.take(),
+            )
+        };
+        let result = runner::solve_slice(&instance, &Budget::ticks(ticks), resume.as_ref());
+        sched.settle_slice(id, result);
+    }
+
     fn cfg(max_attempts: u64) -> SchedulerConfig {
         SchedulerConfig {
             max_attempts,
@@ -889,8 +953,21 @@ mod tests {
         }
         let status = sched.status(&id).unwrap();
         assert_eq!((status.state.as_str(), status.attempts), ("queued", 1));
-        let on_disk = JobRecord::decode(&fs::read_to_string(spool.job_path(&id)).unwrap()).unwrap();
+        let on_disk = last_record(&spool, &id);
         assert_eq!(on_disk.attempts, 1, "ladder rung must survive a crash");
+        // The discarded frontier is an empty progress frame before the rung.
+        let kinds: Vec<(u8, bool)> = frames(&spool, &id)
+            .iter()
+            .map(|(k, p)| (*k, p.is_empty()))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (RECORD_FRAME, false),
+                (PROGRESS_FRAME, true),
+                (RECORD_FRAME, false)
+            ]
+        );
         {
             let state = lock_state(&sched.state);
             assert!(
@@ -963,36 +1040,34 @@ mod tests {
     fn a_suspension_makes_one_write_and_leaves_the_record_alone() {
         let (dir, spool) = scratch("onewrite");
         let (sched, _) = Scheduler::recover(spool.clone(), cfg(3)).unwrap();
-        let id = submit(&sched, "acme");
-        let admitted = fs::read(spool.job_path(&id)).unwrap();
-        // One one-tick slice, run and settled the way a worker does it.
-        let suspend = || {
-            let instance = {
-                let mut state = lock_state(&sched.state);
-                let entry = state.jobs.get_mut(&id).unwrap();
-                entry.running = true;
-                Arc::clone(entry.instance.as_ref().unwrap())
-            };
-            let result = runner::solve_slice(&instance, &Budget::ticks(1), None);
-            assert!(matches!(result, Ok((SliceOutcome::Suspended { .. }, _))));
-            sched.settle_slice(&id, result);
+        let id = submit_long(&sched, "acme");
+        let mut before = fs::read(spool.job_path(&id)).unwrap();
+        // One one-tick slice, run and settled the way a worker does it;
+        // each must append exactly one progress frame behind the bytes
+        // already on disk.
+        let suspend = |before: &mut Vec<u8>| {
+            let frames_before = frames(&spool, &id).len();
+            run_slice(&sched, &id, 1);
+            let after = fs::read(spool.job_path(&id)).unwrap();
+            assert!(after.starts_with(before), "earlier bytes must not change");
+            let frames = frames(&spool, &id);
+            assert_eq!(frames.len(), frames_before + 1, "one frame per suspension");
+            assert_eq!(frames.last().unwrap().0, PROGRESS_FRAME);
+            *before = after;
         };
-        // A second atomic write inside the settle would fail here.
+        // A second write inside the settle would fail here.
         let plan = IoFaultPlan::new().with_point(lb_engine::fault::IoFaultKind::TmpWrite, 2);
-        with_io_plan(&plan, suspend);
+        with_io_plan(&plan, || suspend(&mut before));
         let status = sched.status(&id).unwrap();
         assert_eq!(status.state, "queued");
         assert_eq!((status.attempts, status.preemptions), (0, 1));
 
-        suspend();
-        suspend();
-        assert_eq!(
-            fs::read(spool.job_path(&id)).unwrap(),
-            admitted,
-            "suspensions must not rewrite the record"
-        );
+        suspend(&mut before);
+        suspend(&mut before);
         let status = sched.status(&id).unwrap();
-        let (_, progress) = spool.load_progress(&id).unwrap().unwrap();
+        let frames = frames(&spool, &id);
+        assert_eq!(frames.len(), 4, "admission + three suspensions");
+        let (_, progress) = decode_progress(&frames[3].1).unwrap();
         assert_eq!(
             progress,
             Some(Progress {
@@ -1001,6 +1076,40 @@ mod tests {
             })
         );
         assert!(status.spent > 0);
+        assert_eq!(last_record(&spool, &id).spent, 0, "the record lags");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_settled_job_is_one_log_of_two_plus_suspensions_frames() {
+        let (dir, spool) = scratch("onelog");
+        let (sched, _) = Scheduler::recover(spool.clone(), cfg(3)).unwrap();
+        let short = submit(&sched, "acme");
+        let long = submit_long(&sched, "bolt");
+        run_slice(&sched, &short, 1 << 20);
+        let mut slices = 0;
+        while sched.status(&long).unwrap().state != "done" {
+            run_slice(&sched, &long, 2);
+            slices += 1;
+            assert!(slices < 1_000, "the long job must settle");
+        }
+        let mut jobs: Vec<String> = fs::read_dir(dir.join("jobs"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        jobs.sort();
+        assert_eq!(jobs, [format!("{short}.job"), format!("{long}.job")]);
+        assert_eq!(fs::read_dir(dir.join("ckpt")).unwrap().count(), 0);
+        for id in [&short, &long] {
+            let status = sched.status(id).unwrap();
+            assert_eq!(status.state, "done");
+            let frames = frames(&spool, id);
+            assert_eq!(frames.len() as u64, 2 + status.preemptions, "{id}");
+            let record = last_record(&spool, id);
+            assert!(matches!(record.status, JobStatus::Done(_)), "{id}");
+            assert_eq!(record.spent, status.spent, "{id}");
+        }
+        assert!(sched.status(&long).unwrap().preemptions >= 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -160,16 +160,17 @@ impl Server {
         let spool = Spool::open(&cfg.spool)?;
         let (sched, report) = Scheduler::recover(spool, cfg.sched.clone())?;
         if report.resumed + report.settled + report.quarantined + report.restarted_from_scratch > 0
-            || report.stale_tmp_removed > 0
+            || report.stale_tmp_removed + report.torn_tails > 0
         {
             eprintln!(
                 "recovered spool: {} resumed, {} settled, {} quarantined, \
-                 {} restarted from scratch, {} stale tmp swept",
+                 {} restarted from scratch, {} stale tmp swept, {} torn tails cut",
                 report.resumed,
                 report.settled,
                 report.quarantined,
                 report.restarted_from_scratch,
-                report.stale_tmp_removed
+                report.stale_tmp_removed,
+                report.torn_tails
             );
         }
         for line in report

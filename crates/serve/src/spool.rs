@@ -2,38 +2,64 @@
 //! `kill -9`.
 //!
 //! ```text
-//! <spool>/jobs/<id>.job                versioned text record (see [`crate::job`]),
-//!                                      written at admission, on a ladder rung and
-//!                                      at the verdict — never per slice
-//! <spool>/ckpt/<id>.lbck               the job's progress: a 30-byte envelope
-//!                                      (`LBPG`, version, preemptions, spent,
-//!                                      header FNV-1a) in front of its LBCK
-//!                                      frontier; absent when none
-//! <spool>/quarantine/<id>.job          a dead-lettered record (or raw bytes when
-//!                                      the record itself failed to decode)
+//! <spool>/jobs/<id>.job                the job's append-only log: one checksummed
+//!                                      frame per durable change (below)
+//! <spool>/quarantine/<id>.job          a dead-lettered record (or the raw bytes when
+//!                                      the job's own file failed to decode)
 //! <spool>/quarantine/<id>.evidence     the per-attempt evidence that sent it there
+//! <spool>/ckpt/<id>.lbck               older spools only: a job's frontier beside
+//!                                      its bare text record
 //! ```
 //!
-//! **Recovery invariant.** Every write lands through
-//! [`lb_engine::atomic_write`] (tmp + fsync + rename), so after a crash
-//! each file is either absent or a complete previous version — at worst a
-//! stale `.tmp` sibling survives, which [`Spool::open`] sweeps. A job whose
-//! submission was acknowledged (`OK <id>` is only sent after its record is
-//! on disk) is therefore never lost; a job whose record says `done` is
-//! never re-run (no duplicated verdicts); a `queued` record resumes from
-//! its spooled checkpoint, or from scratch when the checkpoint is absent
-//! or fails to decode — losing at most one slice of work, never soundness.
-//! A suspension is one write ([`Spool::save_progress`]): frontier and
-//! counters land together, so the record's `preemptions`/`spent` may be
-//! stale, and recovery keeps the larger of record and envelope. A bare
-//! LBCK blob (older spools, [`Spool::save_checkpoint`]) still loads, with
-//! the record's counters.
+//! **The job log.** Each durable change appends one frame
+//! ([`lb_engine::checkpoint::append_frame`]: magic, kind, length, header
+//! check, payload, FNV-1a) and `fdatasync`s it:
+//!
+//! - a *record* frame, the versioned text record of [`crate::job`]: at
+//!   admission, on a ladder rung and at the verdict — never per slice;
+//! - a *progress* frame per suspension ([`Spool::save_progress`]): a
+//!   30-byte envelope (`LBPG`, version, preemptions, spent, header FNV-1a)
+//!   in front of the job's LBCK frontier, so a crash can never split
+//!   counters from frontier. A bare LBCK frontier
+//!   ([`Spool::save_checkpoint`]) carries no counters; an empty payload
+//!   ([`Spool::discard_progress`]) drops the frontier.
+//!
+//! Nothing on a job's path from admission to verdict replaces or deletes a
+//! file. On a filesystem mounted with `discard`, freeing a file's blocks
+//! costs tens of milliseconds and is serialized filesystem-wide, while an
+//! append plus `fdatasync` costs tens of microseconds.
+//!
+//! **Recovery invariant.** A job's state is the last complete frame of
+//! each kind. `OK <id>` is sent only after the admission frame's sync
+//! returned, so an acknowledged job is never lost; a job whose last record
+//! says `done` is never re-run (no duplicated verdicts); a `queued` job
+//! resumes from its last progress frame, or from scratch when there is
+//! none or it fails to decode — losing at most one slice of work, never
+//! soundness. The record is not rewritten per slice, so recovery keeps the
+//! larger of the record's and the progress frame's counters. A short final
+//! frame, or a bad frame (magic, header check or checksum) that no complete
+//! frame follows, is an append whose sync never returned, so nothing
+//! observed it — a cut write, or a size that landed without its bytes:
+//! recovery truncates it before the job appends again, and a log left with
+//! no complete record frame was never acknowledged and is removed. A bad
+//! frame with a complete frame after it is corruption: the job is
+//! dead-lettered raw with the typed error as evidence.
+//!
+//! **Older spools.** A `jobs/<id>.job` that is a bare text record, with its
+//! frontier in `ckpt/<id>.lbck` (an envelope or a bare LBCK blob), still
+//! recovers. A `queued` one becomes a log inside [`Spool::recover`], before
+//! anything can append to it: one atomic write of its text as a record
+//! frame and its frontier as a progress frame, then the `ckpt/` file is
+//! dropped. A settled one is never written again and stays text.
+//! Quarantine and that one-time rewrite are the only
+//! [`lb_engine::atomic_write`]s left.
 
 use crate::job::{JobRecord, JobStatus};
 use lb_engine::checkpoint::{
-    atomic_write, cleanup_artifacts, fnv1a, Checkpoint, CheckpointError, PayloadReader,
-    PayloadWriter,
+    append_frame, atomic_write, cleanup_artifacts, encode_frame, fnv1a, read_frames, Checkpoint,
+    CheckpointError, PayloadReader, PayloadWriter, FRAME_MAGIC,
 };
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -47,7 +73,8 @@ pub enum SpoolError {
         /// The OS error text.
         error: String,
     },
-    /// A checkpoint-layer failure (atomic write, LBCK decode).
+    /// A checkpoint-layer failure (atomic write, frame append, LBCK
+    /// decode).
     Checkpoint(CheckpointError),
 }
 
@@ -82,6 +109,11 @@ pub struct Progress {
     pub spent: u64,
 }
 
+/// The kind byte of a job log's record frames.
+pub const RECORD_FRAME: u8 = 1;
+/// The kind byte of a job log's progress frames.
+pub const PROGRESS_FRAME: u8 = 2;
+
 /// `LBPG`: the magic of the progress envelope in front of a frontier.
 const PROGRESS_MAGIC: u32 = u32::from_le_bytes(*b"LBPG");
 const PROGRESS_VERSION: u16 = 1;
@@ -101,9 +133,10 @@ fn encode_progress(progress: Progress, ck: &Checkpoint) -> Vec<u8> {
     bytes
 }
 
-/// Decodes a `ckpt/<id>.lbck` file: an envelope yields its counters, a
-/// bare LBCK blob yields none. Any torn or corrupt byte is a typed error.
-fn decode_progress(bytes: &[u8]) -> Result<(Checkpoint, Option<Progress>), CheckpointError> {
+/// Decodes a progress frame's payload (or an older spool's
+/// `ckpt/<id>.lbck` file): an envelope yields its counters, a bare LBCK
+/// blob yields none. Any torn or corrupt byte is a typed error.
+pub fn decode_progress(bytes: &[u8]) -> Result<(Checkpoint, Option<Progress>), CheckpointError> {
     if !bytes.starts_with(&PROGRESS_MAGIC.to_le_bytes()) {
         return Ok((Checkpoint::from_bytes(bytes)?, None));
     }
@@ -145,14 +178,60 @@ pub struct Recovered {
     /// failed to decode was moved raw into quarantine with its typed error
     /// as evidence. `(id, evidence)` per job.
     pub dead_lettered: Vec<(String, String)>,
-    /// Files that could not even be read or moved, with the error rendered
-    /// — logged and skipped, never panicked over.
+    /// Files that could not even be read, moved or repaired, with the
+    /// error rendered — logged and skipped, never panicked over.
     pub skipped: Vec<(PathBuf, String)>,
     /// Stale `.tmp` siblings removed by the startup sweep.
     pub stale_tmp_removed: usize,
+    /// Torn final frames cut off job logs, and logs removed for lacking a
+    /// complete record frame (their admission never returned, so nothing
+    /// was acknowledged).
+    pub torn_tails: usize,
     /// The next fresh job number (max recovered id + 1, quarantine
     /// included so a dead-lettered id is never reissued).
     pub next_job_number: u64,
+    /// Each `queued` record's spooled progress, by id, for
+    /// [`Recovered::resume_point`].
+    progress: BTreeMap<String, Result<Vec<u8>, CheckpointError>>,
+}
+
+impl Recovered {
+    /// A `queued` record's resume point: its spooled frontier when it
+    /// decodes, otherwise none (restart from scratch) plus the rendered
+    /// reason it was discarded. Progress counters raise `rec`'s where they
+    /// are larger: the record is not rewritten per slice, but a failed
+    /// progress write leaves the record ahead of the progress frame.
+    pub fn resume_point(&mut self, rec: &mut JobRecord) -> (Option<Checkpoint>, Option<String>) {
+        if !matches!(rec.status, JobStatus::Queued) {
+            return (None, None);
+        }
+        match self
+            .progress
+            .remove(&rec.id)
+            .map(|bytes| decode_progress(&bytes?))
+        {
+            Some(Ok((ck, progress))) => {
+                if let Some(p) = progress {
+                    rec.preemptions = rec.preemptions.max(p.preemptions);
+                    rec.spent = rec.spent.max(p.spent);
+                }
+                (Some(ck), None)
+            }
+            Some(Err(e)) => (None, Some(e.to_string())),
+            None => (None, None),
+        }
+    }
+}
+
+/// What one `jobs/*.job` file holds.
+enum Found {
+    /// A decoded record and, for a `queued` one, its spooled progress.
+    Record(JobRecord, Option<Result<Vec<u8>, CheckpointError>>),
+    /// A log without one complete record frame: its admission never
+    /// returned, so nothing was acknowledged. Removed.
+    Unacknowledged,
+    /// Undecodable: the evidence line it is dead-lettered with.
+    Corrupt(String),
 }
 
 /// Handle on a spool directory (creates `jobs/`, `ckpt/`, and
@@ -180,12 +259,12 @@ impl Spool {
         })
     }
 
-    /// The record path for a job id.
+    /// The job log path for a job id (an older spool's text record).
     pub fn job_path(&self, id: &str) -> PathBuf {
         self.jobs.join(format!("{id}.job"))
     }
 
-    /// The checkpoint path for a job id.
+    /// An older spool's checkpoint path for a job id.
     pub fn ckpt_path(&self, id: &str) -> PathBuf {
         self.ckpt.join(format!("{id}.lbck"))
     }
@@ -200,52 +279,50 @@ impl Spool {
         self.quarantine.join(format!("{id}.evidence"))
     }
 
-    /// Atomically persists a job record. Once this returns, the job
+    /// Durably persists a job record: one record frame appended to the
+    /// job's log, which the first call creates. Once this returns, the job
     /// survives any crash.
     pub fn save_record(&self, rec: &JobRecord) -> Result<(), SpoolError> {
-        atomic_write(&self.job_path(&rec.id), rec.encode().as_bytes())?;
+        append_frame(
+            &self.job_path(&rec.id),
+            RECORD_FRAME,
+            rec.encode().as_bytes(),
+        )?;
         Ok(())
     }
 
-    /// Atomically persists a job's frontier checkpoint as a bare LBCK
-    /// blob, with no counters; recovery then uses the record's.
+    /// Durably persists a job's frontier as a bare LBCK blob, with no
+    /// counters; recovery then uses the record's.
     pub fn save_checkpoint(&self, id: &str, ck: &Checkpoint) -> Result<(), SpoolError> {
-        ck.save(&self.ckpt_path(id))?;
-        Ok(())
+        self.save_progress_bytes(id, &ck.to_bytes())
     }
 
-    /// Atomically persists a suspension: the job's counters and its
-    /// frontier in one write, so a crash can never split them.
+    /// Durably persists a suspension: the job's counters and its frontier
+    /// in one progress frame, so a crash can never split them.
     pub fn save_progress(
         &self,
         id: &str,
         progress: Progress,
         ck: &Checkpoint,
     ) -> Result<(), SpoolError> {
-        atomic_write(&self.ckpt_path(id), &encode_progress(progress, ck))?;
+        self.save_progress_bytes(id, &encode_progress(progress, ck))
+    }
+
+    /// Durably drops a job's spooled frontier (an empty progress frame),
+    /// so a recovery restarts it from scratch.
+    pub fn discard_progress(&self, id: &str) -> Result<(), SpoolError> {
+        self.save_progress_bytes(id, &[])
+    }
+
+    fn save_progress_bytes(&self, id: &str, payload: &[u8]) -> Result<(), SpoolError> {
+        append_frame(&self.job_path(id), PROGRESS_FRAME, payload)?;
         Ok(())
     }
 
-    /// Loads a job's frontier and, from an envelope, its counters.
-    /// `Ok(None)` when absent; a present-but-undecodable file is the typed
-    /// error (the caller restarts the job from scratch — sound, merely
-    /// slower).
-    pub(crate) fn load_progress(
-        &self,
-        id: &str,
-    ) -> Result<Option<(Checkpoint, Option<Progress>)>, CheckpointError> {
-        let path = self.ckpt_path(id);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let bytes = fs::read(&path).map_err(|e| CheckpointError::Io {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        })?;
-        decode_progress(&bytes).map(Some)
-    }
-
-    /// Removes a settled job's checkpoint and any stale `.tmp` sibling.
+    /// Removes `ckpt/<id>.lbck` and any stale `.tmp` sibling. Only an older
+    /// spool has such a file, and [`Spool::recover`] drops it when it turns
+    /// the job into a log, so the server never calls this; a missing file
+    /// is fine.
     pub fn remove_checkpoint(&self, id: &str) -> Result<(), SpoolError> {
         cleanup_artifacts(&self.ckpt_path(id))?;
         Ok(())
@@ -253,9 +330,10 @@ impl Spool {
 
     /// Dead-letters a job: atomically writes the (already `Quarantined`)
     /// record and its evidence into `quarantine/`, then removes the live
-    /// record and checkpoint. Write-before-remove ordering means a crash
-    /// in between leaves the job in *both* places; [`Spool::recover`]
-    /// prefers the quarantine copy, so the job stays terminal.
+    /// log (or record) and any checkpoint. Write-before-remove ordering
+    /// means a crash in between leaves the job in *both* places;
+    /// [`Spool::recover`] prefers the quarantine copy, so the job stays
+    /// terminal.
     pub fn quarantine(&self, rec: &JobRecord, evidence: &str) -> Result<(), SpoolError> {
         atomic_write(&self.quarantine_path(&rec.id), rec.encode().as_bytes())?;
         atomic_write(&self.evidence_path(&rec.id), evidence.as_bytes())?;
@@ -263,31 +341,30 @@ impl Spool {
         if live.exists() {
             fs::remove_file(&live).map_err(io_err(&live))?;
         }
-        self.remove_checkpoint(&rec.id)?;
+        cleanup_artifacts(&self.ckpt_path(&rec.id))?;
         Ok(())
     }
 
     /// Dead-letters a `jobs/*.job` file that failed to decode: the raw
-    /// bytes move into quarantine under the same stem, the typed decode
-    /// error becomes the evidence, and any orphaned checkpoint blob is
-    /// removed (it is unusable without its record). Returns the id
-    /// (derived from the filename stem).
+    /// bytes move into quarantine under the same stem, `evidence` (the
+    /// typed decode error) is written beside them, and any orphaned
+    /// checkpoint blob is removed (it is unusable without its record).
+    /// Returns the id (derived from the filename stem).
     pub fn dead_letter_raw(
         &self,
         path: &Path,
-        raw: &str,
-        error: &str,
+        raw: &[u8],
+        evidence: &str,
     ) -> Result<String, SpoolError> {
         let id = path
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("unknown")
             .to_string();
-        let evidence = format!("record failed to decode: {error}\n");
-        atomic_write(&self.quarantine_path(&id), raw.as_bytes())?;
-        atomic_write(&self.evidence_path(&id), evidence.as_bytes())?;
+        atomic_write(&self.quarantine_path(&id), raw)?;
+        atomic_write(&self.evidence_path(&id), format!("{evidence}\n").as_bytes())?;
         fs::remove_file(path).map_err(io_err(path))?;
-        self.remove_checkpoint(&id)?;
+        cleanup_artifacts(&self.ckpt_path(&id))?;
         Ok(id)
     }
 
@@ -296,8 +373,8 @@ impl Spool {
         fs::read_to_string(self.evidence_path(id)).ok()
     }
 
-    /// Sweeps `.tmp` siblings left by a save that was killed between
-    /// tmp-write and rename. Returns how many were removed.
+    /// Sweeps `.tmp` siblings left by an atomic write that was killed
+    /// between tmp-write and rename. Returns how many were removed.
     fn sweep_stale_tmp(&self) -> Result<usize, SpoolError> {
         let mut removed = 0;
         for dir in [&self.jobs, &self.ckpt, &self.quarantine] {
@@ -330,12 +407,94 @@ impl Spool {
         Ok(paths)
     }
 
+    /// Reads one job log: its last record frame and, for a `queued`
+    /// record, its last non-empty progress frame. A torn final frame is
+    /// truncated here, before the job can append again.
+    fn recover_log(
+        &self,
+        path: &Path,
+        bytes: &[u8],
+        torn_tails: &mut usize,
+    ) -> Result<Found, SpoolError> {
+        let log = match read_frames(bytes) {
+            Ok(log) => log,
+            Err(e) => return Ok(Found::Corrupt(format!("job log failed to decode: {e}"))),
+        };
+        let Some(record) = log.last(RECORD_FRAME) else {
+            *torn_tails += 1;
+            fs::remove_file(path).map_err(io_err(path))?;
+            return Ok(Found::Unacknowledged);
+        };
+        if log.complete_len < bytes.len() {
+            *torn_tails += 1;
+            let file = fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .map_err(io_err(path))?;
+            file.set_len(log.complete_len as u64)
+                .and_then(|()| file.sync_data())
+                .map_err(io_err(path))?;
+        }
+        let text = std::str::from_utf8(record.payload).map_err(|e| e.to_string());
+        let rec = match text.and_then(|t| JobRecord::decode(t).map_err(|e| e.to_string())) {
+            Ok(rec) => rec,
+            Err(e) => {
+                return Ok(Found::Corrupt(format!(
+                    "job log record frame at byte {} failed to decode: {e}",
+                    record.offset
+                )))
+            }
+        };
+        // A stale checkpoint beside a log is the leftover of a migration
+        // (see `recover_legacy`) that crashed before dropping it: the log
+        // already holds it.
+        cleanup_artifacts(&self.ckpt_path(&rec.id))?;
+        let progress = log
+            .last(PROGRESS_FRAME)
+            .filter(|f| matches!(rec.status, JobStatus::Queued) && !f.payload.is_empty())
+            .map(|f| Ok(f.payload.to_vec()));
+        Ok(Found::Record(rec, progress))
+    }
+
+    /// Reads an older spool's text record. A `queued` one is about to be
+    /// appended to, so it becomes a log here, in one atomic write: its text
+    /// as the first record frame, then its `ckpt/<id>.lbck` bytes (if any)
+    /// as a progress frame. Then the `ckpt/` file is dropped; a crash
+    /// before that leaves a stale copy that `recover_log` removes.
+    /// A settled record is never written again and stays text.
+    fn recover_legacy(&self, path: &Path, bytes: &[u8]) -> Result<Found, SpoolError> {
+        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string());
+        let rec = match text.and_then(|t| JobRecord::decode(t).map_err(|e| e.to_string())) {
+            Ok(rec) => rec,
+            Err(e) => return Ok(Found::Corrupt(format!("record failed to decode: {e}"))),
+        };
+        if !matches!(rec.status, JobStatus::Queued) {
+            return Ok(Found::Record(rec, None));
+        }
+        let ckpt = self.ckpt_path(&rec.id);
+        let mut log = encode_frame(RECORD_FRAME, bytes)?;
+        let progress = match fs::read(&ckpt) {
+            Ok(frontier) => {
+                log.extend(encode_frame(PROGRESS_FRAME, &frontier)?);
+                Some(Ok(frontier))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => Some(Err(CheckpointError::Io {
+                path: ckpt.display().to_string(),
+                error: e.to_string(),
+            })),
+        };
+        atomic_write(path, &log)?;
+        cleanup_artifacts(&ckpt)?;
+        Ok(Found::Record(rec, progress))
+    }
+
     /// Scans the spool after a (possibly violent) restart: sweeps stale
-    /// `.tmp` files, replays the quarantine area, decodes every live
-    /// record, and reports what survived. A live record that fails to
-    /// decode is dead-lettered on the spot — moved raw into quarantine
-    /// with its typed error as evidence. Corruption never panics and
-    /// never conjures a verdict.
+    /// `.tmp` files, replays the quarantine area, reads every live job log
+    /// (or older text record), and reports what survived. A live file that
+    /// fails to decode is dead-lettered on the spot — moved raw into
+    /// quarantine with its typed error as evidence. Corruption never panics
+    /// and never conjures a verdict.
     pub fn recover(&self) -> Result<Recovered, SpoolError> {
         let mut out = Recovered {
             stale_tmp_removed: self.sweep_stale_tmp()?,
@@ -359,17 +518,17 @@ impl Spool {
                 .to_string();
             in_quarantine.push(stem.clone());
             note_id(&mut out, &stem);
-            let text = match fs::read_to_string(&path) {
-                Ok(t) => t,
+            let bytes = match fs::read(&path) {
+                Ok(b) => b,
                 Err(e) => {
                     out.skipped.push((path, e.to_string()));
                     continue;
                 }
             };
-            match JobRecord::decode(&text) {
-                Ok(rec) => out.quarantined.push(rec),
-                Err(_raw) => {
-                    // A raw dead-lettered file (the record itself was the
+            match std::str::from_utf8(&bytes).map(JobRecord::decode) {
+                Ok(Ok(rec)) => out.quarantined.push(rec),
+                _ => {
+                    // A raw dead-lettered file (the job's own file was the
                     // corruption); its evidence file says why.
                     let evidence = self
                         .load_evidence(&stem)
@@ -388,25 +547,45 @@ impl Spool {
                 }
                 continue;
             }
-            let text = match fs::read_to_string(&path) {
-                Ok(t) => t,
+            let stem = stem.to_string();
+            let bytes = match fs::read(&path) {
+                Ok(b) => b,
                 Err(e) => {
                     out.skipped.push((path, e.to_string()));
                     continue;
                 }
             };
-            match JobRecord::decode(&text) {
-                Ok(rec) => {
+            // A log starts with the frame magic; a log torn inside its
+            // first four bytes is a prefix of it. Anything else is an
+            // older spool's text record.
+            let is_log = bytes.iter().zip(FRAME_MAGIC).all(|(&a, b)| a == b);
+            let found = if is_log {
+                self.recover_log(&path, &bytes, &mut out.torn_tails)
+            } else {
+                self.recover_legacy(&path, &bytes)
+            };
+            let found = match found {
+                Ok(found) => found,
+                Err(e) => {
+                    out.skipped.push((path, e.to_string()));
+                    continue;
+                }
+            };
+            match found {
+                Found::Record(rec, progress) => {
                     note_id(&mut out, &rec.id);
+                    if let Some(progress) = progress {
+                        out.progress.insert(rec.id.clone(), progress);
+                    }
                     out.records.push(rec);
                 }
-                Err(e) => match self.dead_letter_raw(&path, &text, &e.to_string()) {
+                Found::Unacknowledged => note_id(&mut out, &stem),
+                Found::Corrupt(why) => match self.dead_letter_raw(&path, &bytes, &why) {
                     Ok(id) => {
                         note_id(&mut out, &id);
-                        out.dead_lettered
-                            .push((id, format!("record failed to decode: {e}")));
+                        out.dead_lettered.push((id, why));
                     }
-                    Err(move_err) => out.skipped.push((path, format!("{e}; then {move_err}"))),
+                    Err(move_err) => out.skipped.push((path, format!("{why}; then {move_err}"))),
                 },
             }
         }
@@ -414,28 +593,6 @@ impl Spool {
             out.next_job_number = 1;
         }
         Ok(out)
-    }
-
-    /// A `queued` record's resume point: its spooled checkpoint when it
-    /// decodes, otherwise none (restart from scratch) plus the rendered
-    /// reason it was discarded. An envelope's counters raise `rec`'s where
-    /// they are larger: the record is not rewritten per slice, but a
-    /// failed progress write leaves the record ahead of the envelope.
-    pub fn resume_point(&self, rec: &mut JobRecord) -> (Option<Checkpoint>, Option<String>) {
-        if !matches!(rec.status, JobStatus::Queued) {
-            return (None, None);
-        }
-        match self.load_progress(&rec.id) {
-            Ok(Some((ck, progress))) => {
-                if let Some(p) = progress {
-                    rec.preemptions = rec.preemptions.max(p.preemptions);
-                    rec.spent = rec.spent.max(p.spent);
-                }
-                (Some(ck), None)
-            }
-            Ok(None) => (None, None),
-            Err(e) => (None, Some(e.to_string())),
-        }
     }
 }
 

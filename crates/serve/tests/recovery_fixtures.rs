@@ -4,9 +4,10 @@
 //! raw into quarantine, and a recovery-time discard that exhausts the
 //! ladder quarantines the job without ever re-queueing it.
 
+use lb_engine::checkpoint::read_frames;
 use lb_serve::job::JobRecord;
 use lb_serve::scheduler::{Scheduler, SchedulerConfig};
-use lb_serve::spool::Spool;
+use lb_serve::spool::{Spool, RECORD_FRAME};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -58,8 +59,12 @@ fn corrupt_checkpoint_restarts_from_scratch_with_attempt_bumped() {
     assert!(report.discarded_checkpoints[0].starts_with("j1:"));
 
     // The ladder rung is persisted before any slice runs: a second crash
-    // cannot reset the attempt counter.
-    let on_disk = JobRecord::decode(&fs::read_to_string(spool.job_path("j1")).unwrap()).unwrap();
+    // cannot reset the attempt counter. Recovery turned the older text
+    // record into a job log, so the rung is its last record frame.
+    let log = fs::read(spool.job_path("j1")).unwrap();
+    let frames = read_frames(&log).unwrap();
+    let rung = frames.last(RECORD_FRAME).unwrap().payload;
+    let on_disk = JobRecord::decode(std::str::from_utf8(rung).unwrap()).unwrap();
     assert_eq!(on_disk.attempts, 1);
     assert_eq!(on_disk.preemptions, 2, "history survives the restart");
 

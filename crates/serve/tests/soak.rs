@@ -452,7 +452,8 @@ fn drain_settles_or_requeues_every_job_and_hints_retry() {
             spent: 77,
             attempts: 2,
         };
-        sp.save_record(&poisoned).expect("seed poisoned record");
+        // The older two-file layout: a text record beside its checkpoint.
+        std::fs::write(sp.job_path("j90"), poisoned.encode()).expect("seed poisoned record");
         std::fs::write(sp.ckpt_path("j90"), b"definitely not an LBCK blob")
             .expect("seed garbage checkpoint");
     }
