@@ -2,11 +2,6 @@
 //!
 //! Usage: `cargo run --release -p lb-bench --bin experiments [e1|e2|…|e13|all|smoke]`
 //!
-//! `bench-wcoj [--check|--write] [path]` maintains the committed WCOJ
-//! baseline (`BENCH_wcoj.json` at the repo root): `--check` (the CI
-//! default) re-runs the pinned workloads and panics on op-count drift
-//! beyond the committed tolerance; `--write` re-pins the file.
-//!
 //! Each experiment prints a markdown table plus a fitted exponent, the
 //! quantity the corresponding theorem of the paper speaks about.
 //!
@@ -26,16 +21,6 @@ fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     if which == "smoke" {
         smoke();
-        return;
-    }
-    if which == "bench-wcoj" {
-        let mode = std::env::args()
-            .nth(2)
-            .unwrap_or_else(|| "--check".to_string());
-        let path = std::env::args()
-            .nth(3)
-            .unwrap_or_else(|| "BENCH_wcoj.json".to_string());
-        bench_wcoj_cmd(&mode, &path);
         return;
     }
     let all = which == "all";
@@ -78,46 +63,6 @@ fn main() {
     }
     if run("e13") {
         e13_acyclic();
-    }
-}
-
-/// `bench-wcoj` — maintains the committed op-count baseline. `--write`
-/// re-pins `path` from a fresh run; `--check` (CI) re-runs the pinned
-/// workloads and panics if the leapfrog op counts drifted from the
-/// committed file beyond its tolerance. Wall-clock is recorded in the
-/// file but never compared — only the machine-independent counters gate.
-fn bench_wcoj_cmd(mode: &str, path: &str) {
-    use lb_bench::bench_wcoj;
-    match mode {
-        "--write" => {
-            let report = bench_wcoj::run();
-            std::fs::write(path, bench_wcoj::to_json(&report)).expect("write baseline file");
-            println!(
-                "bench-wcoj: pinned {} workloads to {path}",
-                report.workloads.len()
-            );
-        }
-        "--check" => {
-            let text = std::fs::read_to_string(path).expect("read committed baseline");
-            let committed = bench_wcoj::from_json(&text).expect("parse committed baseline");
-            let fresh = bench_wcoj::run();
-            let problems = bench_wcoj::compare(&committed, &fresh);
-            for p in &problems {
-                eprintln!("bench-wcoj: {p}");
-            }
-            assert!(
-                problems.is_empty(),
-                "bench-wcoj: {} op-count regression(s) against {path}; \
-                 if intentional, re-pin with `bench-wcoj --write`",
-                problems.len()
-            );
-            println!(
-                "bench-wcoj: {} workloads match {path} (tolerance {}%)",
-                committed.workloads.len(),
-                committed.tolerance * 100.0
-            );
-        }
-        other => panic!("bench-wcoj: unknown mode `{other}` (use --check or --write)"),
     }
 }
 

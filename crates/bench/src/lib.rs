@@ -4,7 +4,6 @@
 //! Each `eN` module owns the workload generators and sweep logic for one
 //! experiment of DESIGN.md's index; the binary formats the results.
 
-pub mod bench_wcoj;
 pub mod workloads;
 
 pub use workloads::*;

@@ -1,4 +1,5 @@
-//! SplitMix64 — the crate's only randomness source.
+//! SplitMix64 ([`lb_engine::splitmix`]) — the crate's only randomness
+//! source.
 //!
 //! Std-only, allocation-free, and fully determined by its seed: the same
 //! seed always replays the same hostile instance, which is what makes every
@@ -19,11 +20,7 @@ impl Rng {
 
     /// The next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        lb_engine::splitmix(&mut self.state)
     }
 
     /// Uniform in `0..n`; returns 0 when `n == 0`.

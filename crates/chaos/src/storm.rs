@@ -27,9 +27,9 @@
     reason = "the storm soak drives a live server under wall-clock deadlines"
 )]
 
-use lb_serve::bench::{self, connect_patiently};
 use lb_serve::client::{retry_with_backoff, Backoff, Client, ClientError};
 use lb_serve::job::JobSpec;
+use lb_serve::jobmix::{self, connect_patiently};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -231,7 +231,7 @@ fn run_storm(cfg: &StormConfig, seed: u64, report: &mut StormReport) {
     // submissions themselves run the net-fault gauntlet. A torn ack may
     // admit a job we never learn the id of; that job still settles
     // server-side, and the invariant quantifies over acknowledged ids.
-    let specs = bench::generate_specs(cfg.tenants, cfg.jobs_per_tenant, seed);
+    let specs = jobmix::generate_specs(cfg.tenants, cfg.jobs_per_tenant, seed);
     let policy = Backoff {
         base_ms: 5,
         cap_ms: 200,
@@ -287,7 +287,7 @@ fn run_storm(cfg: &StormConfig, seed: u64, report: &mut StormReport) {
             fail(report, format!("{id}: done without a verdict"));
             continue;
         };
-        match bench::reference_verdict(spec) {
+        match jobmix::reference_verdict(spec) {
             Ok(reference) if reference == verdict => report.settled += 1,
             Ok(reference) => fail(
                 report,

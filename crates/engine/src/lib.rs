@@ -79,7 +79,9 @@ pub use checkpoint::{
     atomic_write, cleanup_artifacts, exhaustion_diagnostic, tmp_sibling, Checkpoint,
     CheckpointError, Digest, PayloadReader, PayloadWriter, ResumableOutcome, SolverFamily,
 };
-pub use fault::{FaultKind, FaultPlan, FaultPoint, IoFaultKind, IoFaultPlan, IoFaultPoint};
+pub use fault::{
+    splitmix, FaultKind, FaultPlan, FaultPoint, IoFaultKind, IoFaultPlan, IoFaultPoint,
+};
 pub use parse::{ParseError, ParseErrorKind};
 
 use fault::ActiveFaults;

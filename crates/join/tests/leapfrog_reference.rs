@@ -94,7 +94,8 @@ fn leapfrog_wins_on_disjoint_heavy_hitter_tails() {
     // The pinned skew shape: a hub value shared by two atoms plus long
     // disjoint tails. The reference machine probes every tail value; the
     // leapfrog gallops over both tails in O(log) seeks. This is the
-    // measurable op-count win BENCH_wcoj.json records.
+    // measurable op-count win the exact workload pins of the root
+    // `tests/wcoj_replay_pins.rs` hold (`skew_heavy_hitter`).
     use lb_join::{Atom, Database, Table};
     let q = JoinQuery::new(vec![
         Atom::new("R", &["a", "b"]),

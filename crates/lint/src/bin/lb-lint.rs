@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! lb-lint [check] [--format json|text] [--root PATH]
-//! lb-lint --write-baseline [--root PATH]
 //! lb-lint graph [--root PATH]
 //! lb-lint dataflow [--root PATH]
 //! lb-lint effects [--root PATH]
@@ -10,7 +9,6 @@
 //!
 //! Exit codes: 0 clean, 1 violations (details in the output), 2 usage or IO
 //! error. Both report formats count the `lb-lint: allow` directives per rule.
-//! `--write-baseline` re-pins the R10 checkpoint-schema baseline and exits 0.
 //! `dataflow` dumps the deterministic per-function R11–R13 summaries and
 //! exits 1 if a solver crate's dataflow coverage floor is empty (the same
 //! floors `tests/lint_gate.rs` asserts). `effects` does the same for the
@@ -30,7 +28,6 @@ enum Cmd {
     Graph,
     Dataflow,
     Effects,
-    WriteBaseline,
 }
 
 fn main() {
@@ -69,7 +66,6 @@ fn main() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => usage_error("--root expects a path"),
             },
-            "--write-baseline" => cmd = Cmd::WriteBaseline,
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -145,17 +141,6 @@ fn main() {
             }
             Err(e) => io_error(&e),
         },
-        Cmd::WriteBaseline => match lb_lint::write_baseline(&root, &config) {
-            Ok(content) => {
-                let families = content.lines().filter(|l| !l.starts_with('#')).count();
-                let suffix = if families == 1 { "y" } else { "ies" };
-                eprintln!(
-                    "lb-lint: wrote {} ({families} famil{suffix})",
-                    config.baseline_file
-                );
-            }
-            Err(e) => io_error(&e),
-        },
         Cmd::Check => match analyze_workspace(&root, &config) {
             Ok(a) => {
                 let report = match format {
@@ -175,12 +160,10 @@ fn main() {
 
 fn print_help() {
     println!("usage: lb-lint [check] [--format json|text] [--root PATH]");
-    println!("       lb-lint --write-baseline [--root PATH]");
     println!("       lb-lint graph [--root PATH]");
     println!("       lb-lint dataflow [--root PATH]");
     println!("       lb-lint effects [--root PATH]");
     println!("exit codes: 0 clean, 1 violations, 2 usage/io");
-    println!("  --write-baseline:   re-pin the R10 checkpoint-schema baseline");
     println!("  graph:              dump the workspace call graph (deterministic)");
     println!("  dataflow:           dump per-fn R11-R13 summaries + coverage floors");
     println!("  effects:            dump per-fn R14-R16 effect summaries + lock-order");
@@ -190,7 +173,7 @@ fn print_help() {
 #[expect(clippy::exit, reason = "the CLI owns its exit codes")]
 fn usage_error(msg: &str) -> ! {
     eprintln!("lb-lint: {msg}");
-    eprintln!("usage: lb-lint [check|graph|dataflow|effects] [--format json|text] [--root PATH] [--write-baseline]");
+    eprintln!("usage: lb-lint [check|graph|dataflow|effects] [--format json|text] [--root PATH]");
     process::exit(2);
 }
 

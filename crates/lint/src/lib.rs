@@ -26,7 +26,7 @@
 //!
 //! On top of the token-level rules, a **semantic layer** ([`items`],
 //! [`graph`], [`semantic`]) parses `fn`/`impl` items, builds a
-//! workspace-wide call graph, and proves three invariants that lb-chaos
+//! workspace-wide call graph, and proves two invariants that lb-chaos
 //! previously only spot-checked dynamically:
 //!
 //! * **R8 `unbudgeted-loop`** — every loop transitively reachable from a
@@ -35,12 +35,11 @@
 //! * **R9 `panic-reachability`** — no panic site is transitively reachable
 //!   from the panic-free public API surface without an explicit
 //!   `allow(panic-reachability)` stating the invariant (an R1 allow is a
-//!   local justification and does not discharge the reachability proof);
-//! * **R10 `checkpoint-schema-drift`** — checkpoint encode/decode bodies are
-//!   fingerprinted into a committed baseline
-//!   (`crates/lint/checkpoint-schema.baseline`); a body change without a
-//!   `CHECKPOINT_PAYLOAD_VERSION` bump fails the gate, and
-//!   `lb-lint --write-baseline` re-pins intentionally.
+//!   local justification and does not discharge the reachability proof).
+//!
+//! R10 is retired too: checkpoint-format drift is caught by executing the
+//! formats, not by fingerprinting their source (the replay pins and the
+//! checkpoint goldens of the root `tests/`).
 //!
 //! A **dataflow layer** ([`dataflow`]) walks each `fn` body's masked token
 //! stream, building def-use chains for collection bindings and `Result`
@@ -109,7 +108,7 @@ pub mod walk;
 
 pub use effects::CrateEffects;
 pub use report::{clean_summary, exit_code, render_json, render_text};
-pub use rules::{lint_source, AllowCounts, CheckpointSpec, Config, Rule, Violation};
+pub use rules::{lint_source, AllowCounts, Config, Rule, Violation};
 pub use semantic::{CrateDataflow, SemanticStats};
 
 use std::io;
@@ -153,7 +152,7 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> io::Result<Analysis> {
         violations.extend(rules::lint_source(rel, source, config));
         allows.absorb(&rules::count_allows(source));
     }
-    let (semantic_violations, stats) = semantic::check(root, &files, config);
+    let (semantic_violations, stats) = semantic::check(&files, config);
     violations.extend(semantic_violations);
     violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(Analysis {
@@ -182,13 +181,6 @@ pub fn dataflow_dump_workspace(root: &Path, config: &Config) -> io::Result<Strin
 pub fn effects_dump_workspace(root: &Path, config: &Config) -> io::Result<String> {
     let files = read_workspace(root)?;
     Ok(semantic::effects_dump(&files, config))
-}
-
-/// Recomputes and writes the R10 checkpoint-schema baseline under `root`,
-/// returning the file content (for `lb-lint --write-baseline`).
-pub fn write_baseline(root: &Path, config: &Config) -> io::Result<String> {
-    let files = read_workspace(root)?;
-    semantic::write_baseline(root, &files, config)
 }
 
 /// The workspace root as seen from this crate (two levels above the crate
@@ -221,6 +213,5 @@ mod tests {
             "semantic layer found no entry-point roots"
         );
         assert!(a.stats.loops_checked > 0, "no reachable loops examined");
-        assert!(a.stats.families_checked >= 5, "checkpoint families missing");
     }
 }

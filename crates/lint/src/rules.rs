@@ -15,8 +15,9 @@ use crate::lexer::{scan, ScannedFile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-/// The enforced rules. Codes are stable: R2–R6 moved to rustc/clippy and
-/// their codes are not reused.
+/// The enforced rules. Codes are stable: R2–R6 moved to rustc/clippy, R10
+/// gave way to the executed checkpoint goldens, and their codes are not
+/// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// R1: no `unwrap()`/`expect()`/`panic!`/`todo!`/`unreachable!` in
@@ -34,10 +35,6 @@ pub enum Rule {
     /// unchecked index) may be transitively reachable from the panic-free
     /// public API surface without an explicit `allow(panic-reachability)`.
     PanicReachability,
-    /// R10: a checkpoint family's encode/decode bodies changed without a
-    /// matching `CHECKPOINT_PAYLOAD_VERSION` bump (token-stream fingerprint
-    /// vs the committed baseline; re-pin with `lb-lint --write-baseline`).
-    CheckpointSchemaDrift,
     /// R11: a loop-carried collection mutation (`push`/`insert`/`extend`/
     /// `push_back` on state that outlives the loop iteration) inside a
     /// budget-reachable loop must be charged to `RunStats.max_intermediate`
@@ -75,12 +72,11 @@ pub enum Rule {
 
 impl Rule {
     /// All real rules (excludes the directive pseudo-rule).
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 10] = [
         Rule::NoPanic,
         Rule::NoUncheckedIndex,
         Rule::UnbudgetedLoop,
         Rule::PanicReachability,
-        Rule::CheckpointSchemaDrift,
         Rule::UnboundedGrowth,
         Rule::SwallowedResult,
         Rule::SendHostileState,
@@ -96,7 +92,6 @@ impl Rule {
             Rule::NoUncheckedIndex => "no-unchecked-index",
             Rule::UnbudgetedLoop => "unbudgeted-loop",
             Rule::PanicReachability => "panic-reachability",
-            Rule::CheckpointSchemaDrift => "checkpoint-schema-drift",
             Rule::UnboundedGrowth => "unbounded-growth",
             Rule::SwallowedResult => "swallowed-result",
             Rule::SendHostileState => "send-hostile-state",
@@ -107,14 +102,13 @@ impl Rule {
         }
     }
 
-    /// The short code (R1, R7–R16, D0 for directives).
+    /// The short code (R1, R7–R9, R11–R16, D0 for directives).
     pub fn code(self) -> &'static str {
         match self {
             Rule::NoPanic => "R1",
             Rule::NoUncheckedIndex => "R7",
             Rule::UnbudgetedLoop => "R8",
             Rule::PanicReachability => "R9",
-            Rule::CheckpointSchemaDrift => "R10",
             Rule::UnboundedGrowth => "R11",
             Rule::SwallowedResult => "R12",
             Rule::SendHostileState => "R13",
@@ -167,22 +161,8 @@ pub struct Violation {
     pub snippet: String,
 }
 
-/// One checkpoint family watched by R10: where its encode/decode functions
-/// and payload-version const live.
-#[derive(Debug, Clone)]
-pub struct CheckpointSpec {
-    /// Stable family name used in the baseline file.
-    pub family: String,
-    /// Workspace-relative file holding the payload codec.
-    pub file: String,
-    /// Names of the encode/decode functions whose bodies are fingerprinted.
-    pub fns: Vec<String>,
-    /// Name of the payload-version const that must be bumped on change.
-    pub version_const: String,
-}
-
 /// Linter configuration: the hot-path scope of R7 plus the
-/// semantic-analysis scopes (R8–R16).
+/// semantic-analysis scopes (R8, R9, R11–R16).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path substrings whose files carry the `no-unchecked-index` rule:
@@ -217,10 +197,6 @@ pub struct Config {
     /// Path substrings whose structs are checkpoint-serializable solver
     /// state and must stay `Send`-clean (R13).
     pub state_struct_paths: Vec<String>,
-    /// The checkpoint families fingerprinted by R10.
-    pub checkpoint_specs: Vec<CheckpointSpec>,
-    /// Workspace-relative path of the committed R10 baseline file.
-    pub baseline_file: String,
     /// Path substrings whose files carry the effect analysis (R14–R16):
     /// the concurrent serve layer.
     pub effect_paths: Vec<String>,
@@ -325,39 +301,6 @@ impl Default for Config {
                 "crates/graphalg/src/clique.rs".into(),
                 "crates/engine/src/".into(),
             ],
-            checkpoint_specs: vec![
-                CheckpointSpec {
-                    family: "dpll".into(),
-                    file: "crates/sat/src/dpll.rs".into(),
-                    fns: vec!["encode".into(), "decode".into()],
-                    version_const: "CHECKPOINT_PAYLOAD_VERSION".into(),
-                },
-                CheckpointSpec {
-                    family: "csp-backtracking".into(),
-                    file: "crates/csp/src/solver/backtracking.rs".into(),
-                    fns: vec!["encode".into(), "decode".into()],
-                    version_const: "CHECKPOINT_PAYLOAD_VERSION".into(),
-                },
-                CheckpointSpec {
-                    family: "generic-join".into(),
-                    file: "crates/join/src/wcoj.rs".into(),
-                    fns: vec!["encode".into(), "decode".into()],
-                    version_const: "CHECKPOINT_PAYLOAD_VERSION".into(),
-                },
-                CheckpointSpec {
-                    family: "triangle-scan".into(),
-                    file: "crates/graphalg/src/triangle.rs".into(),
-                    fns: vec!["encode".into(), "decode".into()],
-                    version_const: "CHECKPOINT_PAYLOAD_VERSION".into(),
-                },
-                CheckpointSpec {
-                    family: "clique-enum".into(),
-                    file: "crates/graphalg/src/clique.rs".into(),
-                    fns: vec!["encode".into(), "decode".into()],
-                    version_const: "CHECKPOINT_PAYLOAD_VERSION".into(),
-                },
-            ],
-            baseline_file: "crates/lint/checkpoint-schema.baseline".into(),
             effect_paths: vec!["crates/serve/src/".into()],
             lock_acquire_fns: vec!["lock_recover".into(), "lock_state".into()],
             lock_acquire_methods: vec!["lock".into()],
@@ -846,9 +789,15 @@ fn h() {} // lb-lint: allow(no-panic)
 
     #[test]
     fn removed_rule_names_are_bad_directives() {
-        // R2–R6 moved to rustc/clippy; a leftover allow naming one is stale.
-        let v = lint_lib("fn f() {} // lb-lint: allow(no-lossy-cast) -- display only\n");
-        assert!(v.iter().any(|v| v.rule == Rule::BadDirective), "{v:?}");
+        // R2–R6 moved to rustc/clippy and R10 to the checkpoint goldens; a
+        // leftover allow naming one is stale.
+        for name in ["no-lossy-cast", "checkpoint-schema-drift"] {
+            let v = lint_lib(&format!("fn f() {{}} // lb-lint: allow({name}) -- stale\n"));
+            assert!(
+                v.iter().any(|v| v.rule == Rule::BadDirective),
+                "{name}: {v:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The call-graph semantic rules R8–R10 and the R10 baseline workflow.
+//! The call-graph semantic rules R8, R9 and R11–R16.
 //!
 //! Unlike the token-level rules in [`crate::rules`], these passes see the
 //! whole workspace at once: they parse every library file into `fn` items
 //! ([`crate::items`]), build a name-resolved call graph ([`crate::graph`]),
-//! and check three invariants that PRs 2–4 previously enforced only
+//! and check two invariants that were previously enforced only
 //! dynamically (via lb-chaos fuzzing and property tests):
 //!
 //! * **R8 `unbudgeted-loop`** — every `loop`/`while`/`for` in the solver
@@ -16,12 +16,8 @@
 //!   *local* justification and deliberately does not satisfy R9 — the
 //!   reachability proof is a separate, stronger obligation). An allow on a
 //!   call line cuts that line's edges instead (per-edge suppression).
-//! * **R10 `checkpoint-schema-drift`** — the token-stream fingerprint of
-//!   each checkpoint family's encode/decode bodies must match the committed
-//!   baseline unless the family's payload-version const was bumped; either
-//!   way the baseline is re-pinned with `lb-lint --write-baseline`.
 //!
-//! PR 6 adds the dataflow rules on top of the same graph, fed by the
+//! The dataflow rules sit on top of the same graph, fed by the
 //! per-function summaries from [`crate::dataflow`]:
 //!
 //! * **R11 `unbounded-growth`** — a loop-carried collection mutation in a
@@ -41,12 +37,10 @@ use crate::graph::CallGraph;
 use crate::items::{self, ParsedFile, Span};
 use crate::lexer::{scan, ScannedFile};
 use crate::rules::{
-    contains_token, is_library, parse_allows, snippet_at, unchecked_index_in, Allows,
-    CheckpointSpec, Config, Rule, Violation,
+    contains_token, is_library, parse_allows, snippet_at, unchecked_index_in, Allows, Config, Rule,
+    Violation,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io;
-use std::path::Path;
 
 /// Coverage statistics from a semantic run, for the dogfood self-tests and
 /// the CLI summary.
@@ -60,8 +54,6 @@ pub struct SemanticStats {
     pub loops_checked: usize,
     /// Panic sites considered by R9 (before reachability filtering).
     pub panic_sites: usize,
-    /// Checkpoint families checked by R10.
-    pub families_checked: usize,
     /// Per-crate dataflow coverage (R11–R13), keyed by crate name.
     pub dataflow: BTreeMap<String, CrateDataflow>,
     /// Per-crate effect coverage (R14–R16), keyed by crate name.
@@ -101,14 +93,9 @@ fn path_matches(rel: &str, pats: &[String]) -> bool {
     pats.iter().any(|p| rel.contains(p.as_str()))
 }
 
-/// Runs R8–R10 over the walked workspace files. `files` holds
-/// `(workspace-relative path, source)` pairs in sorted path order; `root`
-/// is only used to read the R10 baseline file.
-pub fn check(
-    root: &Path,
-    files: &[(String, String)],
-    config: &Config,
-) -> (Vec<Violation>, SemanticStats) {
+/// Runs R8, R9 and R11–R16 over the walked workspace files. `files` holds
+/// `(workspace-relative path, source)` pairs in sorted path order.
+pub fn check(files: &[(String, String)], config: &Config) -> (Vec<Violation>, SemanticStats) {
     let sem_files = prepare(files, config);
     let graph = build_graph(&sem_files);
     let allows: HashMap<&str, &Allows> = sem_files
@@ -289,11 +276,6 @@ pub fn check(
             snippet: snippet(&f.rel, lineno),
         });
     }
-
-    // ---- R10: checkpoint schema fingerprints vs the committed baseline. ----
-    let (r10, families) = check_schema_drift(root, &sem_files, config, &allowed, &snippet);
-    stats.families_checked = families;
-    out.extend(r10);
 
     // ---- R11–R13: per-function dataflow + summary propagation. ----
     let flows: Vec<FileFlow> = sem_files
@@ -761,287 +743,6 @@ fn charge_on_line(code: &str, methods: &[String]) -> bool {
     })
 }
 
-// ---------------------------------------------------------------------------
-// R10: fingerprints and the baseline file.
-// ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_feed(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Fingerprints the bodies of the named functions in a scanned file: an
-/// FNV-1a-64 hash over their token streams (masked code, so comments,
-/// whitespace, and string-literal *contents* do not affect it). Returns the
-/// hash and the set of names actually found with a body.
-pub fn fingerprint_fns(file: &ScannedFile, names: &[String]) -> (u64, Vec<String>) {
-    let parsed = items::parse(file);
-    let toks = items::tokenize(file);
-    let mut spans: Vec<Span> = Vec::new();
-    let mut found: Vec<String> = Vec::new();
-    for f in &parsed.fns {
-        if names.contains(&f.name) {
-            if let Some(body) = f.body {
-                spans.push(body);
-                if !found.contains(&f.name) {
-                    found.push(f.name.clone());
-                }
-            }
-        }
-    }
-    spans.sort_by_key(|s| (s.start, s.end));
-    let mut h = FNV_OFFSET;
-    for t in &toks {
-        if spans.iter().any(|s| s.contains(t.line)) {
-            match &t.kind {
-                items::TokKind::Word(w) => h = fnv1a_feed(h, w.as_bytes()),
-                items::TokKind::Punct(c) => {
-                    let mut buf = [0u8; 4];
-                    h = fnv1a_feed(h, c.encode_utf8(&mut buf).as_bytes());
-                }
-            }
-            h = fnv1a_feed(h, &[0x1f]);
-        }
-    }
-    found.sort();
-    (h, found)
-}
-
-/// Locates `const <name>: u16 = N;` in a scanned file, returning `(N, line)`.
-fn find_version_const(file: &ScannedFile, name: &str) -> Option<(u64, usize)> {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test || !contains_token(&line.code, name) {
-            continue;
-        }
-        let code = &line.code;
-        let Some(pos) = code.find(name) else { continue };
-        let Some(eq) = code[pos..].find('=') else {
-            continue;
-        };
-        let digits: String = code[pos + eq + 1..]
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if let Ok(v) = digits.parse::<u64>() {
-            return Some((v, idx + 1));
-        }
-    }
-    None
-}
-
-/// One baseline entry: family → (payload version, fingerprint).
-type Baseline = BTreeMap<String, (u64, u64)>;
-
-fn parse_baseline(text: &str) -> Baseline {
-    let mut out = Baseline::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(family), Some(ver), Some(fp)) = (parts.next(), parts.next(), parts.next()) else {
-            continue;
-        };
-        if let (Ok(ver), Ok(fp)) = (ver.parse::<u64>(), u64::from_str_radix(fp, 16)) {
-            out.insert(family.to_string(), (ver, fp));
-        }
-    }
-    out
-}
-
-/// Per-family schema state: `(version, fingerprint, version-const line)` on
-/// success, a description of why the spec cannot be fingerprinted otherwise.
-type SchemaState = Result<(u64, u64, usize), String>;
-
-/// Computes the current per-family schema table.
-fn current_schema(
-    sem_files: &[SemFile],
-    specs: &[CheckpointSpec],
-) -> Vec<(CheckpointSpec, SchemaState)> {
-    specs
-        .iter()
-        .map(|spec| {
-            let entry = match sem_files.iter().find(|f| f.rel == spec.file) {
-                None => Err(format!("file `{}` not found in the workspace", spec.file)),
-                Some(f) => {
-                    let (fp, found) = fingerprint_fns(&f.scanned, &spec.fns);
-                    let missing: Vec<&String> =
-                        spec.fns.iter().filter(|n| !found.contains(n)).collect();
-                    if !missing.is_empty() {
-                        Err(format!(
-                            "could not locate fn {} in `{}`",
-                            missing
-                                .iter()
-                                .map(|n| format!("`{n}`"))
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                            spec.file
-                        ))
-                    } else {
-                        match find_version_const(&f.scanned, &spec.version_const) {
-                            None => Err(format!(
-                                "could not locate `const {}` in `{}`",
-                                spec.version_const, spec.file
-                            )),
-                            Some((ver, line)) => Ok((ver, fp, line)),
-                        }
-                    }
-                }
-            };
-            (spec.clone(), entry)
-        })
-        .collect()
-}
-
-fn check_schema_drift(
-    root: &Path,
-    sem_files: &[SemFile],
-    config: &Config,
-    allowed: &dyn Fn(&str, usize, Rule) -> bool,
-    snippet: &dyn Fn(&str, usize) -> String,
-) -> (Vec<Violation>, usize) {
-    let mut out = Vec::new();
-    if config.checkpoint_specs.is_empty() {
-        return (out, 0);
-    }
-    let current = current_schema(sem_files, &config.checkpoint_specs);
-    let baseline_path = root.join(&config.baseline_file);
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => parse_baseline(&text),
-        Err(_) => {
-            out.push(Violation {
-                rule: Rule::CheckpointSchemaDrift,
-                path: config.baseline_file.clone(),
-                line: 1,
-                message: format!(
-                    "checkpoint-schema baseline `{}` is missing; generate it with \
-                     `lb-lint --write-baseline` and commit it",
-                    config.baseline_file
-                ),
-                snippet: String::new(),
-            });
-            return (out, current.len());
-        }
-    };
-    for (spec, entry) in &current {
-        match entry {
-            Err(msg) => out.push(Violation {
-                rule: Rule::CheckpointSchemaDrift,
-                path: spec.file.clone(),
-                line: 1,
-                message: format!(
-                    "cannot fingerprint checkpoint family `{}`: {msg}",
-                    spec.family
-                ),
-                snippet: String::new(),
-            }),
-            Ok((ver, fp, line)) => {
-                if allowed(&spec.file, *line, Rule::CheckpointSchemaDrift) {
-                    continue;
-                }
-                match baseline.get(&spec.family) {
-                    None => out.push(Violation {
-                        rule: Rule::CheckpointSchemaDrift,
-                        path: spec.file.clone(),
-                        line: *line,
-                        message: format!(
-                            "checkpoint family `{}` has no baseline entry; re-pin with \
-                             `lb-lint --write-baseline`",
-                            spec.family
-                        ),
-                        snippet: snippet(&spec.file, *line),
-                    }),
-                    Some((base_ver, base_fp)) => {
-                        if fp != base_fp && ver == base_ver {
-                            out.push(Violation {
-                                rule: Rule::CheckpointSchemaDrift,
-                                path: spec.file.clone(),
-                                line: *line,
-                                message: format!(
-                                    "checkpoint family `{}` encode/decode bodies changed \
-                                     (fingerprint {fp:016x} vs baseline {base_fp:016x}) but \
-                                     `{}` is still {ver}; bump the payload version so stale \
-                                     checkpoints are rejected, then re-pin with \
-                                     `lb-lint --write-baseline`",
-                                    spec.family, spec.version_const
-                                ),
-                                snippet: snippet(&spec.file, *line),
-                            });
-                        } else if ver != base_ver || fp != base_fp {
-                            out.push(Violation {
-                                rule: Rule::CheckpointSchemaDrift,
-                                path: spec.file.clone(),
-                                line: *line,
-                                message: format!(
-                                    "checkpoint family `{}` payload version is {ver} but the \
-                                     baseline records {base_ver}; re-pin with \
-                                     `lb-lint --write-baseline`",
-                                    spec.family
-                                ),
-                                snippet: snippet(&spec.file, *line),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (out, current.len())
-}
-
-/// Renders the current schema table as the baseline-file content.
-/// Errors if any family cannot be fingerprinted.
-pub fn render_baseline(files: &[(String, String)], config: &Config) -> io::Result<String> {
-    let sem_files = prepare(files, config);
-    let current = current_schema(&sem_files, &config.checkpoint_specs);
-    let mut rows: Vec<(String, u64, u64)> = Vec::new();
-    for (spec, entry) in current {
-        match entry {
-            Ok((ver, fp, _)) => rows.push((spec.family, ver, fp)),
-            Err(msg) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("cannot baseline family `{}`: {msg}", spec.family),
-                ))
-            }
-        }
-    }
-    rows.sort();
-    let mut out = String::from(
-        "# lb-lint checkpoint-schema baseline (rule R10).\n\
-         # One line per family: <family> <payload-version> <fnv1a-64 fingerprint>.\n\
-         # Regenerate with `lb-lint --write-baseline` after bumping a\n\
-         # CHECKPOINT_PAYLOAD_VERSION const alongside an encode/decode change.\n",
-    );
-    for (family, ver, fp) in rows {
-        out.push_str(&format!("{family} {ver} {fp:016x}\n"));
-    }
-    Ok(out)
-}
-
-/// Computes and writes the baseline file under `root`, returning its content.
-pub fn write_baseline(
-    root: &Path,
-    files: &[(String, String)],
-    config: &Config,
-) -> io::Result<String> {
-    let content = render_baseline(files, config)?;
-    let path = root.join(&config.baseline_file);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&path, &content)?;
-    Ok(content)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,7 +752,6 @@ mod tests {
             api_root_paths: vec!["crates/s/src/".into()],
             solver_loop_paths: vec!["crates/s/src/".into()],
             index_checked_paths: vec!["crates/s/src/hot.rs".into()],
-            checkpoint_specs: Vec::new(),
             ..Config::default()
         }
     }
@@ -1061,7 +761,7 @@ mod tests {
             .iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
             .collect();
-        check(Path::new("/nonexistent"), &owned, config)
+        check(&owned, config)
     }
 
     #[test]
@@ -1194,35 +894,6 @@ pub fn solve(xs: &[u32], i: usize) -> u32 {
         // The same file outside the hot-path list carries no index sites.
         let (v, _) = run(&[("crates/s/src/cold.rs", src)], &mini_config());
         assert!(v.iter().all(|v| v.rule != Rule::PanicReachability));
-    }
-
-    #[test]
-    fn fingerprint_ignores_comments_and_whitespace_but_not_tokens() {
-        let base = "fn encode(x: u32) -> u32 {\n    x + 1\n}\n";
-        let reformatted = "fn encode(x: u32) -> u32 {\n    // a comment\n    x   + 1\n}\n";
-        let changed = "fn encode(x: u32) -> u32 {\n    x + 2\n}\n";
-        let names = vec!["encode".to_string()];
-        let (f1, _) = fingerprint_fns(&scan(base), &names);
-        let (f2, _) = fingerprint_fns(&scan(reformatted), &names);
-        let (f3, _) = fingerprint_fns(&scan(changed), &names);
-        assert_eq!(f1, f2);
-        assert_ne!(f1, f3);
-    }
-
-    #[test]
-    fn version_const_is_found() {
-        let src = "pub const CHECKPOINT_PAYLOAD_VERSION: u16 = 7;\n";
-        let (v, line) =
-            find_version_const(&scan(src), "CHECKPOINT_PAYLOAD_VERSION").expect("found");
-        assert_eq!((v, line), (7, 1));
-    }
-
-    #[test]
-    fn baseline_round_trips_through_parse() {
-        let text = "# comment\nfam-a 1 00000000deadbeef\nfam-b 2 0000000000000001\n";
-        let b = parse_baseline(text);
-        assert_eq!(b.get("fam-a"), Some(&(1, 0xdead_beef)));
-        assert_eq!(b.get("fam-b"), Some(&(2, 1)));
     }
 
     #[test]

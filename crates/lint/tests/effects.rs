@@ -9,7 +9,6 @@
 
 use lb_lint::effects::{self, FileEffects};
 use lb_lint::{items, lexer, semantic, Config, Rule};
-use std::path::Path;
 
 fn effects_of(src: &str) -> FileEffects {
     let scanned = lexer::scan(src);
@@ -171,7 +170,7 @@ pub fn pump<W: Wire>(w: &mut W) {
         ..Config::default()
     };
     let files = vec![("crates/s/src/net.rs".to_string(), src.to_string())];
-    let (v, _) = semantic::check(Path::new("/nonexistent"), &files, &config);
+    let (v, _) = semantic::check(&files, &config);
     let r16: Vec<_> = v
         .iter()
         .filter(|v| v.rule == Rule::UnboundedBlocking)

@@ -9,13 +9,15 @@
 //! belong to the rules that moved to rustc/clippy; `tests/lint_gate.rs` runs
 //! the toolchain on them.
 
-use lb_lint::{lint_source, semantic, CheckpointSpec, Config, Rule, Violation};
-use std::path::Path;
+use lb_lint::{lint_source, semantic, Config, Rule, Violation};
+use std::path::{Path, PathBuf};
+
+fn fixtures_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
+}
 
 fn fixture(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join(name);
+    let path = fixtures_root().join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read fixture {name}: {e}"))
 }
 
@@ -105,19 +107,17 @@ fn good_directives_suppress_cleanly() {
 }
 
 // ---------------------------------------------------------------------------
-// Semantic rules (R8–R10): fixtures are linted as one-file workspaces through
+// Semantic rules (R8, R9): fixtures are linted as one-file workspaces through
 // `semantic::check`, under a config that points the path-scoped knobs at the
 // synthetic `crates/s/src/` crate.
 // ---------------------------------------------------------------------------
 
-/// A config whose R8/R9 scopes cover the synthetic fixture crate. R10 is off
-/// (no checkpoint specs); the R10 tests below opt in with a spec.
+/// A config whose R8/R9 scopes cover the synthetic fixture crate.
 fn sem_config() -> Config {
     Config {
         api_root_paths: vec!["crates/s/src/".into()],
         solver_loop_paths: vec!["crates/s/src/".into()],
         index_checked_paths: vec!["crates/s/src/hot.rs".into()],
-        checkpoint_specs: Vec::new(),
         ..Config::default()
     }
 }
@@ -134,25 +134,14 @@ fn df_config() -> Config {
 
 /// Runs only the semantic rules on a fixture mounted at `rel_path`.
 fn semantic_violations(name: &str, rel_path: &str, config: &Config) -> Vec<Violation> {
-    semantic_violations_under(name, rel_path, config, Path::new("/nonexistent"))
+    semantic_violations_src(fixture(name), rel_path, config)
 }
 
 /// Like [`semantic_violations`], but on an in-memory source — used by the
 /// gate-flip tests that mutate a clean fixture and expect the rule to fire.
 fn semantic_violations_src(source: String, rel_path: &str, config: &Config) -> Vec<Violation> {
     let files = vec![(rel_path.to_string(), source)];
-    let (violations, _) = semantic::check(Path::new("/nonexistent"), &files, config);
-    violations
-}
-
-fn semantic_violations_under(
-    name: &str,
-    rel_path: &str,
-    config: &Config,
-    root: &Path,
-) -> Vec<Violation> {
-    let files = vec![(rel_path.to_string(), fixture(name))];
-    let (violations, _) = semantic::check(root, &files, config);
+    let (violations, _) = semantic::check(&files, config);
     violations
 }
 
@@ -233,106 +222,6 @@ fn r9_allowed_fixture_accepts_site_and_edge_directives() {
     assert!(
         v.is_empty(),
         "site allows and edge cuts must both suppress: {v:?}"
-    );
-}
-
-/// A config with one R10 family pointing at the fixture and a baseline
-/// file name resolved against the fixtures directory as workspace root.
-fn r10_config(baseline: &str) -> Config {
-    Config {
-        api_root_paths: vec!["crates/s/src/".into()],
-        solver_loop_paths: vec!["crates/s/src/".into()],
-        checkpoint_specs: vec![CheckpointSpec {
-            family: "fixture".into(),
-            file: "crates/s/src/ck.rs".into(),
-            fns: vec!["encode".into(), "decode".into()],
-            version_const: "CHECKPOINT_PAYLOAD_VERSION".into(),
-        }],
-        baseline_file: baseline.into(),
-        ..Config::default()
-    }
-}
-
-fn fixtures_root() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
-}
-
-#[test]
-fn r10_body_change_without_version_bump_is_drift() {
-    let v = semantic_violations_under(
-        "r10_fixture.rs",
-        "crates/s/src/ck.rs",
-        &r10_config("r10_baseline_drift.txt"),
-        &fixtures_root(),
-    );
-    assert_eq!(v.len(), 1, "exactly the drift must fire: {v:?}");
-    assert_eq!(v[0].rule, Rule::CheckpointSchemaDrift);
-    assert_eq!(v[0].line, 4, "must anchor at the version const: {v:?}");
-    assert!(
-        v[0].message.contains("bump the payload version"),
-        "drift without a bump asks for a version bump: {}",
-        v[0].message
-    );
-}
-
-#[test]
-fn r10_version_mismatch_asks_for_a_repin() {
-    let v = semantic_violations_under(
-        "r10_fixture.rs",
-        "crates/s/src/ck.rs",
-        &r10_config("r10_baseline_stale.txt"),
-        &fixtures_root(),
-    );
-    assert_eq!(v.len(), 1, "exactly the stale entry must fire: {v:?}");
-    assert!(
-        v[0].message.contains("re-pin"),
-        "a stale version asks for a re-pin: {}",
-        v[0].message
-    );
-}
-
-#[test]
-fn r10_missing_baseline_is_one_actionable_violation() {
-    let v = semantic_violations_under(
-        "r10_fixture.rs",
-        "crates/s/src/ck.rs",
-        &r10_config("no-such-baseline.txt"),
-        &fixtures_root(),
-    );
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert!(
-        v[0].message.contains("--write-baseline"),
-        "{}",
-        v[0].message
-    );
-}
-
-#[test]
-fn r10_matching_baseline_is_clean() {
-    // Render the baseline from the fixture itself, park it in a scratch
-    // root, and verify the check round-trips to silence.
-    let files = vec![("crates/s/src/ck.rs".to_string(), fixture("r10_fixture.rs"))];
-    let config = r10_config("generated-baseline.txt");
-    let content = semantic::render_baseline(&files, &config).expect("fixture fingerprints");
-    let root = std::env::temp_dir().join(format!("lb-lint-r10-{}", std::process::id()));
-    std::fs::create_dir_all(&root).expect("scratch root");
-    std::fs::write(root.join("generated-baseline.txt"), &content).expect("write baseline");
-    let (v, _) = semantic::check(&root, &files, &config);
-    let _ = std::fs::remove_dir_all(&root);
-    assert!(v.is_empty(), "a matching baseline must be clean: {v:?}");
-}
-
-#[test]
-fn r10_allowed_fixture_suppresses_drift() {
-    let v = semantic_violations_under(
-        "r10_allowed.rs",
-        "crates/s/src/ck.rs",
-        &r10_config("r10_baseline_drift.txt"),
-        &fixtures_root(),
-    );
-    assert!(
-        v.is_empty(),
-        "allow(checkpoint-schema-drift) at the const must suppress: {v:?}"
     );
 }
 
@@ -710,10 +599,6 @@ fn every_rule_has_a_violating_and_a_clean_fixture() {
         "r14_allowed.rs",
         "r15_allowed.rs",
         "r16_allowed.rs",
-        "r10_fixture.rs",
-        "r10_allowed.rs",
-        "r10_baseline_drift.txt",
-        "r10_baseline_stale.txt",
     ] {
         assert!(dir.join(name).exists(), "fixture corpus is missing {name}");
     }

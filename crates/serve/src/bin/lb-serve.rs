@@ -1,4 +1,4 @@
-//! `lb-serve` — run the solver service or drive a soak against one.
+//! `lb-serve` — run the solver service.
 //!
 //! ```text
 //! lb-serve run   --spool DIR [--addr HOST:PORT] [--slice-ticks N] [--workers N]
@@ -6,28 +6,22 @@
 //!                [--max-attempts N] [--retry-backoff-ms MS]
 //!                [--io-fault-seed N] [--net-fault-seed N]
 //!                [--idle-timeout-ms MS] [--read-timeout-ms MS] [--max-conns N]
-//! lb-serve bench --addr HOST:PORT [--tenants N] [--jobs N] [--seed N]
-//!                [--timeout-ms MS] [--deadline-ms MS]
 //! ```
 //!
-//! Exit codes: 0 success, 1 runtime failure, 2 usage, 4 soak invariant
-//! violated (verdict mismatch vs the uninterrupted reference).
+//! Exit codes: 0 success, 1 runtime failure, 2 usage.
 
-use lb_serve::bench::{self, BenchConfig};
 use lb_serve::scheduler::SchedulerConfig;
 use lb_serve::server::{Server, ServerConfig};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: lb-serve <run|bench> [options]
+const USAGE: &str = "usage: lb-serve run [options]
   run   --spool DIR [--addr HOST:PORT] [--slice-ticks N] [--workers N]
         [--tenant-quota N] [--max-active N] [--retry-after-ms MS]
         [--max-attempts N] [--retry-backoff-ms MS]
         [--io-fault-seed N] [--net-fault-seed N]
-        [--idle-timeout-ms MS] [--read-timeout-ms MS] [--max-conns N]
-  bench --addr HOST:PORT [--tenants N] [--jobs N] [--seed N]
-        [--timeout-ms MS] [--deadline-ms MS]";
+        [--idle-timeout-ms MS] [--read-timeout-ms MS] [--max-conns N]";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("lb-serve: {msg}");
@@ -112,38 +106,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let defaults = BenchConfig::default();
-    let cfg = BenchConfig {
-        addr: take_flag(&mut args, "--addr")?.unwrap_or(defaults.addr),
-        tenants: take_num(&mut args, "--tenants", defaults.tenants)?,
-        jobs_per_tenant: take_num(&mut args, "--jobs", defaults.jobs_per_tenant)?,
-        seed: take_num(&mut args, "--seed", defaults.seed)?,
-        timeout_ms: take_num(&mut args, "--timeout-ms", defaults.timeout_ms)?,
-        deadline_ms: take_num(&mut args, "--deadline-ms", defaults.deadline_ms)?,
-    };
-    if let Some(stray) = args.first() {
-        return Err(format!("unknown argument `{stray}`"));
-    }
-    let report = bench::run(&cfg).map_err(|e| e.to_string())?;
-    println!(
-        "soak: {} jobs submitted, {} settled, {} preemptions, {} backoffs honored",
-        report.submitted,
-        report.verdicts.len(),
-        report.preemptions,
-        report.backoffs
-    );
-    if report.mismatches.is_empty() {
-        println!("soak: every served verdict matches the uninterrupted reference");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for m in &report.mismatches {
-            eprintln!("soak MISMATCH: {m}");
-        }
-        Ok(ExitCode::from(4))
-    }
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -152,7 +114,6 @@ fn main() -> ExitCode {
     let sub = args.remove(0);
     let result = match sub.as_str() {
         "run" => cmd_run(args),
-        "bench" => cmd_bench(args),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

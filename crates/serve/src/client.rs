@@ -1,8 +1,9 @@
 //! A small blocking client for the `lb-serve` line protocol — used by
-//! `lbtool submit`, the bench load generator, and the soak harness.
+//! `lbtool submit`, the soak harness, and the chaos storm.
 
 use crate::job::JobSpec;
 use crate::protocol::StatusReport;
+use lb_engine::splitmix;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -134,16 +135,6 @@ pub fn retry_with_backoff<T>(
             }
         }
     }
-}
-
-/// SplitMix64, same generator as `lb_engine::fault` (kept private — the
-/// client must not grow a public RNG surface).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One protocol connection. Requests are strictly sequential: send, then

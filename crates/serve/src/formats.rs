@@ -15,7 +15,8 @@
 //! Malformed input never panics: every parser reports a positioned, typed
 //! [`ParseError`] in the same `line:col` discipline as the DIMACS parser.
 //! The serializers emit text the matching parser round-trips exactly, so
-//! the load generator can ship chaos-generated instances over the wire.
+//! the soak job mix and the chaos storm can ship generated instances over
+//! the wire.
 
 use lb_csp::{Constraint, CspInstance, Relation};
 use lb_engine::parse::{tokens, ParseError, ParseErrorKind};

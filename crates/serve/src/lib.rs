@@ -25,14 +25,14 @@
 //! - **a line protocol** with the same positioned typed-error discipline
 //!   as the DIMACS parser ([`protocol`]).
 //!
-//! The `lb-serve` binary runs the server (`run`) and the soak load
-//! generator (`bench`); `lbtool serve` / `lbtool submit` wrap the same
-//! entry points.
+//! The `lb-serve` binary runs the server (`run`); `lbtool serve` /
+//! `lbtool submit` wrap the same entry points. The soak harness's job mix
+//! lives in [`jobmix`].
 
-pub mod bench;
 pub mod client;
 pub mod formats;
 pub mod job;
+pub mod jobmix;
 pub mod netfault;
 pub mod protocol;
 pub mod runner;

@@ -34,6 +34,7 @@
 
 use crate::sync::lock_recover;
 use lb_engine::parse::{ParseError, ParseErrorKind};
+use lb_engine::splitmix;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -208,15 +209,6 @@ impl std::str::FromStr for NetFaultPlan {
     fn from_str(s: &str) -> Result<NetFaultPlan, ParseError> {
         NetFaultPlan::parse(s)
     }
-}
-
-/// SplitMix64, same generator as `lb_engine::fault`.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A one-shot firing schedule: fires when the op count reaches or passes

@@ -18,9 +18,9 @@
     reason = "the soak bounds a live server with wall-clock deadlines"
 )]
 
-use lb_serve::bench;
 use lb_serve::client::{Client, ClientError};
 use lb_serve::job::{JobFamily, JobSpec};
+use lb_serve::jobmix;
 use lb_serve::runner;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -60,7 +60,7 @@ impl Server {
     }
 
     fn connect(&self) -> Client {
-        bench::connect_patiently(
+        jobmix::connect_patiently(
             &self.addr,
             Duration::from_millis(5_000),
             Duration::from_secs(20),
@@ -296,7 +296,7 @@ fn sigkill_mid_soak_loses_no_jobs_and_duplicates_no_verdicts() {
         }
         // No drifted verdicts: the served answer equals the uninterrupted
         // in-process reference run.
-        let reference = bench::reference_verdict(spec).expect("reference settles");
+        let reference = jobmix::reference_verdict(spec).expect("reference settles");
         assert_eq!(
             verdict, reference,
             "{id} ({} {}): served verdict drifted from reference",
@@ -548,7 +548,7 @@ fn drain_settles_or_requeues_every_job_and_hints_retry() {
     let deadline = Instant::now() + Duration::from_secs(120);
     for (id, spec) in ids.iter().zip(&specs) {
         let status = poll_done(&mut client, id, deadline);
-        let reference = bench::reference_verdict(spec).expect("reference settles");
+        let reference = jobmix::reference_verdict(spec).expect("reference settles");
         assert_eq!(
             status.verdict.expect("done carries a verdict"),
             reference,

@@ -3,14 +3,16 @@
 //! Two halves:
 //!
 //! * `lb-lint` over every `.rs` file in the workspace — the token rules R1
-//!   and R7, the call-graph semantic rules R8–R10, the dataflow rules
+//!   and R7, the call-graph semantic rules R8 and R9, the dataflow rules
 //!   R11–R13, and the effect rules R14–R16 — failing if any rule fires, so
-//!   a panicking call, an unbudgeted solver loop, a silent checkpoint-schema
-//!   change, an uncharged frontier, a swallowed `Result`, a `Send`-hostile
-//!   state field, a lock held across fsync, an ack that outruns its spool
-//!   save, or an untimed socket read cannot land without either a fix or a
-//!   justified `// lb-lint: allow(rule) -- reason` annotation. The number of
-//!   such annotations is capped and may only go down.
+//!   a panicking call, an unbudgeted solver loop, an uncharged frontier, a
+//!   swallowed `Result`, a `Send`-hostile state field, a lock held across
+//!   fsync, an ack that outruns its spool save, or an untimed socket read
+//!   cannot land without either a fix or a justified
+//!   `// lb-lint: allow(rule) -- reason` annotation. The number of such
+//!   annotations is capped and may only go down. (Checkpoint-format drift,
+//!   once R10, is caught by executing the formats: the replay pins and
+//!   `tests/checkpoint_goldens.rs`.)
 //! * rustc and clippy for the checks that moved to the toolchain: R2 lossy
 //!   casts in bound arithmetic, R3 `unsafe`, R4 dropped `Result`s, R5
 //!   `process::exit`, and R6 ad-hoc `Instant::now`. The workspace must pass
@@ -29,7 +31,7 @@ use std::process::{Command, Output};
 
 /// The most `lb-lint: allow` directives the workspace may carry. Lower it
 /// when a change removes allows; never raise it.
-const ALLOW_CEILING: usize = 306;
+const ALLOW_CEILING: usize = 303;
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -101,11 +103,6 @@ fn semantic_analysis_actually_covers_the_solvers() {
         stats.panic_sites >= 50,
         "R9 saw only {} panic sites — site scanning likely broken",
         stats.panic_sites
-    );
-    assert_eq!(
-        stats.families_checked, 5,
-        "R10 must check every checkpoint family (dpll, csp-backtracking, \
-         generic-join, triangle-scan, clique-enum)"
     );
 
     // The R11–R13 dataflow pass must have real coverage in every solver

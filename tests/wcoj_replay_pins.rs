@@ -21,10 +21,18 @@
 //! machine started reusing its frames; the current code must reproduce
 //! them bit for bit. On a mismatch the failure message prints the whole
 //! recomputed table.
+//!
+//! Six named workloads (uniform triangle, 4-cycle and 4-clique, the AGM
+//! worst case, a Zipf triangle and a heavy-hitter triangle) pin the answer
+//! and the full one-shot [`RunStats`] of both leapfrog and the frozen
+//! pre-leapfrog [`reference`] machine, in the clear rather than as a
+//! digest, so a drift names the counter that moved. The heavy-hitter
+//! workload also keeps the "Skew Strikes Back" prediction: leapfrog needs
+//! less than half the reference machine's operations.
 
 use lowerbounds::engine::checkpoint::{Checkpoint, Digest, ResumableOutcome};
 use lowerbounds::engine::{Budget, RunStats};
-use lowerbounds::join::{agm, generators, wcoj, Database, JoinQuery};
+use lowerbounds::join::{agm, generators, reference, wcoj, Database, JoinQuery, Table};
 
 /// Slice sizes, in ticks; `None` is an unlimited budget.
 const SLICES: [Option<u64>; 4] = [Some(1), Some(7), Some(65_536), None];
@@ -340,5 +348,172 @@ fn hostile_joins_replay_bit_for_bit() {
         got == HOSTILE_PINS,
         "leapfrog replay changed on hostile joins; recomputed row:\n{}",
         render(&[got])
+    );
+}
+
+/// The disjoint heavy-hitter triangle: one hub value shared by `R.a` and
+/// `S.a` plus long disjoint tails. The reference machine probes every tail
+/// value; leapfrog gallops over both tails in O(log) seeks.
+fn heavy_hitter_db(hub: u64, tail: u64) -> Database {
+    let mut db = Database::new();
+    let mut r: Vec<Vec<u64>> = (0..hub).map(|b| vec![0, b]).collect();
+    r.extend((1..=tail).map(|i| vec![i, i]));
+    db.insert("R", Table::from_rows(2, r));
+    let mut s: Vec<Vec<u64>> = (0..hub).map(|c| vec![0, c]).collect();
+    s.extend((1..=tail).map(|i| vec![10_000 + i, i]));
+    db.insert("S", Table::from_rows(2, s));
+    let mut t: Vec<Vec<u64>> = (0..hub).map(|x| vec![x, x]).collect();
+    t.extend((0..hub).map(|x| vec![x, (x + 1) % hub]));
+    db.insert("T", Table::from_rows(2, t));
+    db
+}
+
+/// The named workloads, in [`WORKLOAD_PINS`] order.
+fn workloads() -> Vec<(&'static str, JoinQuery, Database)> {
+    let triangle = JoinQuery::triangle();
+    let cycle4 = JoinQuery::cycle(4);
+    let clique4 = JoinQuery::clique(4);
+    vec![
+        (
+            "triangle_uniform",
+            triangle.clone(),
+            generators::random_binary_database(&triangle, 400, 40, 0xBEEF1),
+        ),
+        (
+            "cycle4_uniform",
+            cycle4.clone(),
+            generators::random_binary_database(&cycle4, 300, 28, 0xBEEF2),
+        ),
+        (
+            "clique4_uniform",
+            clique4.clone(),
+            generators::random_binary_database(&clique4, 180, 16, 0xBEEF3),
+        ),
+        (
+            "triangle_agm_worst",
+            triangle.clone(),
+            agm::worst_case_database(&triangle, 256).expect("small n").0,
+        ),
+        (
+            "triangle_skew_zipf",
+            triangle.clone(),
+            generators::skewed_binary_database(&triangle, 500, 64, 0xBEEF4),
+        ),
+        ("skew_heavy_hitter", triangle, heavy_hitter_db(32, 400)),
+    ]
+}
+
+/// One workload's exact one-shot counters: the answer, then leapfrog's and
+/// the reference machine's [`RunStats`] as `[nodes, propagations,
+/// trie_advances, tuples, backtracks, max_intermediate]`.
+type WorkloadPin = (&'static str, u64, [u64; 6], [u64; 6]);
+
+const WORKLOAD_PINS: [WorkloadPin; 6] = [
+    (
+        "triangle_uniform",
+        707,
+        [3053, 0, 5318, 707, 0, 3],
+        [3053, 0, 5317, 707, 0, 3],
+    ),
+    (
+        "cycle4_uniform",
+        6610,
+        [20159, 0, 35670, 6610, 0, 4],
+        [20159, 0, 35668, 6610, 0, 4],
+    ),
+    (
+        "clique4_uniform",
+        1025,
+        [4505, 0, 10509, 1025, 0, 4],
+        [4510, 0, 10509, 1025, 0, 4],
+    ),
+    (
+        "triangle_agm_worst",
+        4096,
+        [4368, 0, 9009, 4096, 0, 3],
+        [4368, 0, 8736, 4096, 0, 3],
+    ),
+    (
+        "triangle_skew_zipf",
+        424,
+        [890, 0, 1745, 424, 0, 3],
+        [901, 0, 1735, 424, 0, 3],
+    ),
+    (
+        "skew_heavy_hitter",
+        64,
+        [97, 0, 198, 64, 0, 3],
+        [497, 0, 994, 64, 0, 3],
+    ),
+];
+
+fn counters(s: &RunStats) -> [u64; 6] {
+    [
+        s.nodes,
+        s.propagations,
+        s.trie_advances,
+        s.tuples,
+        s.backtracks,
+        s.max_intermediate,
+    ]
+}
+
+/// Runs one workload on both engines: the pin it reproduces.
+fn measure(name: &'static str, q: &JoinQuery, db: &Database) -> WorkloadPin {
+    let unlimited = Budget::unlimited();
+    let (out, leapfrog) = wcoj::count(q, db, None, &unlimited).expect("valid instance");
+    let (ref_out, reference) = reference::count(q, db, None, &unlimited).expect("valid instance");
+    let answer = out.unwrap_sat();
+    assert_eq!(ref_out.unwrap_sat(), answer, "{name}: engines disagree");
+    (name, answer, counters(&leapfrog), counters(&reference))
+}
+
+#[test]
+fn workload_op_counts_replay_exactly() {
+    let got: Vec<WorkloadPin> = workloads()
+        .iter()
+        .map(|(name, q, db)| measure(name, q, db))
+        .collect();
+    assert!(
+        got == WORKLOAD_PINS,
+        "workload op counts changed; recomputed table:\n{}",
+        got.iter()
+            .map(|p| format!("    {p:?},\n"))
+            .collect::<String>()
+    );
+}
+
+#[test]
+fn workload_pins_cover_every_workload_class() {
+    // Uniform, AGM-worst-case and skewed inputs on the triangle, plus the
+    // uniform 4-cycle and 4-clique: each class has exactly one pin, in
+    // generation order.
+    let pinned: Vec<&str> = WORKLOAD_PINS.iter().map(|p| p.0).collect();
+    let generated: Vec<&str> = workloads().iter().map(|w| w.0).collect();
+    assert_eq!(pinned, generated, "pin table and workloads out of step");
+    for required in [
+        "triangle_uniform",
+        "cycle4_uniform",
+        "clique4_uniform",
+        "triangle_agm_worst",
+        "triangle_skew_zipf",
+        "skew_heavy_hitter",
+    ] {
+        assert!(pinned.contains(&required), "missing workload `{required}`");
+    }
+}
+
+#[test]
+fn heavy_hitter_skew_win_holds() {
+    // "Skew Strikes Back": on the heavy-hitter triangle, leapfrog needs
+    // less than half the operations of the frozen reference machine.
+    let (_, q, db) = workloads().pop().expect("six workloads");
+    let (_, _, leapfrog, reference) = measure("skew_heavy_hitter", &q, &db);
+    let ops = |s: [u64; 6]| s[..5].iter().sum::<u64>();
+    assert!(
+        ops(leapfrog) * 2 < ops(reference),
+        "skew win eroded: leapfrog {} ops vs reference {}",
+        ops(leapfrog),
+        ops(reference)
     );
 }
