@@ -454,6 +454,7 @@ impl Ticker {
         }
     }
 
+    #[inline]
     fn spend(&mut self) -> Result<(), ExhaustReason> {
         self.ticks += 1;
         if self.ticks > self.limit {
@@ -483,12 +484,14 @@ impl Ticker {
     }
 
     /// Counts one search node expanded.
+    #[inline]
     pub fn node(&mut self) -> Result<(), ExhaustReason> {
         self.stats.nodes += 1;
         self.spend()
     }
 
     /// Counts one inference/propagation step.
+    #[inline]
     pub fn propagation(&mut self) -> Result<(), ExhaustReason> {
         self.stats.propagations += 1;
         self.spend()
@@ -500,6 +503,7 @@ impl Ticker {
     /// the scheduled Nth advance fails with [`ExhaustReason::Injected`],
     /// exercising the iterator edge cases (exhausted trie levels
     /// mid-intersection) that WCOJ implementations are fragile under.
+    #[inline]
     pub fn trie_advance(&mut self) -> Result<(), ExhaustReason> {
         self.stats.trie_advances += 1;
         let nth = self.stats.trie_advances;
@@ -513,6 +517,7 @@ impl Ticker {
     }
 
     /// Counts one tuple materialized.
+    #[inline]
     pub fn tuple(&mut self) -> Result<(), ExhaustReason> {
         self.stats.tuples += 1;
         self.spend()
@@ -521,12 +526,14 @@ impl Ticker {
     /// Counts `n` tuples materialized in one step (one tick: bulk
     /// materialization like a hash-join output batch is one operation from
     /// the budget's point of view, but the telemetry records every tuple).
+    #[inline]
     pub fn tuples(&mut self, n: u64) -> Result<(), ExhaustReason> {
         self.stats.tuples += n;
         self.spend()
     }
 
     /// Counts one backtrack/pruning/conflict.
+    #[inline]
     pub fn backtrack(&mut self) -> Result<(), ExhaustReason> {
         self.stats.backtracks += 1;
         self.spend()
@@ -537,6 +544,7 @@ impl Ticker {
     /// A scheduled [`FaultKind::PoisonIntermediate`] failpoint poisons the
     /// Nth recorded size to `u64::MAX` — a simulated size-counter overflow
     /// that downstream telemetry consumers must survive.
+    #[inline]
     pub fn record_intermediate(&mut self, size: u64) {
         let mut size = size;
         if let Some(f) = &mut self.faults {

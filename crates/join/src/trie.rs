@@ -16,6 +16,10 @@
 //! leapfrog `seek(v)` primitive with galloping (exponential probe then
 //! binary search), so a seek over a run of `g` skipped values costs
 //! O(log g) comparisons instead of the O(g) a linear scan would pay.
+//! [`Trie::find`] is the light-mode probe: the WCOJ machine's fused light
+//! loop calls it once per non-driver participant per candidate, each call
+//! one charged advance applied before its tick (see `crate::wcoj`), so
+//! the accessors here stay uncharged, allocation-free reads.
 //!
 //! [`Table`]: crate::Table
 

@@ -40,7 +40,18 @@
 //! *before* spending the tick, so [`count_resumable`] and
 //! [`is_empty_resumable`] can suspend at any failed charge into a
 //! [`Checkpoint`] and later continue with the next operation — same
-//! verdict, same summed [`RunStats`] as one uninterrupted run. (The
+//! verdict, same summed [`RunStats`] as one uninterrupted run.
+//!
+//! Light mode runs fused: one loop takes the driver's next candidate
+//! (`nodes` tick), probes the other participants in turn (a
+//! `trie_advances` tick each) and, on a miss, goes straight on to the next
+//! candidate, without returning to the phase dispatch in between. It
+//! leaves only to bind a surviving candidate or to pop an exhausted level.
+//! Every step in it still applies its effect and sets `phase` (`Step`
+//! before a candidate, `Narrow { idx }` before a probe) before charging
+//! its tick, so a failed charge leaves a frontier that names the next
+//! operation exactly, and its checkpoint bytes do not depend on whether
+//! the loop or the phase dispatch ran the step. (The
 //! materializing [`join`] is deliberately *not* resumable: its collected
 //! output would make checkpoints unbounded; [`join_foreach`] streams
 //! instead.)
@@ -230,7 +241,7 @@ fn prepare(q: &JoinQuery, db: &Database, order: Option<&[String]>) -> Result<Pre
 /// Active trie range of one atom during the search: `depth` columns are
 /// bound; `[lo, hi)` indexes level `depth`'s value column (or, when the
 /// atom is fully bound, a degenerate entry range on the deepest level).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Range {
     lo: usize,
     hi: usize,
@@ -393,6 +404,101 @@ impl Machine {
         }
     }
 
+    /// Light mode, fused: takes the driver's candidates and probes the
+    /// other participants in one loop, without going back through the
+    /// phase dispatch between steps. `resume` is the participant to probe
+    /// next (the machine stopped inside a candidate, phase `Narrow`), or
+    /// `None` to start with the driver's next candidate (phase `Step`).
+    /// Leaves with `Ok(true)` once a candidate survives every probe (bound
+    /// at this level, phase `Enter`) or the level is exhausted and popped
+    /// (phase `Step`, uncharged); `Ok(false)` when that pop ends the search.
+    /// Each step applies its effect and sets `phase` before it charges the
+    /// tick, so a failed charge suspends with a frontier that resumes here
+    /// at the next operation.
+    fn run_light(
+        &mut self,
+        p: &Prepared,
+        ticker: &mut Ticker,
+        spare: &mut Vec<Frame>,
+        resume: Option<usize>,
+    ) -> Result<bool, ExhaustReason> {
+        let level = self.frames.len().saturating_sub(1);
+        let Machine {
+            ranges,
+            tuple,
+            frames,
+            phase,
+        } = self;
+        let Some(frame) = frames.last_mut() else {
+            return Ok(false);
+        };
+        let dr = frame.saved.get(frame.driver).copied().unwrap_or_default();
+        let driver = frame
+            .participants
+            .get(frame.driver)
+            .and_then(|&i| p.atoms.get(i));
+        let mut probe = resume;
+        loop {
+            let mut idx = match probe {
+                Some(idx) => idx,
+                None => {
+                    // Next candidate from the driver.
+                    let next = if frame.cur < dr.hi {
+                        driver.and_then(|a| a.trie.value(dr.depth, frame.cur))
+                    } else {
+                        None
+                    };
+                    // Level exhausted: ascend (uncharged, like the
+                    // classic generic join).
+                    let Some(v) = next else { break };
+                    frame.v = v;
+                    *phase = Phase::Narrow { idx: 0 };
+                    ticker.node()?;
+                    0
+                }
+            };
+            loop {
+                let Some(&atom_i) = frame.participants.get(idx) else {
+                    // All participants narrowed: the candidate is in the
+                    // intersection. Bind it and descend.
+                    if let Some(slot) = tuple.get_mut(level) {
+                        *slot = frame.v;
+                    }
+                    *phase = Phase::Enter;
+                    return Ok(true);
+                };
+                let r = ranges.get(atom_i).copied().unwrap_or_default();
+                let atom = p.atoms.get(atom_i);
+                let found = if idx == frame.driver {
+                    // The driver's cursor already sits on the value.
+                    if frame.cur < r.hi {
+                        Some(frame.cur.max(r.lo))
+                    } else {
+                        None
+                    }
+                } else {
+                    atom.and_then(|a| a.trie.find(r.depth, r.lo, r.hi, frame.v))
+                };
+                let Some(j) = found else {
+                    // Empty intersection: restore and move to the next
+                    // candidate. The probe is still a counted advance.
+                    Machine::restore_and_advance(frame, ranges);
+                    *phase = Phase::Step;
+                    ticker.trie_advance()?;
+                    break;
+                };
+                if let (Some(a), Some(slot)) = (atom, ranges.get_mut(atom_i)) {
+                    *slot = descend(a, r, j);
+                }
+                idx += 1;
+                *phase = Phase::Narrow { idx };
+                ticker.trie_advance()?;
+            }
+            probe = None;
+        }
+        Ok(self.pop_level(spare))
+    }
+
     /// Runs micro-steps until the next answer tuple (`Ok(true)`: the tuple
     /// is in `self.tuple`, in global variable order, and the machine is
     /// positioned to continue past it), the end of the search (`Ok(false)`),
@@ -430,13 +536,12 @@ impl Machine {
                         "every variable occurs in some atom"
                     );
                     frame.saved.clear();
-                    frame.saved.extend(frame.participants.iter().map(|&i| {
-                        self.ranges.get(i).copied().unwrap_or(Range {
-                            lo: 0,
-                            hi: 0,
-                            depth: 0,
-                        })
-                    }));
+                    frame.saved.extend(
+                        frame
+                            .participants
+                            .iter()
+                            .map(|&i| self.ranges.get(i).copied().unwrap_or_default()),
+                    );
                     let saved = &frame.saved;
                     // Smallest entry range leads the intersection.
                     let Some(driver) = (0..saved.len())
@@ -484,11 +589,7 @@ impl Machine {
                         // iterator whose turn it is.
                         let k = frame.participants.len().max(1);
                         let slot = frame.turn % k;
-                        let sr = frame.saved.get(slot).copied().unwrap_or(Range {
-                            lo: 0,
-                            hi: 0,
-                            depth: 0,
-                        });
+                        let sr = frame.saved.get(slot).copied().unwrap_or_default();
                         let trie = frame
                             .participants
                             .get(slot)
@@ -594,91 +695,13 @@ impl Machine {
                                 ticker.trie_advance()?;
                             }
                         }
-                    } else {
-                        // Light mode: next candidate from the driver.
-                        let hi = frame.saved.get(frame.driver).map_or(0, |r| r.hi);
-                        let next = if frame.cur < hi {
-                            frame
-                                .participants
-                                .get(frame.driver)
-                                .and_then(|&i| p.atoms.get(i))
-                                .and_then(|a| {
-                                    let depth =
-                                        frame.saved.get(frame.driver).map_or(0, |r| r.depth);
-                                    a.trie.value(depth, frame.cur)
-                                })
-                        } else {
-                            None
-                        };
-                        match next {
-                            None => {
-                                // Level exhausted: ascend (uncharged, like
-                                // the classic generic join).
-                                if !self.pop_level(spare) {
-                                    return Ok(false);
-                                }
-                            }
-                            Some(v) => {
-                                let Some(frame) = self.frames.last_mut() else {
-                                    return Ok(false);
-                                };
-                                frame.v = v;
-                                self.phase = Phase::Narrow { idx: 0 };
-                                ticker.node()?;
-                            }
-                        }
+                    } else if !self.run_light(p, ticker, spare, None)? {
+                        return Ok(false);
                     }
                 }
                 Phase::Narrow { idx } => {
-                    let level = self.frames.len().saturating_sub(1);
-                    let Some(frame) = self.frames.last_mut() else {
+                    if !self.run_light(p, ticker, spare, Some(idx))? {
                         return Ok(false);
-                    };
-                    let Some(&atom_i) = frame.participants.get(idx) else {
-                        // All participants narrowed: the candidate is in
-                        // the intersection. Bind it and descend.
-                        let v = frame.v;
-                        if let Some(slot) = self.tuple.get_mut(level) {
-                            *slot = v;
-                        }
-                        self.phase = Phase::Enter;
-                        continue;
-                    };
-                    let r = self.ranges.get(atom_i).copied().unwrap_or(Range {
-                        lo: 0,
-                        hi: 0,
-                        depth: 0,
-                    });
-                    let found = if idx == frame.driver {
-                        // The driver's cursor already sits on the value.
-                        if frame.cur < r.hi {
-                            Some(frame.cur.max(r.lo))
-                        } else {
-                            None
-                        }
-                    } else {
-                        p.atoms
-                            .get(atom_i)
-                            .and_then(|a| a.trie.find(r.depth, r.lo, r.hi, frame.v))
-                    };
-                    match found {
-                        Some(j) => {
-                            if let (Some(a), Some(slot)) =
-                                (p.atoms.get(atom_i), self.ranges.get_mut(atom_i))
-                            {
-                                *slot = descend(a, r, j);
-                            }
-                            self.phase = Phase::Narrow { idx: idx + 1 };
-                            ticker.trie_advance()?;
-                        }
-                        None => {
-                            // Empty intersection: restore and move to the
-                            // next candidate. The probe is still a counted
-                            // advance.
-                            Machine::restore_and_advance(frame, &mut self.ranges);
-                            self.phase = Phase::Step;
-                            ticker.trie_advance()?;
-                        }
                     }
                 }
                 Phase::Bind => {
@@ -897,11 +920,7 @@ impl Machine {
             if heavy {
                 // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
                 for slot in 0..part_len {
-                    let sr = saved.get(slot).copied().unwrap_or(Range {
-                        lo: 0,
-                        hi: 0,
-                        depth: 0,
-                    });
+                    let sr = saved.get(slot).copied().unwrap_or_default();
                     let at = r.offset();
                     let pj = r.usize_at_most(sr.hi, "leapfrog position")?;
                     if pj < sr.lo {
@@ -916,11 +935,7 @@ impl Machine {
                 agreed = r.usize_at_most(part_len, "leapfrog agreement")?;
                 max_v = r.u64()?;
             } else {
-                let sr = saved.get(driver).copied().unwrap_or(Range {
-                    lo: 0,
-                    hi: 0,
-                    depth: 0,
-                });
+                let sr = saved.get(driver).copied().unwrap_or_default();
                 let at = r.offset();
                 cur = r.usize_at_most(sr.hi, "light cursor")?;
                 if cur < sr.lo {

@@ -43,6 +43,43 @@ pub fn parse_num<T: std::str::FromStr>(
     })
 }
 
+/// Reads a line of decimal numbers separated by spaces or tabs into `out`,
+/// in one byte scan with checked arithmetic. Returns false for any other
+/// line — a header, a comment, a `+` sign, a `\r`, other whitespace, a
+/// value past `u64::MAX` — and the caller then reads the line with the
+/// token path, the only code that builds a [`ParseError`].
+fn scan_numbers(line: &str, out: &mut Vec<u64>) -> bool {
+    out.clear();
+    let mut acc = 0u64;
+    let mut in_number = false;
+    for &b in line.as_bytes() {
+        match b {
+            b'0'..=b'9' => {
+                let Some(next) = acc
+                    .checked_mul(10)
+                    .and_then(|a| a.checked_add(u64::from(b - b'0')))
+                else {
+                    return false;
+                };
+                acc = next;
+                in_number = true;
+            }
+            b' ' | b'\t' => {
+                if in_number {
+                    out.push(acc);
+                    acc = 0;
+                    in_number = false;
+                }
+            }
+            _ => return false,
+        }
+    }
+    if in_number {
+        out.push(acc);
+    }
+    true
+}
+
 /// Parses the CSP file format (see the module docs). Every structural
 /// mistake — dangling scope variables, wrong-arity or out-of-domain
 /// tuples, a missing `:` — is a positioned [`ParseError`]; the constructed
@@ -52,6 +89,8 @@ pub fn parse_csp(text: &str) -> Result<CspInstance, ParseError> {
     use lb_csp::Value;
     let mut inst: Option<CspInstance> = None;
     let mut last_line = 0;
+    // One token buffer serves every line.
+    let mut toks: Vec<(usize, &str)> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         last_line = lineno;
@@ -59,7 +98,8 @@ pub fn parse_csp(text: &str) -> Result<CspInstance, ParseError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let toks: Vec<(usize, &str)> = tokens(raw).collect();
+        toks.clear();
+        toks.extend(tokens(raw));
         let (kw_col, kw) = toks[0];
         match kw {
             "csp" => {
@@ -232,6 +272,14 @@ pub fn parse_db(text: &str) -> Result<Database, ParseError> {
     let mut toks: Vec<(usize, &str)> = Vec::new();
     let mut row: Vec<Value> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
+        // A plain row of the open relation takes one byte scan; every other
+        // line takes the token path below.
+        if let Some((_, table)) = open.as_mut() {
+            if scan_numbers(raw, &mut row) && row.len() == table.arity() {
+                table.push(&row);
+                continue;
+            }
+        }
         let lineno = idx + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -250,7 +298,17 @@ pub fn parse_db(text: &str) -> Result<Database, ParseError> {
                     },
                 ));
             }
-            let name = toks[1].1.to_string();
+            let (name_col, name) = toks[1];
+            if db.table(name).is_some() || open.as_ref().is_some_and(|(open, _)| open == name) {
+                return Err(ParseError::new(
+                    lineno,
+                    name_col,
+                    ParseErrorKind::Duplicate {
+                        what: format!("relation `{name}`"),
+                    },
+                ));
+            }
+            let name = name.to_string();
             let arity: usize = parse_num(lineno, toks[2].0, toks[2].1, "relation arity")?;
             if arity == 0 {
                 return Err(ParseError::new(
@@ -333,14 +391,31 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
     let mut n: Option<usize> = None;
     let mut edges = Vec::new();
     let mut last_line = 0;
+    // One token buffer and one number buffer serve every line.
+    let mut toks: Vec<(usize, &str)> = Vec::new();
+    let mut nums: Vec<u64> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         last_line = lineno;
+        // A plain in-range `u v` edge takes one byte scan; every other line
+        // (out-of-range endpoints included) takes the token path below.
+        if let Some(nv) = n {
+            if scan_numbers(raw, &mut nums) {
+                let endpoint = |x: u64| usize::try_from(x).ok().filter(|&v| v < nv);
+                if let [u, v] = nums[..] {
+                    if let (Some(u), Some(v)) = (endpoint(u), endpoint(v)) {
+                        edges.push((u, v));
+                        continue;
+                    }
+                }
+            }
+        }
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let toks: Vec<(usize, &str)> = tokens(raw).collect();
+        toks.clear();
+        toks.extend(tokens(raw));
         let Some(nv) = n else {
             let (col, tok) = toks[0];
             if toks.len() != 1 {
