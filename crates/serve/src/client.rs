@@ -1,7 +1,7 @@
 //! A small blocking client for the `lb-serve` line protocol — used by
 //! `lbtool submit`, the soak harness, and the chaos storm.
 
-use crate::job::JobSpec;
+use crate::job::{payload_lines, JobSpec};
 use crate::protocol::StatusReport;
 use lb_engine::splitmix;
 use std::fmt;
@@ -231,8 +231,9 @@ impl Client {
 
 /// Renders a [`JobSpec`] as the wire request (`SUBMIT` header + payload).
 pub fn render_submit(spec: &JobSpec) -> String {
-    let payload: Vec<&str> = spec.payload.lines().collect();
-    let mut request = format!("SUBMIT {} {} {}", spec.tenant, spec.family, payload.len());
+    let (count, payload) = payload_lines(&spec.payload);
+    let mut request = String::with_capacity(payload.len() + 64);
+    request.push_str(&format!("SUBMIT {} {} {count}", spec.tenant, spec.family));
     if spec.k > 0 {
         request.push_str(&format!(" k={}", spec.k));
     }
@@ -240,10 +241,7 @@ pub fn render_submit(spec: &JobSpec) -> String {
         request.push_str(&format!(" budget={b}"));
     }
     request.push('\n');
-    for line in payload {
-        request.push_str(line);
-        request.push('\n');
-    }
+    request.push_str(&payload);
     request
 }
 

@@ -15,6 +15,7 @@ use lb_engine::parse::{tokens, ParseError, ParseErrorKind};
 use lb_graph::Graph;
 use lb_join::{Database, JoinQuery};
 use lb_sat::CnfFormula;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Record format version: bump when the encoding below changes shape.
@@ -168,6 +169,25 @@ impl Submission {
     }
 }
 
+/// A payload as the `\n`-ended lines that the wire request and the job
+/// record carry, with their count. A payload already in that form (empty,
+/// or ending in `\n` with no `\r` anywhere) is used as it is; any other is
+/// rebuilt from its [`str::lines`].
+pub(crate) fn payload_lines(payload: &str) -> (usize, Cow<'_, str>) {
+    if payload.is_empty() || (payload.ends_with('\n') && !payload.contains('\r')) {
+        let count = payload.bytes().filter(|&b| b == b'\n').count();
+        return (count, Cow::Borrowed(payload));
+    }
+    let mut text = String::with_capacity(payload.len() + 1);
+    let mut count = 0usize;
+    for line in payload.lines() {
+        text.push_str(line);
+        text.push('\n');
+        count += 1;
+    }
+    (count, Cow::Owned(text))
+}
+
 /// A parsed, validated instance ready for the runner.
 #[derive(Clone, Debug)]
 pub enum Instance {
@@ -273,7 +293,8 @@ impl JobRecord {
     ///
     /// [`decode`]: JobRecord::decode
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        let (payload_lines, payload) = payload_lines(&self.spec.payload);
+        let mut out = String::with_capacity(payload.len() + 256);
         out.push_str(&format!("lbjob {RECORD_VERSION}\n"));
         out.push_str(&format!("id {}\n", self.id));
         out.push_str(&format!("tenant {}\n", self.spec.tenant));
@@ -298,12 +319,8 @@ impl JobRecord {
                 ));
             }
         }
-        let payload_lines = self.spec.payload.lines().count();
         out.push_str(&format!("payload {payload_lines}\n"));
-        for line in self.spec.payload.lines() {
-            out.push_str(line);
-            out.push('\n');
-        }
+        out.push_str(&payload);
         // Trailer: lets `decode` tell a complete record from a torn prefix
         // even when the tear falls exactly on a payload line boundary.
         out.push_str("end\n");

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! PING                                     → PONG
-//! STATS                                    → STATS jobs=.. active=.. ...
+//! STATS                                    → STATS jobs=.. queued=.. ... held_bytes=..
 //! DRAIN                                    → OK draining
 //! STATUS <job-id>                          → STATUS <id> <state> preemptions=.. spent=.. attempts=..
 //!                                                   [verdict=..] [evidence=..]
@@ -305,15 +305,20 @@ pub fn parse_command(raw: &[u8]) -> Result<Command, ParseError> {
     parse_command_at(1, raw)
 }
 
-/// Assembles a [`Request`] from a parsed command plus the raw payload
-/// lines that followed it (empty for non-SUBMIT commands). The payload is
-/// decoded and parse-validated here — admission rejects a malformed
-/// instance before it ever reaches a queue — with errors positioned in
-/// *stream* coordinates: payload line `i` is stream line `first_payload_line
-/// + i - 1`.
+/// Assembles a [`Request`] from a parsed command plus its raw payload:
+/// the payload lines that followed the command, each ended by `\n`, in one
+/// buffer (empty for non-SUBMIT commands). The payload is decoded and
+/// parse-validated here — admission rejects a malformed instance before it
+/// ever reaches a queue — with errors positioned in *stream* coordinates:
+/// payload line `i` is stream line `first_payload_line + i - 1`.
+///
+/// A buffer that is already clean text (valid UTF-8, no NUL, no `\r`, no
+/// line over [`MAX_LINE_BYTES`]) becomes the job's payload as it is, with
+/// no copy. Any other buffer is decoded line by line, which builds the
+/// positioned error or trims each line's trailing `\r`.
 pub fn assemble(
     cmd: Command,
-    payload: &[Vec<u8>],
+    payload: Vec<u8>,
     first_payload_line: usize,
 ) -> Result<Request, ParseError> {
     match cmd {
@@ -328,28 +333,23 @@ pub fn assemble(
             budget,
             payload_lines,
         } => {
-            if payload.len() != payload_lines {
+            let found = payload.iter().filter(|&&b| b == b'\n').count();
+            if found != payload_lines {
                 return Err(ParseError::at_eof(
-                    first_payload_line + payload.len(),
+                    first_payload_line + found,
                     ParseErrorKind::CountMismatch {
                         what: "payload lines".to_string(),
                         declared: payload_lines,
-                        found: payload.len(),
+                        found,
                     },
                 ));
-            }
-            let mut text = String::new();
-            for (i, raw) in payload.iter().enumerate() {
-                let line = decode_line(first_payload_line + i, raw)?;
-                text.push_str(line);
-                text.push('\n');
             }
             let spec = JobSpec {
                 tenant,
                 family,
                 k,
                 budget,
-                payload: text,
+                payload: payload_text(payload, first_payload_line)?,
             };
             // Payload-relative error lines shift to stream coordinates.
             let submission = Submission::parse(spec).map_err(|mut e| {
@@ -359,6 +359,34 @@ pub fn assemble(
             Ok(Request::Submit(submission))
         }
     }
+}
+
+/// The payload text of `\n`-ended `lines`. Clean text (valid UTF-8, no
+/// NUL, no `\r`, no line over [`MAX_LINE_BYTES`]: lines [`decode_line`]
+/// would pass unchanged) is the buffer itself; anything else is decoded
+/// line by line.
+fn payload_text(lines: Vec<u8>, first_payload_line: usize) -> Result<String, ParseError> {
+    let clean = !lines.contains(&0)
+        && !lines.contains(&b'\r')
+        && (lines.len() <= MAX_LINE_BYTES
+            || lines
+                .split(|&b| b == b'\n')
+                .all(|line| line.len() <= MAX_LINE_BYTES));
+    let lines = if clean {
+        match String::from_utf8(lines) {
+            Ok(text) => return Ok(text),
+            Err(e) => e.into_bytes(),
+        }
+    } else {
+        lines
+    };
+    let mut text = String::with_capacity(lines.len());
+    for (i, raw) in lines.split_inclusive(|&b| b == b'\n').enumerate() {
+        let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
+        text.push_str(decode_line(first_payload_line + i, raw)?);
+        text.push('\n');
+    }
+    Ok(text)
 }
 
 /// Parses one complete request from a raw byte stream (the fixture-corpus
@@ -372,30 +400,38 @@ pub fn parse_request_bytes(bytes: &[u8]) -> Result<Request, ParseError> {
         Command::Submit { payload_lines, .. } => *payload_lines,
         _ => 0,
     };
-    let mut payload: Vec<Vec<u8>> = Vec::new();
-    let mut extra: Option<usize> = None;
+    // The declared payload lines lie side by side after the command line,
+    // so they are copied as one slice; `end` passes `bytes.len()` by one
+    // when the last of them has no `\n`.
+    let start = (first.len() + 1).min(bytes.len());
+    let mut end = start;
+    let mut taken = 0usize;
     for (i, chunk) in lines.enumerate() {
-        if payload.len() < wanted {
-            payload.push(chunk.to_vec());
+        if taken < wanted {
+            end += chunk.len() + 1;
+            taken += 1;
         } else if !chunk.is_empty() {
-            extra = Some(i + 2);
-            break;
+            return Err(ParseError::new(
+                i + 2,
+                1,
+                ParseErrorKind::TrailingGarbage {
+                    token: "extra request line".to_string(),
+                },
+            ));
         }
     }
-    if let Some(lineno) = extra {
-        return Err(ParseError::new(
-            lineno,
-            1,
-            ParseErrorKind::TrailingGarbage {
-                token: "extra request line".to_string(),
-            },
-        ));
+    let mut payload = bytes
+        .get(start..end.min(bytes.len()))
+        .unwrap_or_default()
+        .to_vec();
+    if end > bytes.len() {
+        payload.push(b'\n');
     }
-    assemble(cmd, &payload, 2)
+    assemble(cmd, payload, 2)
 }
 
-/// A typed rejection, rendered as an `ERR` line. Quota and overload carry
-/// the client-visible backoff hint.
+/// A typed rejection, rendered as an `ERR` line. Quota, overload, drain
+/// and spool rejections carry the client-visible backoff hint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reject {
     /// Malformed request: `ERR parse <line>:<col>: <msg>`.
@@ -417,6 +453,14 @@ pub enum Reject {
     /// Server is draining; this instance refuses new submissions, but a
     /// restarted one will take them — the hint tells clients when to try.
     Draining {
+        /// Suggested client backoff, milliseconds.
+        retry_after_ms: u64,
+    },
+    /// The admission record could not be made durable (a disk fault): no
+    /// id was issued, and the same request may succeed after the hint.
+    Spool {
+        /// The spool error.
+        error: String,
         /// Suggested client backoff, milliseconds.
         retry_after_ms: u64,
     },
@@ -443,6 +487,13 @@ impl Reject {
             Reject::Draining { retry_after_ms } => {
                 format!("ERR draining retry-after-ms={retry_after_ms}")
             }
+            Reject::Spool {
+                error,
+                retry_after_ms,
+            } => format!(
+                "ERR spool retry-after-ms={retry_after_ms} {}",
+                error.replace(['\n', '\r'], " ")
+            ),
             Reject::UnknownJob { job_id } => format!("ERR unknown-job {job_id}"),
         }
     }
@@ -452,7 +503,8 @@ impl Reject {
         match self {
             Reject::Quota { retry_after_ms, .. }
             | Reject::Overload { retry_after_ms }
-            | Reject::Draining { retry_after_ms } => Some(*retry_after_ms),
+            | Reject::Draining { retry_after_ms }
+            | Reject::Spool { retry_after_ms, .. } => Some(*retry_after_ms),
             _ => None,
         }
     }

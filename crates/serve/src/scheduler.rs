@@ -72,10 +72,42 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// One job's in-memory state alongside its persisted record.
-struct Entry {
+/// A job in the scheduler's map.
+enum Job {
+    /// Still owes work.
+    Live(Live),
+    /// Settled or dead-lettered, its last state durable: only the `STATUS`
+    /// answer is kept. The record and its payload are gone, so memory grows
+    /// with the jobs that owe work, not with the history, and nothing can
+    /// re-encode a settled job from memory.
+    Settled(StatusReport),
+}
+
+impl Job {
+    /// What a settled or quarantined record leaves in memory.
+    fn settled(rec: JobRecord) -> Job {
+        let (state, verdict, evidence) = match rec.status {
+            JobStatus::Done(v) => ("done", Some(v), None),
+            JobStatus::Quarantined { reason } => ("quarantined", None, Some(reason)),
+            JobStatus::Queued => ("queued", None, None),
+        };
+        Job::Settled(StatusReport {
+            job_id: rec.id,
+            state: state.to_string(),
+            preemptions: rec.preemptions,
+            spent: rec.spent,
+            attempts: rec.attempts,
+            verdict,
+            evidence,
+        })
+    }
+}
+
+/// A job that owes work: its record, which every later record frame
+/// re-encodes with the payload, and its run state.
+struct Live {
     rec: JobRecord,
-    instance: Option<Arc<Instance>>,
+    instance: Arc<Instance>,
     running: bool,
     resume: Option<Checkpoint>,
     /// Earliest moment the job may take its next slice (retry backoff).
@@ -100,17 +132,42 @@ struct Counters {
 }
 
 struct State {
-    jobs: BTreeMap<String, Entry>,
+    jobs: BTreeMap<String, Job>,
     queues: BTreeMap<String, VecDeque<String>>,
     ring: VecDeque<String>,
     active: usize,
     per_tenant: BTreeMap<String, usize>,
     draining: bool,
     next_job_number: u64,
-    /// Raw dead-lettered ids (the record itself was corrupt): id →
-    /// evidence line, so `STATUS` can still answer for them.
-    dead_lettered: BTreeMap<String, String>,
     counters: Counters,
+}
+
+impl State {
+    fn live_mut(&mut self, id: &str) -> Option<&mut Live> {
+        match self.jobs.get_mut(id)? {
+            Job::Live(live) => Some(live),
+            Job::Settled(_) => None,
+        }
+    }
+
+    /// Frees a settling job's admission and tenant-quota slots.
+    fn release(&mut self, tenant: &str) {
+        self.active = self.active.saturating_sub(1);
+        if let Some(n) = self.per_tenant.get_mut(tenant) {
+            *n = n.saturating_sub(1);
+        }
+    }
+
+    /// Takes a live job out of the map to settle it; a settled one stays.
+    fn take_live(&mut self, id: &str) -> Option<Live> {
+        match self.jobs.remove(id)? {
+            Job::Live(live) => Some(live),
+            settled => {
+                self.jobs.insert(id.to_string(), settled);
+                None
+            }
+        }
+    }
 }
 
 /// The scheduler: shared by the accept loop (submissions, status) and the
@@ -166,24 +223,26 @@ impl Scheduler {
             per_tenant: BTreeMap::new(),
             draining: false,
             next_job_number: recovered.next_job_number,
-            dead_lettered: std::mem::take(&mut recovered.dead_lettered)
-                .into_iter()
-                .collect(),
             counters: Counters::default(),
         };
-        let settled_entry = |rec: JobRecord| Entry {
-            rec,
-            instance: None,
-            running: false,
-            resume: None,
-            not_before: None,
-            evidence: Vec::new(),
-            stalled: 0,
-        };
+        for (id, why) in std::mem::take(&mut recovered.dead_lettered) {
+            // The record itself was corrupt: STATUS still answers,
+            // quarantined, with the decode error as evidence.
+            let report = StatusReport {
+                job_id: id.clone(),
+                state: "quarantined".to_string(),
+                preemptions: 0,
+                spent: 0,
+                attempts: 0,
+                verdict: None,
+                evidence: Some(why),
+            };
+            state.jobs.insert(id, Job::Settled(report));
+        }
         for rec in std::mem::take(&mut recovered.quarantined) {
             // Terminal: serve STATUS from the dead-letter record, never
             // re-run. Not counted active — the tenant's quota is free.
-            state.jobs.insert(rec.id.clone(), settled_entry(rec));
+            state.jobs.insert(rec.id.clone(), Job::settled(rec));
         }
         for rec in std::mem::take(&mut recovered.records) {
             let id = rec.id.clone();
@@ -192,13 +251,13 @@ impl Scheduler {
                     // Settled: serve STATUS from the record, never re-run —
                     // the no-duplicated-verdicts half of the invariant.
                     report.settled += 1;
-                    state.jobs.insert(id, settled_entry(rec));
+                    state.jobs.insert(id, Job::settled(rec));
                 }
                 JobStatus::Quarantined { .. } => {
                     // A quarantined record still under jobs/ (legacy or a
                     // hand-edited spool): honor it as terminal.
                     report.quarantined += 1;
-                    state.jobs.insert(id, settled_entry(rec));
+                    state.jobs.insert(id, Job::settled(rec));
                 }
                 JobStatus::Queued => {
                     let mut rec = rec;
@@ -230,7 +289,7 @@ impl Scheduler {
                             text.push('\n');
                             spool.quarantine(&rec, &text)?;
                             report.quarantined += 1;
-                            state.jobs.insert(rec.id.clone(), settled_entry(rec));
+                            state.jobs.insert(rec.id.clone(), Job::settled(rec));
                             continue;
                         }
                         report.restarted_from_scratch += 1;
@@ -247,7 +306,7 @@ impl Scheduler {
                             )));
                             spool.save_record(&rec)?;
                             report.settled += 1;
-                            state.jobs.insert(rec.id.clone(), settled_entry(rec));
+                            state.jobs.insert(rec.id.clone(), Job::settled(rec));
                             continue;
                         }
                     };
@@ -257,15 +316,15 @@ impl Scheduler {
                     *state.per_tenant.entry(rec.spec.tenant.clone()).or_insert(0) += 1;
                     state.jobs.insert(
                         id,
-                        Entry {
+                        Job::Live(Live {
                             rec,
-                            instance: Some(instance),
+                            instance,
                             running: false,
                             resume,
                             not_before: None,
                             evidence,
                             stalled: 0,
-                        },
+                        }),
                     );
                 }
             }
@@ -342,13 +401,14 @@ impl Scheduler {
         // Persist outside the lock: fsync latency must not serialize the
         // whole scheduler. The id was reserved atomically above.
         if let Err(e) = self.spool.save_record(&rec) {
-            return Err(Reject::Parse(lb_engine::ParseError::new(
-                1,
-                1,
-                lb_engine::ParseErrorKind::Malformed {
-                    what: format!("spool write failed: {e}"),
-                },
-            )));
+            // The append rolled back, so no id is acknowledged; the disk
+            // may recover, so the client is told when to try again.
+            let mut state = lock_state(&self.state);
+            state.counters.rejected += 1;
+            return Err(Reject::Spool {
+                error: e.to_string(),
+                retry_after_ms: self.backoff_hint(&state),
+            });
         }
         let tenant = rec.spec.tenant.clone();
         let mut state = lock_state(&self.state);
@@ -357,15 +417,15 @@ impl Scheduler {
         enqueue(&mut state, &id, &tenant);
         state.jobs.insert(
             id.clone(),
-            Entry {
+            Job::Live(Live {
                 rec,
-                instance: Some(Arc::new(instance)),
+                instance: Arc::new(instance),
                 running: false,
                 resume: None,
                 not_before: None,
                 evidence: Vec::new(),
                 stalled: 0,
-            },
+            }),
         );
         drop(state);
         self.wake.notify_one();
@@ -382,51 +442,38 @@ impl Scheduler {
     /// One job's state, or `None` for an id this spool never issued.
     pub fn status(&self, id: &str) -> Option<StatusReport> {
         let state = lock_state(&self.state);
-        let Some(entry) = state.jobs.get(id) else {
-            // A raw dead-lettered id (its record never decoded) still
-            // answers: quarantined, with the decode error as evidence.
-            let why = state.dead_lettered.get(id)?;
-            return Some(StatusReport {
+        match state.jobs.get(id)? {
+            Job::Settled(report) => Some(report.clone()),
+            Job::Live(live) => Some(StatusReport {
                 job_id: id.to_string(),
-                state: "quarantined".to_string(),
-                preemptions: 0,
-                spent: 0,
-                attempts: 0,
+                state: if live.running { "running" } else { "queued" }.to_string(),
+                preemptions: live.rec.preemptions,
+                spent: live.rec.spent,
+                attempts: live.rec.attempts,
                 verdict: None,
-                evidence: Some(why.clone()),
-            });
-        };
-        let (status, verdict, evidence) = match &entry.rec.status {
-            JobStatus::Done(v) => ("done", Some(v.clone()), None),
-            JobStatus::Quarantined { reason } => ("quarantined", None, Some(reason.clone())),
-            JobStatus::Queued if entry.running => ("running", None, None),
-            JobStatus::Queued => ("queued", None, None),
-        };
-        Some(StatusReport {
-            job_id: id.to_string(),
-            state: status.to_string(),
-            preemptions: entry.rec.preemptions,
-            spent: entry.rec.spent,
-            attempts: entry.rec.attempts,
-            verdict,
-            evidence,
-        })
+                evidence: None,
+            }),
+        }
     }
 
-    /// The one-line `STATS` response.
+    /// The one-line `STATS` response. `held_bytes` is the payload text
+    /// held by the jobs that still owe work.
     pub fn stats_line(&self) -> String {
         let state = lock_state(&self.state);
-        let running = state.jobs.values().filter(|e| e.running).count();
+        let (mut running, mut quarantined, mut held_bytes) = (0usize, 0usize, 0usize);
+        for job in state.jobs.values() {
+            match job {
+                Job::Live(live) => {
+                    running += usize::from(live.running);
+                    held_bytes += live.rec.spec.payload.len();
+                }
+                Job::Settled(report) => quarantined += usize::from(report.state == "quarantined"),
+            }
+        }
         let queued = state.active - running;
-        let quarantined = state
-            .jobs
-            .values()
-            .filter(|e| matches!(e.rec.status, JobStatus::Quarantined { .. }))
-            .count()
-            + state.dead_lettered.len();
         format!(
-            "STATS jobs={} queued={} running={} done={} quarantined={} tenants={} slices={} preemptions={} retries={} rejected={} ticks={}",
-            state.jobs.len() + state.dead_lettered.len(),
+            "STATS jobs={} queued={} running={} done={} quarantined={} tenants={} slices={} preemptions={} retries={} rejected={} ticks={} held_bytes={}",
+            state.jobs.len(),
             queued,
             running,
             state.counters.done,
@@ -437,6 +484,7 @@ impl Scheduler {
             state.counters.retries,
             state.counters.rejected,
             state.counters.ticks,
+            held_bytes,
         )
     }
 
@@ -466,15 +514,13 @@ impl Scheduler {
                     let now = Instant::now();
                     let (pick, wake_at) = pick_next(&mut state, now);
                     if let Some(id) = pick {
-                        let Some(entry) = state.jobs.get_mut(&id) else {
+                        let Some(live) = state.live_mut(&id) else {
                             continue;
                         };
-                        let Some(instance) = entry.instance.clone() else {
-                            continue;
-                        };
-                        entry.running = true;
-                        entry.not_before = None;
-                        let resume = entry.resume.take();
+                        live.running = true;
+                        live.not_before = None;
+                        let instance = Arc::clone(&live.instance);
+                        let resume = live.resume.take();
                         break (id, instance, resume, self.cfg.slice_ticks.max(1));
                     }
                     // Park until new work arrives — or until the earliest
@@ -517,7 +563,7 @@ impl Scheduler {
     /// (corrupt checkpoint): the retry then restarts from scratch.
     fn fail_attempt(&self, state: &mut State, id: &str, why: &str, discard_resume: bool) {
         let (attempts, tenant) = {
-            let Some(entry) = state.jobs.get_mut(id) else {
+            let Some(entry) = state.live_mut(id) else {
                 return;
             };
             entry.rec.attempts += 1;
@@ -544,7 +590,7 @@ impl Scheduler {
         }
         state.counters.retries += 1;
         let delay = self.backoff_after(attempts);
-        if let Some(entry) = state.jobs.get_mut(id) {
+        if let Some(entry) = state.live_mut(id) {
             // Persist the bumped counter so a crash cannot reset the
             // ladder; a failed write here only delays quarantine by one
             // restart — sound either way.
@@ -560,31 +606,25 @@ impl Scheduler {
 
     /// Terminal dead-lettering: the record flips to `Quarantined`, moves
     /// (with its accumulated evidence) into the spool's quarantine area,
-    /// and the tenant's quota slot frees up. The job is never re-run.
+    /// and the tenant's quota slot frees up. The job is never re-run, and
+    /// only its `STATUS` answer stays in memory.
     fn quarantine_job(&self, state: &mut State, id: &str, reason: &str) {
-        let Some(entry) = state.jobs.get_mut(id) else {
+        let Some(mut live) = state.take_live(id) else {
             return;
         };
-        entry.rec.status = JobStatus::Quarantined {
+        live.rec.status = JobStatus::Quarantined {
             reason: reason.to_string(),
         };
-        entry.resume = None;
-        entry.instance = None;
-        entry.not_before = None;
-        let mut evidence = entry.evidence.join("\n");
+        let mut evidence = live.evidence.join("\n");
         evidence.push('\n');
-        let rec = entry.rec.clone();
-        let tenant = rec.spec.tenant.clone();
-        if let Err(e) = self.spool.quarantine(&rec, &evidence) {
+        if let Err(e) = self.spool.quarantine(&live.rec, &evidence) {
             // Disk may still say `queued`: after a crash the job re-runs
             // and climbs the ladder again — sound, merely slower.
             eprintln!("warning: {id}: could not dead-letter: {e}");
         }
-        state.active = state.active.saturating_sub(1);
-        if let Some(n) = state.per_tenant.get_mut(&tenant) {
-            *n = n.saturating_sub(1);
-        }
+        state.release(&live.rec.spec.tenant);
         state.counters.quarantined += 1;
+        state.jobs.insert(id.to_string(), Job::settled(live.rec));
     }
 
     /// Applies one finished slice's outcome. A suspension is persisted
@@ -616,7 +656,7 @@ impl Scheduler {
             Settle::Slice(result) => result,
             Settle::Spooled { checkpoint, saved } => {
                 let tenant = {
-                    let entry = state.jobs.get_mut(id)?;
+                    let entry = state.live_mut(id)?;
                     entry.running = false;
                     entry.resume = Some(checkpoint);
                     entry.rec.spec.tenant.clone()
@@ -636,11 +676,11 @@ impl Scheduler {
             }
         };
         state.counters.slices += 1;
-        state.jobs.get_mut(id)?.running = false;
+        state.live_mut(id)?.running = false;
         match result {
             Ok((SliceOutcome::Done(v), stats)) => {
                 let ticks = stats.total_ops();
-                state.jobs.get_mut(id)?.rec.spent += ticks;
+                state.live_mut(id)?.rec.spent += ticks;
                 state.counters.ticks += ticks;
                 self.finish(&mut state, id, v);
             }
@@ -648,7 +688,7 @@ impl Scheduler {
                 let ticks = stats.total_ops();
                 state.counters.ticks += ticks;
                 let (over_budget, stalled) = {
-                    let entry = state.jobs.get_mut(id)?;
+                    let entry = state.live_mut(id)?;
                     entry.rec.spent += ticks;
                     if ticks == 0 {
                         entry.stalled += 1;
@@ -671,7 +711,7 @@ impl Scheduler {
                     // Budget livelock: slices keep suspending without a
                     // single tick of progress. Keep the frontier (it is
                     // not corrupt, just stuck) and climb the ladder.
-                    if let Some(entry) = state.jobs.get_mut(id) {
+                    if let Some(entry) = state.live_mut(id) {
                         entry.stalled = 0;
                         entry.resume = Some(checkpoint);
                     }
@@ -685,7 +725,7 @@ impl Scheduler {
                 }
                 state.counters.preemptions += 1;
                 // The worker keeps the job through the progress write.
-                let entry = state.jobs.get_mut(id)?;
+                let entry = state.live_mut(id)?;
                 entry.running = true;
                 entry.rec.preemptions += 1;
                 let progress = Progress {
@@ -716,29 +756,25 @@ impl Scheduler {
     }
 
     /// Settles a job: verdict into the record, the record appended to the
-    /// job's log, accounting updated.
+    /// job's log, accounting updated, and only the `STATUS` answer kept.
     ///
     /// The verdict append stays under the state lock on purpose. A
-    /// `STATUS` that arrives during its `fdatasync` (tens of microseconds)
-    /// waits for it and answers `done`; written outside the lock, the job
-    /// would answer `queued` until the poller's next round, which made
-    /// short jobs slower overall.
+    /// `STATUS` that arrives during its `fdatasync` (about 2 ms at the
+    /// median under `serve_mixed` load on a 2-vCPU VM's ext4) waits for it
+    /// and answers `done`; written outside the lock, the job would answer
+    /// `queued` until the poller's next round, which made short jobs
+    /// slower overall.
     fn finish(&self, state: &mut State, id: &str, verdict: Verdict) {
-        let Some(entry) = state.jobs.get_mut(id) else {
+        let Some(mut live) = state.take_live(id) else {
             return;
         };
-        entry.rec.status = JobStatus::Done(verdict);
-        entry.resume = None;
-        entry.instance = None;
-        if let Err(e) = self.spool.save_record(&entry.rec) {
+        live.rec.status = JobStatus::Done(verdict);
+        if let Err(e) = self.spool.save_record(&live.rec) {
             eprintln!("warning: {id}: could not persist verdict: {e}");
         }
-        let tenant = entry.rec.spec.tenant.clone();
-        state.active = state.active.saturating_sub(1);
-        if let Some(n) = state.per_tenant.get_mut(&tenant) {
-            *n = n.saturating_sub(1);
-        }
+        state.release(&live.rec.spec.tenant);
         state.counters.done += 1;
+        state.jobs.insert(id.to_string(), Job::settled(live.rec));
     }
 }
 
@@ -823,10 +859,11 @@ fn pick_next(state: &mut State, now: Instant) -> (Option<String>, Option<Instant
             }
             continue;
         };
-        let parked_until = jobs
-            .get(&id)
-            .and_then(|e| e.not_before)
-            .filter(|&t| t > now);
+        let parked_until = match jobs.get(&id) {
+            Some(Job::Live(live)) => live.not_before,
+            _ => None,
+        }
+        .filter(|&t| t > now);
         if let Some(until) = parked_until {
             // Still cooling off: put the job back where it was and give
             // the rest of the ring a chance this pass.
@@ -921,12 +958,9 @@ mod tests {
     fn run_slice(sched: &Scheduler, id: &str, ticks: u64) {
         let (instance, resume) = {
             let mut state = lock_state(&sched.state);
-            let entry = state.jobs.get_mut(id).unwrap();
+            let entry = state.live_mut(id).unwrap();
             entry.running = true;
-            (
-                Arc::clone(entry.instance.as_ref().unwrap()),
-                entry.resume.take(),
-            )
+            (Arc::clone(&entry.instance), entry.resume.take())
         };
         let result = runner::solve_slice(&instance, &Budget::ticks(ticks), resume.as_ref());
         sched.settle_slice(id, result);
@@ -969,9 +1003,9 @@ mod tests {
             ]
         );
         {
-            let state = lock_state(&sched.state);
+            let mut state = lock_state(&sched.state);
             assert!(
-                state.jobs[&id].not_before.is_some(),
+                state.live_mut(&id).unwrap().not_before.is_some(),
                 "a failed attempt must park the job behind a backoff"
             );
             assert_eq!(state.counters.retries, 1);
@@ -1020,7 +1054,7 @@ mod tests {
         let now = Instant::now();
         let until = now + Duration::from_millis(500);
         let mut state = lock_state(&sched.state);
-        state.jobs.get_mut(&parked).unwrap().not_before = Some(until);
+        state.live_mut(&parked).unwrap().not_before = Some(until);
 
         // The parked tenant is skipped in place; the runnable one is
         // handed out, and the wake hint points at the parked job.
@@ -1121,8 +1155,8 @@ mod tests {
         let suspend = || {
             // A suspended slice that made zero tick progress.
             let instance = {
-                let state = lock_state(&sched.state);
-                Arc::clone(state.jobs[&id].instance.as_ref().unwrap())
+                let mut state = lock_state(&sched.state);
+                Arc::clone(&state.live_mut(&id).unwrap().instance)
             };
             let ck = runner::solve_slice(&instance, &Budget::ticks(1), None);
             let checkpoint = match ck {
@@ -1131,7 +1165,7 @@ mod tests {
             };
             {
                 let mut state = lock_state(&sched.state);
-                state.jobs.get_mut(&id).unwrap().running = true;
+                state.live_mut(&id).unwrap().running = true;
             }
             sched.settle_slice(
                 &id,
@@ -1149,19 +1183,23 @@ mod tests {
         suspend();
         suspend();
         {
-            let state = lock_state(&sched.state);
-            assert_eq!(state.jobs[&id].stalled, 2);
-            assert_eq!(state.jobs[&id].rec.attempts, 0);
+            let mut state = lock_state(&sched.state);
+            assert_eq!(state.live_mut(&id).unwrap().stalled, 2);
+            assert_eq!(state.live_mut(&id).unwrap().rec.attempts, 0);
         }
         suspend();
         let status = sched.status(&id).unwrap();
         assert_eq!(status.attempts, 1, "livelock is one rung up the ladder");
         assert_eq!(status.state, "queued");
         {
-            let state = lock_state(&sched.state);
-            assert_eq!(state.jobs[&id].stalled, 0, "counter resets per strike");
+            let mut state = lock_state(&sched.state);
+            assert_eq!(
+                state.live_mut(&id).unwrap().stalled,
+                0,
+                "counter resets per strike"
+            );
             assert!(
-                state.jobs[&id].resume.is_some(),
+                state.live_mut(&id).unwrap().resume.is_some(),
                 "the frontier is stuck, not corrupt: it must be kept"
             );
         }

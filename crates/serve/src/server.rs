@@ -61,23 +61,24 @@ impl Default for ServerConfig {
     }
 }
 
-/// One line read off the wire, capped at [`MAX_LINE_BYTES`].
+/// What reading one line off the wire found.
 enum LineRead {
-    /// A complete line (newline stripped; may be the final unterminated one).
-    Line(Vec<u8>),
+    /// A complete line, appended to the caller's buffer without its
+    /// newline (it may be the final, unterminated one).
+    Line,
     /// The peer closed with nothing pending.
     Eof,
-    /// The line exceeded the cap; the rest was not buffered.
+    /// The line exceeded [`MAX_LINE_BYTES`]; none of it was kept.
     Oversize(usize),
     /// The read timed out.
     TimedOut,
 }
 
-/// Reads one `\n`-terminated line without ever buffering more than the cap:
-/// a tenant streaming gigabytes without a newline costs us one buffer, not
-/// their patience's worth of memory.
-fn read_line_capped<R: BufRead>(reader: &mut R) -> io::Result<LineRead> {
-    let mut line: Vec<u8> = Vec::new();
+/// Appends one `\n`-terminated line to `line` without ever buffering more
+/// than the cap of it: a tenant streaming gigabytes without a newline costs
+/// us one capped line, not their patience's worth of memory.
+fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Result<LineRead> {
+    let start = line.len();
     let mut seen = 0usize;
     loop {
         let buf = match reader.fill_buf() {
@@ -93,33 +94,29 @@ fn read_line_capped<R: BufRead>(reader: &mut R) -> io::Result<LineRead> {
             Err(e) => return Err(e),
         };
         if buf.is_empty() {
-            return Ok(if line.is_empty() {
+            return Ok(if seen == 0 {
                 LineRead::Eof
             } else {
-                LineRead::Line(line)
+                LineRead::Line
             });
         }
-        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            seen += pos;
-            if seen > MAX_LINE_BYTES {
-                reader.consume(pos + 1);
-                return Ok(LineRead::Oversize(seen));
-            }
-            line.extend_from_slice(&buf[..pos]);
-            reader.consume(pos + 1);
-            return Ok(LineRead::Line(line));
-        }
-        let len = buf.len();
-        seen += len;
+        let (take, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(pos) => (pos, true),
+            None => (buf.len(), false),
+        };
+        seen += take;
         if seen > MAX_LINE_BYTES {
-            // Drop what we have and drain-to-cap: the line is rejected
-            // regardless, so stop accumulating.
-            line.clear();
-            reader.consume(len);
+            // The line is rejected regardless: drop what we have and stop
+            // accumulating.
+            line.truncate(start);
+            reader.consume(take + usize::from(done));
             return Ok(LineRead::Oversize(seen));
         }
-        line.extend_from_slice(buf);
-        reader.consume(len);
+        line.extend_from_slice(&buf[..take]);
+        reader.consume(take + usize::from(done));
+        if done {
+            return Ok(LineRead::Line);
+        }
     }
 }
 
@@ -349,6 +346,7 @@ fn handle_connection<S: SessionStream>(
         write_half.set_write_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1)))),
     );
     let mut reader = BufReader::new(read_half);
+    let mut cmd_raw: Vec<u8> = Vec::new();
     loop {
         // Idle timeout while waiting for a command line: silent close.
         log_timeout_err(
@@ -357,8 +355,9 @@ fn handle_connection<S: SessionStream>(
                 .get_ref()
                 .set_read_timeout(Some(Duration::from_millis(cfg.idle_timeout_ms.max(1)))),
         );
-        let cmd_raw = match read_line_capped(&mut reader) {
-            Ok(LineRead::Line(l)) => l,
+        cmd_raw.clear();
+        match read_line_capped(&mut reader, &mut cmd_raw) {
+            Ok(LineRead::Line) => {}
             Ok(LineRead::Eof) | Ok(LineRead::TimedOut) => return,
             Ok(LineRead::Oversize(n)) => {
                 let reject = Reject::Parse(oversize_error(1, n));
@@ -366,7 +365,7 @@ fn handle_connection<S: SessionStream>(
                 return;
             }
             Err(_) => return,
-        };
+        }
         // Tighter timeout once a request is in flight.
         log_timeout_err(
             "request read",
@@ -390,31 +389,35 @@ fn handle_connection<S: SessionStream>(
             Command::Submit { payload_lines, .. } => *payload_lines,
             _ => 0,
         };
-        let mut payload: Vec<Vec<u8>> = Vec::new();
+        // The payload lines go straight into the one buffer that becomes
+        // the job's text, each ended by `\n` as `protocol::assemble` takes
+        // them.
+        let mut payload: Vec<u8> = Vec::new();
+        let mut taken = 0usize;
         let mut failed: Option<Reject> = None;
-        while payload.len() < wanted {
-            match read_line_capped(&mut reader) {
-                Ok(LineRead::Line(l)) => payload.push(l),
+        while taken < wanted {
+            match read_line_capped(&mut reader, &mut payload) {
+                Ok(LineRead::Line) => {
+                    payload.push(b'\n');
+                    taken += 1;
+                }
                 Ok(LineRead::Eof) => {
                     failed = Some(Reject::Parse(ParseError::at_eof(
-                        2 + payload.len(),
+                        2 + taken,
                         ParseErrorKind::CountMismatch {
                             what: "payload lines".to_string(),
                             declared: wanted,
-                            found: payload.len(),
+                            found: taken,
                         },
                     )));
                     break;
                 }
                 Ok(LineRead::TimedOut) => {
-                    failed = Some(Reject::Parse(timeout_error(
-                        2 + payload.len(),
-                        "payload line",
-                    )));
+                    failed = Some(Reject::Parse(timeout_error(2 + taken, "payload line")));
                     break;
                 }
                 Ok(LineRead::Oversize(n)) => {
-                    failed = Some(Reject::Parse(oversize_error(2 + payload.len(), n)));
+                    failed = Some(Reject::Parse(oversize_error(2 + taken, n)));
                     break;
                 }
                 Err(_) => return,
@@ -426,7 +429,7 @@ fn handle_connection<S: SessionStream>(
             let _sent = respond(&mut write_half, &reject.to_line());
             return;
         }
-        let request = match protocol::assemble(cmd, &payload, 2) {
+        let request = match protocol::assemble(cmd, payload, 2) {
             Ok(r) => r,
             Err(e) => {
                 if !respond(&mut write_half, &Reject::Parse(e).to_line()) {
@@ -490,6 +493,32 @@ mod tests {
         assert_eq!(ms(9), 640);
         assert_eq!(ms(10), 1_000, "capped");
         assert_eq!(ms(u32::MAX), 1_000);
+    }
+
+    #[test]
+    fn lines_append_to_one_buffer_and_an_oversize_line_keeps_none_of_it() {
+        let mut wire = b"p cnf 1 1\r\n\n1 0".to_vec();
+        wire.push(b'\n');
+        wire.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + 1));
+        // A small read buffer makes every long line span many fills.
+        let mut reader = io::BufReader::with_capacity(7, io::Cursor::new(wire));
+        let mut buf = Vec::new();
+        for _ in 0..3 {
+            assert!(matches!(
+                read_line_capped(&mut reader, &mut buf),
+                Ok(LineRead::Line)
+            ));
+            buf.push(b'\n');
+        }
+        assert_eq!(buf, b"p cnf 1 1\r\n\n1 0\n");
+        assert!(matches!(
+            read_line_capped(&mut reader, &mut buf),
+            Ok(LineRead::Oversize(n)) if n > MAX_LINE_BYTES
+        ));
+        assert_eq!(
+            buf, b"p cnf 1 1\r\n\n1 0\n",
+            "nothing of the long line kept"
+        );
     }
 
     #[test]

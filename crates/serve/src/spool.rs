@@ -27,7 +27,10 @@
 //! Nothing on a job's path from admission to verdict replaces or deletes a
 //! file. On a filesystem mounted with `discard`, freeing a file's blocks
 //! costs tens of milliseconds and is serialized filesystem-wide, while an
-//! append plus `fdatasync` costs tens of microseconds.
+//! append plus `fdatasync` of a 35 KB record frame costs about 0.3 ms on
+//! its own and about 2 ms at the median under `serve_mixed` load (2-vCPU
+//! VM, ext4): still the larger part of each `OK <id>`, which must follow a
+//! durable record.
 //!
 //! **Recovery invariant.** A job's state is the last complete frame of
 //! each kind. `OK <id>` is sent only after the admission frame's sync
