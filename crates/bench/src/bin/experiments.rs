@@ -78,13 +78,17 @@ fn smoke() {
     let bu = Budget::unlimited();
 
     // Joins: WCOJ on the AGM worst-case triangle database hits the N^{3/2}
-    // output, and its tuple counter scales with the same exponent.
+    // output, and its tuple counter scales with the same exponent. At each
+    // size the split `count` must equal the sequential machine exactly, in
+    // answer and in every counter.
     let pts = stats_sweep(
-        &[16, 32, 64],
+        &[16, 32, 64, 1024, 4096],
         |n| {
             let q = JoinQuery::triangle();
             let (db, expected) = agm::worst_case_database(&q, n as u64).unwrap();
             let (out, stats) = wcoj::count(&q, &db, None, &bu).unwrap();
+            let sequential = wcoj::join_foreach(&q, &db, None, &bu, |_| {}).unwrap();
+            assert_eq!((out, stats), sequential, "split count at n = {n}");
             assert_eq!(u128::from(out.unwrap_sat()), expected);
             stats
         },
@@ -97,7 +101,7 @@ fn smoke() {
         fit.exponent
     );
     println!(
-        "smoke: wcoj tuple exponent {:.2} (theory 1.5)",
+        "smoke: wcoj tuple exponent {:.2} (theory 1.5); split count equals the sequential machine",
         fit.exponent
     );
 
@@ -167,7 +171,11 @@ fn e13_acyclic() {
         let (ans, t_yk) = time_min(2, || yannakakis(&q, &db, &bu).unwrap().0.unwrap_sat()).unwrap();
         assert!(ans.is_empty());
         let (_, t_sweep) = time_min(2, || is_empty_acyclic(&q, &db, &bu).unwrap()).unwrap();
-        let (_, t_gj) = time_min(2, || wcoj::count(&q, &db, None, &bu).unwrap()).unwrap();
+        // The sequential machine: `count` may use every core, Yannakakis one.
+        let (_, t_gj) = time_min(2, || {
+            wcoj::join_foreach(&q, &db, None, &bu, |_| {}).unwrap()
+        })
+        .unwrap();
         // Binary plan materializes s³ tuples; keep it to small sizes.
         let bin_cell = if s <= 200 {
             let ((_, stats), t_bin) = time(|| binary::left_deep_join(&q, &db, &bu).unwrap());
@@ -278,8 +286,13 @@ fn e2_wcoj_vs_binary() {
     for &n in &[400u64, 1600, 6400, 25600, 102400] {
         let (q, db, answer) = adversarial_triangle_db(n);
         let bu = Budget::unlimited();
+        // The sequential machine: `count` may use every core, the binary
+        // plan one.
         let (count, t_wcoj) = time_min(3, || {
-            wcoj::count(&q, &db, None, &bu).unwrap().0.unwrap_sat()
+            wcoj::join_foreach(&q, &db, None, &bu, |_| {})
+                .unwrap()
+                .0
+                .unwrap_sat()
         })
         .unwrap();
         assert_eq!(count, answer);

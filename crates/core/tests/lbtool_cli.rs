@@ -254,3 +254,19 @@ fn malformed_database_rows_are_positioned_parse_errors() {
         stderr(&out)
     );
 }
+
+#[test]
+fn rho_star_refuses_comma_separated_atoms() {
+    let s = Scratch::new("rho");
+    let out = lbtool(&s.0, &["rho-star", TRIANGLE_QUERY]);
+    assert_eq!(exit(&out), 0, "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("ρ*:      3/2"), "{}", stdout(&out));
+    // Before names were checked, this read as one 6-ary atom with ρ* 1.
+    let out = lbtool(&s.0, &["rho-star", "R(a,b),S(a,c),T(b,c)"]);
+    assert_eq!(exit(&out), 1, "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains("<query>:1:6") && stderr(&out).contains("`)` in a name"),
+        "diagnostic must name the offending column: {}",
+        stderr(&out)
+    );
+}

@@ -589,6 +589,13 @@ impl Ticker {
         self.ticks
     }
 
+    /// True when no charge on this ticker can ever fail: no tick limit, no
+    /// deadline and no fault plan. A run on such a ticker always completes,
+    /// so its work may be split and its counters summed from the parts.
+    pub fn cannot_exhaust(&self) -> bool {
+        self.limit == u64::MAX && self.time_limit.is_none() && self.faults.is_none()
+    }
+
     /// Finishes the run: pairs the search result (in the canonical
     /// `Result<Option<W>, ExhaustReason>` shape) with the collected stats.
     pub fn finish<W>(self, result: Result<Option<W>, ExhaustReason>) -> (Outcome<W>, RunStats) {
@@ -743,5 +750,19 @@ mod tests {
         assert_eq!(b.max_ticks(), Some(5));
         assert!(b.time_limit().is_some());
         assert!(!b.is_unlimited());
+    }
+
+    #[test]
+    fn cannot_exhaust_only_without_limits_or_faults() {
+        assert!(Ticker::new(&Budget::unlimited()).cannot_exhaust());
+        assert!(!Ticker::new(&Budget::ticks(1 << 40)).cannot_exhaust());
+        assert!(!Ticker::new(&Budget::deadline(Duration::from_secs(3600))).cannot_exhaust());
+        let poison = FaultPlan::new().with_point(FaultKind::PoisonIntermediate, 1);
+        assert!(!Ticker::with_fault_plan(&Budget::unlimited(), &poison).cannot_exhaust());
+        assert!(!fault::with_plan(&poison, || Ticker::new(
+            &Budget::unlimited()
+        )
+        .cannot_exhaust()));
+        assert!(Ticker::with_fault_plan(&Budget::unlimited(), &FaultPlan::new()).cannot_exhaust());
     }
 }

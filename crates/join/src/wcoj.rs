@@ -56,6 +56,20 @@
 //! output would make checkpoints unbounded; [`join_foreach`] streams
 //! instead.)
 //!
+//! # The root split
+//!
+//! A [`count`] that cannot stop early (no tick limit, no deadline, no
+//! fault plan) uses up to [`std::thread::available_parallelism`] threads,
+//! the caller's included. The subtrees below the bindings of the first
+//! variable only read the shared tries: one root machine behind a mutex
+//! hands its bindings out one at a time, and each worker runs a binding's
+//! subtree on its own machine and [`Ticker`] until it pops back to the
+//! root. The root's ticker pays the first variable's ticks once and the
+//! workers pay everything below, so the summed [`RunStats`] equal the
+//! sequential machine's exactly. Every entry point that can stop early
+//! (`count` under a budget or a fault plan, the resumable and emptiness
+//! entries, [`join`], [`join_foreach`]) runs sequentially.
+//!
 //! [`Trie`]: crate::trie::Trie
 //! [`Trie::seek`]: crate::trie::Trie::seek
 //! [`RunStats::nodes`]: lb_engine::RunStats::nodes
@@ -341,12 +355,22 @@ enum LeapAction {
 
 /// The explicit-stack Leapfrog Triejoin state: trie-iterator positions
 /// per atom plus the per-level intersection frames.
+///
+/// `floor` and `ceiling` bound the levels this machine may search; they
+/// only differ from 0 and `usize::MAX` in a split [`count`], and never
+/// enter a checkpoint.
 #[derive(Clone, Debug)]
 struct Machine {
     ranges: Vec<Range>,
     tuple: Vec<Value>,
     frames: Vec<Frame>,
     phase: Phase,
+    /// Frames below this depth belong to another machine: popping down to
+    /// it ends the search instead of advancing the parent.
+    floor: usize,
+    /// Entering this level stops the run with `Ok(true)`: the binding of
+    /// every level below it is in `tuple` and `ranges`, not yet advanced.
+    ceiling: usize,
 }
 
 impl Machine {
@@ -364,6 +388,8 @@ impl Machine {
             tuple: vec![0; p.num_vars],
             frames: Vec::new(),
             phase: Phase::Enter,
+            floor: 0,
+            ceiling: usize::MAX,
         }
     }
 
@@ -389,11 +415,24 @@ impl Machine {
         }
     }
 
+    /// Advances the top frame past the binding a `ceiling` stop left in
+    /// place, so the next [`Machine::run`] moves on to the next candidate.
+    fn advance_top(&mut self) {
+        if let Some(top) = self.frames.last_mut() {
+            Machine::restore_and_advance(top, &mut self.ranges);
+        }
+        self.phase = Phase::Step;
+    }
+
     /// Pops the exhausted top frame onto `spare` and advances the parent
-    /// (if any). Returns false when the stack is empty (search over).
+    /// (if any). Returns false when the stack is down to `floor` (search
+    /// over).
     fn pop_level(&mut self, spare: &mut Vec<Frame>) -> bool {
         if let Some(frame) = self.frames.pop() {
             spare.push(frame);
+        }
+        if self.frames.len() <= self.floor {
+            return false;
         }
         match self.frames.last_mut() {
             None => false,
@@ -428,6 +467,7 @@ impl Machine {
             tuple,
             frames,
             phase,
+            ..
         } = self;
         let Some(frame) = frames.last_mut() else {
             return Ok(false);
@@ -502,7 +542,9 @@ impl Machine {
     /// Runs micro-steps until the next answer tuple (`Ok(true)`: the tuple
     /// is in `self.tuple`, in global variable order, and the machine is
     /// positioned to continue past it), the end of the search (`Ok(false)`),
-    /// or a failed charge (`Err`, machine resumable). Popped frames go to
+    /// or a failed charge (`Err`, machine resumable). Entering the
+    /// `ceiling` level also returns `Ok(true)`, before anything is
+    /// charged there; [`Machine::advance_top`] then moves on. Popped frames go to
     /// `spare` and are refilled when a level opens, so the search
     /// allocates nothing per frame once the stack has reached its depth.
     fn run(
@@ -515,6 +557,9 @@ impl Machine {
             match self.phase {
                 Phase::Enter => {
                     let level = self.frames.len();
+                    if level >= self.ceiling {
+                        return Ok(true);
+                    }
                     if level == p.num_vars {
                         self.phase = Phase::Emit;
                         ticker.tuple()?;
@@ -1006,6 +1051,8 @@ impl Machine {
                 tuple,
                 frames,
                 phase,
+                floor: 0,
+                ceiling: usize::MAX,
             },
             n,
         ))
@@ -1101,23 +1148,33 @@ pub fn join_foreach<F: FnMut(&[Value])>(
     db: &Database,
     order: Option<&[String]>,
     budget: &Budget,
-    mut visit: F,
+    visit: F,
 ) -> Result<(Outcome<u64>, RunStats), JoinError> {
     let attrs = q.attributes();
     let ord: Vec<String> = order.map(|o| o.to_vec()).unwrap_or_else(|| attrs.clone());
     let p = prepare(q, db, order)?;
     let pos_of = attr_positions(&attrs, &ord);
-    let mut ticker = Ticker::new(budget);
-    let mut m = Machine::fresh(&p);
+    Ok(run_foreach(&p, &pos_of, Ticker::new(budget), visit))
+}
+
+/// The sequential machine behind [`join_foreach`]: visits every answer,
+/// permuted by `pos_of` (an empty `pos_of` visits empty slices).
+fn run_foreach<F: FnMut(&[Value])>(
+    p: &Prepared,
+    pos_of: &[usize],
+    mut ticker: Ticker,
+    mut visit: F,
+) -> (Outcome<u64>, RunStats) {
+    let mut m = Machine::fresh(p);
     let mut spare = Vec::new();
-    let mut buf = vec![0; attrs.len()];
+    let mut buf = vec![0; pos_of.len()];
     let mut n = 0u64;
     let result = loop {
-        match m.run(&p, &mut ticker, &mut spare) {
+        match m.run(p, &mut ticker, &mut spare) {
             Ok(true) => {
                 // Permute the tuple into attribute order (bounded by arity).
                 buf.iter_mut()
-                    .zip(&pos_of)
+                    .zip(pos_of)
                     .for_each(|(slot, &i)| *slot = m.tuple.get(i).copied().unwrap_or(0));
                 n += 1;
                 visit(&buf);
@@ -1126,11 +1183,19 @@ pub fn join_foreach<F: FnMut(&[Value])>(
             Err(reason) => break Err(reason),
         }
     };
-    Ok(ticker.finish(result))
+    ticker.finish(result)
 }
 
 /// Counts answer tuples without materializing them: `Sat(count)` or
-/// `Exhausted`. (A thin wrapper over [`join_foreach`].)
+/// `Exhausted`.
+///
+/// A count that cannot stop early (no tick limit, no deadline, no fault
+/// plan) runs on up to [`std::thread::available_parallelism`] threads, the
+/// caller's included: the subtrees below the bindings of the first variable
+/// only read the shared tries, so each runs on its own machine and their
+/// counts add. The answer and every [`RunStats`] field equal the
+/// sequential [`join_foreach`]'s. A count that can stop early runs
+/// sequentially, so it stops at exactly the same tick as before.
 #[must_use = "dropping the result discards the answer count or the failure"]
 pub fn count(
     q: &JoinQuery,
@@ -1138,7 +1203,117 @@ pub fn count(
     order: Option<&[String]>,
     budget: &Budget,
 ) -> Result<(Outcome<u64>, RunStats), JoinError> {
-    join_foreach(q, db, order, budget, |_| {})
+    let p = prepare(q, db, order)?;
+    let mut ticker = Ticker::new(budget);
+    // One variable leaves nothing below the root to split.
+    if p.num_vars >= 2 && ticker.cannot_exhaust() {
+        match count_split(&p, ticker) {
+            Some(done) => return Ok(done),
+            // A worker failed: count again on the sequential machine.
+            None => ticker = Ticker::new(budget),
+        }
+    }
+    Ok(run_foreach(&p, &[], ticker, |_| {}))
+}
+
+/// The root level of a split count, shared by its workers: a machine that
+/// stops at each binding of the first variable (`ceiling` 1), and the
+/// ticker that pays that level's ticks.
+struct Root {
+    m: Machine,
+    ticker: Ticker,
+    spare: Vec<Frame>,
+    done: bool,
+}
+
+/// Runs a count that cannot exhaust on scoped threads. `None` when a worker
+/// failed (a poisoned lock or a failed join); the caller then counts
+/// sequentially.
+fn count_split(p: &Prepared, ticker: Ticker) -> Option<(Outcome<u64>, RunStats)> {
+    let mut m = Machine::fresh(p);
+    m.ceiling = 1;
+    let root = std::sync::Mutex::new(Root {
+        m,
+        ticker,
+        spare: Vec::new(),
+        done: false,
+    });
+    let helpers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .saturating_sub(1);
+    let workers = std::thread::scope(|s| {
+        // A helper the OS refuses to start is simply not there: the
+        // remaining workers take its share of the bindings.
+        let handles: Vec<_> = (0..helpers)
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .spawn_scoped(s, || count_subtrees(p, &root))
+                    .ok()
+            })
+            .collect();
+        let own = count_subtrees(p, &root);
+        handles
+            .into_iter()
+            .map(|h| h.join().ok().flatten())
+            .fold(own, |acc, w| {
+                let ((n, mut stats), (wn, ws)) = (acc?, w?);
+                stats.absorb(&ws);
+                Some((n + wn, stats))
+            })
+    });
+    let (n, stats) = workers?;
+    let mut root = root.into_inner().ok()?;
+    if !root.done {
+        return None;
+    }
+    root.ticker.absorb(&stats);
+    Some(root.ticker.finish(Ok(Some(n))))
+}
+
+/// One worker of a split count: takes the root's next binding under the
+/// lock, then runs its subtree on its own machine (`floor` 1, a placeholder
+/// standing in for the root's frame), ticker and spare frames until the
+/// subtree pops back to the root. Returns its answers and counters.
+fn count_subtrees(p: &Prepared, root: &std::sync::Mutex<Root>) -> Option<(u64, RunStats)> {
+    let mut m = Machine::fresh(p);
+    m.floor = 1;
+    m.frames.push(Frame::default());
+    let mut ticker = Ticker::new(&Budget::unlimited());
+    let mut spare = Vec::new();
+    let mut n = 0u64;
+    loop {
+        {
+            let mut guard = root.lock().ok()?;
+            let r = &mut *guard;
+            if r.done {
+                break;
+            }
+            match r.m.run(p, &mut r.ticker, &mut r.spare) {
+                Ok(true) => {
+                    m.ranges.clone_from(&r.m.ranges);
+                    m.tuple.clone_from(&r.m.tuple);
+                    r.m.advance_top();
+                }
+                Ok(false) => {
+                    r.done = true;
+                    break;
+                }
+                Err(_) => {
+                    r.done = true;
+                    return None;
+                }
+            }
+        }
+        m.phase = Phase::Enter;
+        loop {
+            match m.run(p, &mut ticker, &mut spare) {
+                Ok(true) => n += 1,
+                Ok(false) => break,
+                Err(_) => return None,
+            }
+        }
+    }
+    Some((n, ticker.stats()))
 }
 
 /// Decides emptiness with early exit (the BOOLEAN JOIN QUERY problem):

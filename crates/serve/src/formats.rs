@@ -477,33 +477,54 @@ pub fn format_graph(g: &Graph) -> String {
     out
 }
 
-/// Parses `R(a,b) S(a,c) T(b,c)` into a [`JoinQuery`]. The "line" of a
+/// Parses `R(a,b) S(a,c) T(b,c)` into a [`JoinQuery`]: atoms separated
+/// by whitespace, relation and attribute names of ASCII letters, digits and
+/// `_`. Any other character in a name (say, a comma between atoms) is an
+/// error at its column, never a silently different query. The "line" of a
 /// reported error is always 1 (the query is a single string); the column
 /// points into that string.
 pub fn parse_query(spec: &str) -> Result<JoinQuery, ParseError> {
     let mut atoms = Vec::new();
     for (col, token) in tokens(spec) {
-        let malformed = |why: &str| {
+        let malformed = |at: usize, why: &str| {
             ParseError::new(
                 1,
-                col,
+                col + at,
                 ParseErrorKind::Malformed {
                     what: format!("atom `{token}` ({why})"),
                 },
             )
         };
-        let open = token.find('(').ok_or_else(|| malformed("missing `(`"))?;
+        // A name whose `start`th byte in the token is its first: any
+        // character outside [A-Za-z0-9_] is an error at its own column.
+        let check_name = |name: &str, start: usize| match name
+            .char_indices()
+            .find(|&(_, c)| !(c.is_ascii_alphanumeric() || c == '_'))
+        {
+            Some((i, c)) => Err(malformed(
+                start + i,
+                &format!("`{c}` in a name; allowed: ASCII letters, digits, `_`"),
+            )),
+            None => Ok(()),
+        };
+        let open = token.find('(').ok_or_else(|| malformed(0, "missing `(`"))?;
         if !token.ends_with(')') {
-            return Err(malformed("missing `)`"));
+            return Err(malformed(0, "missing `)`"));
         }
         let name = &token[..open];
-        let inner = &token[open + 1..token.len() - 1];
         if name.is_empty() {
-            return Err(malformed("missing relation name"));
+            return Err(malformed(0, "missing relation name"));
         }
-        let attrs: Vec<&str> = inner.split(',').map(str::trim).collect();
-        if attrs.iter().any(|a| a.is_empty()) {
-            return Err(malformed("empty attribute"));
+        check_name(name, 0)?;
+        let mut attrs: Vec<&str> = Vec::new();
+        let mut start = open + 1;
+        for attr in token[start..token.len() - 1].split(',') {
+            check_name(attr, start)?;
+            if attr.is_empty() {
+                return Err(malformed(start, "empty attribute"));
+            }
+            attrs.push(attr);
+            start += attr.len() + 1;
         }
         atoms.push(Atom::new(name, &attrs));
     }

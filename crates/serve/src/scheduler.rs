@@ -131,6 +131,51 @@ struct Counters {
     quarantined: u64,
 }
 
+/// The `STATS` figures that depend on each job's state, kept at every
+/// transition so `STATS` never walks the job map: live jobs a worker holds,
+/// settled jobs that were dead-lettered, and the payload bytes held by live
+/// jobs.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    running: usize,
+    quarantined: usize,
+    held_bytes: usize,
+}
+
+impl Tally {
+    fn of_live(live: &Live) -> Tally {
+        Tally {
+            running: usize::from(live.running),
+            quarantined: 0,
+            held_bytes: live.rec.spec.payload.len(),
+        }
+    }
+
+    /// What one job in the map contributes.
+    fn of(job: &Job) -> Tally {
+        match job {
+            Job::Live(live) => Tally::of_live(live),
+            Job::Settled(report) => Tally {
+                running: 0,
+                quarantined: usize::from(report.state == "quarantined"),
+                held_bytes: 0,
+            },
+        }
+    }
+
+    fn include(&mut self, t: Tally) {
+        self.running += t.running;
+        self.quarantined += t.quarantined;
+        self.held_bytes += t.held_bytes;
+    }
+
+    fn exclude(&mut self, t: Tally) {
+        self.running = self.running.saturating_sub(t.running);
+        self.quarantined = self.quarantined.saturating_sub(t.quarantined);
+        self.held_bytes = self.held_bytes.saturating_sub(t.held_bytes);
+    }
+}
+
 struct State {
     jobs: BTreeMap<String, Job>,
     queues: BTreeMap<String, VecDeque<String>>,
@@ -140,6 +185,7 @@ struct State {
     draining: bool,
     next_job_number: u64,
     counters: Counters,
+    tally: Tally,
 }
 
 impl State {
@@ -158,10 +204,34 @@ impl State {
         }
     }
 
+    /// Inserts or replaces a job, keeping the tally.
+    fn put(&mut self, id: String, job: Job) {
+        self.tally.include(Tally::of(&job));
+        if let Some(old) = self.jobs.insert(id, job) {
+            self.tally.exclude(Tally::of(&old));
+        }
+    }
+
+    /// Marks a live job as held by a worker or not, keeping the tally, and
+    /// returns it; `None` for a settled or unknown id.
+    fn set_running(&mut self, id: &str, on: bool) -> Option<&mut Live> {
+        let State { jobs, tally, .. } = self;
+        let Some(Job::Live(live)) = jobs.get_mut(id) else {
+            return None;
+        };
+        tally.exclude(Tally::of_live(live));
+        live.running = on;
+        tally.include(Tally::of_live(live));
+        Some(live)
+    }
+
     /// Takes a live job out of the map to settle it; a settled one stays.
     fn take_live(&mut self, id: &str) -> Option<Live> {
         match self.jobs.remove(id)? {
-            Job::Live(live) => Some(live),
+            Job::Live(live) => {
+                self.tally.exclude(Tally::of_live(&live));
+                Some(live)
+            }
             settled => {
                 self.jobs.insert(id.to_string(), settled);
                 None
@@ -224,6 +294,7 @@ impl Scheduler {
             draining: false,
             next_job_number: recovered.next_job_number,
             counters: Counters::default(),
+            tally: Tally::default(),
         };
         for (id, why) in std::mem::take(&mut recovered.dead_lettered) {
             // The record itself was corrupt: STATUS still answers,
@@ -237,12 +308,12 @@ impl Scheduler {
                 verdict: None,
                 evidence: Some(why),
             };
-            state.jobs.insert(id, Job::Settled(report));
+            state.put(id, Job::Settled(report));
         }
         for rec in std::mem::take(&mut recovered.quarantined) {
             // Terminal: serve STATUS from the dead-letter record, never
             // re-run. Not counted active — the tenant's quota is free.
-            state.jobs.insert(rec.id.clone(), Job::settled(rec));
+            state.put(rec.id.clone(), Job::settled(rec));
         }
         for rec in std::mem::take(&mut recovered.records) {
             let id = rec.id.clone();
@@ -251,13 +322,13 @@ impl Scheduler {
                     // Settled: serve STATUS from the record, never re-run —
                     // the no-duplicated-verdicts half of the invariant.
                     report.settled += 1;
-                    state.jobs.insert(id, Job::settled(rec));
+                    state.put(id, Job::settled(rec));
                 }
                 JobStatus::Quarantined { .. } => {
                     // A quarantined record still under jobs/ (legacy or a
                     // hand-edited spool): honor it as terminal.
                     report.quarantined += 1;
-                    state.jobs.insert(id, Job::settled(rec));
+                    state.put(id, Job::settled(rec));
                 }
                 JobStatus::Queued => {
                     let mut rec = rec;
@@ -289,7 +360,7 @@ impl Scheduler {
                             text.push('\n');
                             spool.quarantine(&rec, &text)?;
                             report.quarantined += 1;
-                            state.jobs.insert(rec.id.clone(), Job::settled(rec));
+                            state.put(rec.id.clone(), Job::settled(rec));
                             continue;
                         }
                         report.restarted_from_scratch += 1;
@@ -306,7 +377,7 @@ impl Scheduler {
                             )));
                             spool.save_record(&rec)?;
                             report.settled += 1;
-                            state.jobs.insert(rec.id.clone(), Job::settled(rec));
+                            state.put(rec.id.clone(), Job::settled(rec));
                             continue;
                         }
                     };
@@ -314,7 +385,7 @@ impl Scheduler {
                     enqueue(&mut state, &id, &rec.spec.tenant);
                     state.active += 1;
                     *state.per_tenant.entry(rec.spec.tenant.clone()).or_insert(0) += 1;
-                    state.jobs.insert(
+                    state.put(
                         id,
                         Job::Live(Live {
                             rec,
@@ -415,7 +486,7 @@ impl Scheduler {
         state.active += 1;
         *state.per_tenant.entry(tenant.clone()).or_insert(0) += 1;
         enqueue(&mut state, &id, &tenant);
-        state.jobs.insert(
+        state.put(
             id.clone(),
             Job::Live(Live {
                 rec,
@@ -457,20 +528,16 @@ impl Scheduler {
     }
 
     /// The one-line `STATS` response. `held_bytes` is the payload text
-    /// held by the jobs that still owe work.
+    /// held by the jobs that still owe work. O(tenants): the per-job
+    /// figures come from the tally, never from a walk of the job map.
     pub fn stats_line(&self) -> String {
         let state = lock_state(&self.state);
-        let (mut running, mut quarantined, mut held_bytes) = (0usize, 0usize, 0usize);
-        for job in state.jobs.values() {
-            match job {
-                Job::Live(live) => {
-                    running += usize::from(live.running);
-                    held_bytes += live.rec.spec.payload.len();
-                }
-                Job::Settled(report) => quarantined += usize::from(report.state == "quarantined"),
-            }
-        }
-        let queued = state.active - running;
+        let Tally {
+            running,
+            quarantined,
+            held_bytes,
+        } = state.tally;
+        let queued = state.active.saturating_sub(running);
         format!(
             "STATS jobs={} queued={} running={} done={} quarantined={} tenants={} slices={} preemptions={} retries={} rejected={} ticks={} held_bytes={}",
             state.jobs.len(),
@@ -514,10 +581,9 @@ impl Scheduler {
                     let now = Instant::now();
                     let (pick, wake_at) = pick_next(&mut state, now);
                     if let Some(id) = pick {
-                        let Some(live) = state.live_mut(&id) else {
+                        let Some(live) = state.set_running(&id, true) else {
                             continue;
                         };
-                        live.running = true;
                         live.not_before = None;
                         let instance = Arc::clone(&live.instance);
                         let resume = live.resume.take();
@@ -624,7 +690,7 @@ impl Scheduler {
         }
         state.release(&live.rec.spec.tenant);
         state.counters.quarantined += 1;
-        state.jobs.insert(id.to_string(), Job::settled(live.rec));
+        state.put(id.to_string(), Job::settled(live.rec));
     }
 
     /// Applies one finished slice's outcome. A suspension is persisted
@@ -656,8 +722,7 @@ impl Scheduler {
             Settle::Slice(result) => result,
             Settle::Spooled { checkpoint, saved } => {
                 let tenant = {
-                    let entry = state.live_mut(id)?;
-                    entry.running = false;
+                    let entry = state.set_running(id, false)?;
                     entry.resume = Some(checkpoint);
                     entry.rec.spec.tenant.clone()
                 };
@@ -676,7 +741,7 @@ impl Scheduler {
             }
         };
         state.counters.slices += 1;
-        state.live_mut(id)?.running = false;
+        state.set_running(id, false)?;
         match result {
             Ok((SliceOutcome::Done(v), stats)) => {
                 let ticks = stats.total_ops();
@@ -725,8 +790,7 @@ impl Scheduler {
                 }
                 state.counters.preemptions += 1;
                 // The worker keeps the job through the progress write.
-                let entry = state.live_mut(id)?;
-                entry.running = true;
+                let entry = state.set_running(id, true)?;
                 entry.rec.preemptions += 1;
                 let progress = Progress {
                     preemptions: entry.rec.preemptions,
@@ -774,7 +838,7 @@ impl Scheduler {
         }
         state.release(&live.rec.spec.tenant);
         state.counters.done += 1;
-        state.jobs.insert(id.to_string(), Job::settled(live.rec));
+        state.put(id.to_string(), Job::settled(live.rec));
     }
 }
 
@@ -958,12 +1022,42 @@ mod tests {
     fn run_slice(sched: &Scheduler, id: &str, ticks: u64) {
         let (instance, resume) = {
             let mut state = lock_state(&sched.state);
-            let entry = state.live_mut(id).unwrap();
-            entry.running = true;
+            let entry = state.set_running(id, true).unwrap();
             (Arc::clone(&entry.instance), entry.resume.take())
         };
         let result = runner::solve_slice(&instance, &Budget::ticks(ticks), resume.as_ref());
         sched.settle_slice(id, result);
+    }
+
+    /// The `STATS` line recounted by walking every job in the map, the way
+    /// `stats_line` worked before it kept its figures at each transition.
+    fn recounted_stats_line(sched: &Scheduler) -> String {
+        let state = lock_state(&sched.state);
+        let (mut running, mut quarantined, mut held_bytes) = (0usize, 0usize, 0usize);
+        for job in state.jobs.values() {
+            match job {
+                Job::Live(live) => {
+                    running += usize::from(live.running);
+                    held_bytes += live.rec.spec.payload.len();
+                }
+                Job::Settled(report) => quarantined += usize::from(report.state == "quarantined"),
+            }
+        }
+        format!(
+            "STATS jobs={} queued={} running={} done={} quarantined={} tenants={} slices={} preemptions={} retries={} rejected={} ticks={} held_bytes={}",
+            state.jobs.len(),
+            state.active - running,
+            running,
+            state.counters.done,
+            quarantined,
+            state.per_tenant.values().filter(|&&n| n > 0).count(),
+            state.counters.slices,
+            state.counters.preemptions,
+            state.counters.retries,
+            state.counters.rejected,
+            state.counters.ticks,
+            held_bytes,
+        )
     }
 
     fn cfg(max_attempts: u64) -> SchedulerConfig {
@@ -1165,7 +1259,7 @@ mod tests {
             };
             {
                 let mut state = lock_state(&sched.state);
-                state.live_mut(&id).unwrap().running = true;
+                state.set_running(&id, true).unwrap();
             }
             sched.settle_slice(
                 &id,
@@ -1203,6 +1297,71 @@ mod tests {
                 "the frontier is stuck, not corrupt: it must be kept"
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_line_equals_a_full_walk_through_every_transition() {
+        let (dir, spool) = scratch("tally");
+        let (sched, _) = Scheduler::recover(spool.clone(), cfg(2)).unwrap();
+        let check = |sched: &Scheduler, step: &str| {
+            assert_eq!(sched.stats_line(), recounted_stats_line(sched), "{step}");
+        };
+        check(&sched, "empty");
+        let done = submit(&sched, "acme");
+        let long = submit_long(&sched, "bolt");
+        let rung = submit_long(&sched, "acme");
+        let doomed = submit(&sched, "cyan");
+        let torn = submit_long(&sched, "bolt");
+        check(&sched, "submitted");
+
+        // A worker holds a job between its pick and its settle.
+        lock_state(&sched.state).set_running(&long, true).unwrap();
+        assert!(sched.stats_line().contains(" running=1 "));
+        check(&sched, "picked");
+        lock_state(&sched.state).set_running(&long, false).unwrap();
+
+        run_slice(&sched, &done, 1 << 20);
+        run_slice(&sched, &long, 2);
+        run_slice(&sched, &torn, 2);
+        check(&sched, "slices");
+        {
+            let mut state = lock_state(&sched.state);
+            sched.fail_attempt(&mut state, &rung, "checkpoint: bad magic", true);
+        }
+        check(&sched, "ladder rung");
+        for _ in 0..2 {
+            let mut state = lock_state(&sched.state);
+            sched.fail_attempt(&mut state, &doomed, "checkpoint: bad magic", true);
+        }
+        assert_eq!(sched.status(&doomed).unwrap().state, "quarantined");
+        assert!(sched.stats_line().contains(" quarantined=1 "));
+        check(&sched, "quarantine");
+        drop(sched);
+
+        // A flipped byte in the first frame of a log with a complete frame
+        // after it dead-letters that job on recovery.
+        let path = spool.job_path(&torn);
+        let mut log = fs::read(&path).unwrap();
+        log[20] ^= 0x10;
+        fs::write(&path, &log).unwrap();
+        let (sched, report) = Scheduler::recover(spool.clone(), cfg(2)).unwrap();
+        assert_eq!(report.dead_lettered.len(), 1, "{report:?}");
+        assert_eq!((report.settled, report.resumed), (1, 2), "{report:?}");
+        assert!(sched.stats_line().contains(" quarantined=2 "));
+        check(&sched, "recovered");
+        for id in [&long, &rung] {
+            let mut slices = 0;
+            while sched.status(id).unwrap().state != "done" {
+                lock_state(&sched.state).live_mut(id).unwrap().not_before = None;
+                run_slice(&sched, id, 64);
+                check(&sched, "after recovery");
+                slices += 1;
+                assert!(slices < 1_000, "{id} must settle");
+            }
+        }
+        assert!(sched.stats_line().ends_with(" held_bytes=0"));
+        check(&sched, "all settled");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -32,8 +32,13 @@ fn main() {
         let (db, predicted) = agm::worst_case_database(&q, n).unwrap();
 
         let bu = Budget::unlimited();
+        // The sequential machine, timed against the single-threaded binary
+        // plan (`wcoj::count` would use every core).
         let t0 = Instant::now();
-        let count = wcoj::count(&q, &db, None, &bu).unwrap().0.unwrap_sat();
+        let count = wcoj::join_foreach(&q, &db, None, &bu, |_| {})
+            .unwrap()
+            .0
+            .unwrap_sat();
         let wcoj_time = t0.elapsed();
 
         let t1 = Instant::now();

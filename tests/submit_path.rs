@@ -71,6 +71,7 @@ const CORPUS_OUTCOMES: &[(&str, &str)] = &[
     ("submit-edge-out-of-range.req", "ERR parse 3:3: edge endpoint `7` out of range (2 vertices declared)"),
     ("submit-hostile-tenant.req", "ERR parse 1:8: malformed tenant `ac!me` (allowed: ASCII letters, digits, `.`, `_`, `-`)"),
     ("submit-huge-count.req", "ERR parse 1:17: payload line count `99999` out of range (at most 4096)"),
+    ("submit-join-comma-atoms.req", "ERR parse 2:6: malformed atom `R(a,b),S(a,c),T(b,c)` (`)` in a name; allowed: ASCII letters, digits, `_`)"),
     ("submit-k-on-sat.req", "ERR parse 1:1: malformed k option on a sat job (only clique takes k)"),
     ("submit-missing-count.req", "ERR parse 1:1: missing payload line count"),
     ("submit-missing-family.req", "ERR parse 1:1: missing family after tenant"),
