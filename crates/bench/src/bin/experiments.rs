@@ -67,7 +67,8 @@ fn main() {
 }
 
 /// `smoke` — the CI sanity pass: one budgeted solver per layer over a small
-/// size grid, op-count exponents checked with [`stats_sweep`], and a
+/// size grid, op-count exponents checked with
+/// [`stats_sweep`](lowerbounds::experiments::stats_sweep), and a
 /// zero-tick budget checked to exhaust instead of mis-reporting a verdict.
 fn smoke() {
     use lowerbounds::csp::solver::treewidth_dp;

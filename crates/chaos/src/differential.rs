@@ -542,7 +542,8 @@ pub fn check(family: Family, seed: u64) -> Result<(), Failure> {
 // Resume differential: sliced checkpoint/resume vs. one uninterrupted run.
 // ---------------------------------------------------------------------------
 
-use lb_engine::checkpoint::{Checkpoint, ResumableOutcome};
+use lb_engine::checkpoint::{Checkpoint, CheckpointError, ResumableOutcome};
+use lb_engine::resumable::{count_slice, find_slice, Countable};
 use lb_engine::RunStats;
 
 /// Generous convergence cap: every slice makes at least one op of
@@ -550,10 +551,10 @@ use lb_engine::RunStats;
 /// slow instance.
 const MAX_SLICES: u32 = 100_000;
 
-/// A resumable solver entry point as driven by the differential: one
+/// One mode of a resumable search as driven by the differential: one
 /// budget slice, optionally continuing from a checkpoint.
-type ResumableRun<'a, W> =
-    dyn FnMut(&Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), String> + 'a;
+type ResumableRun<'a, W> = dyn FnMut(&Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), CheckpointError>
+    + 'a;
 
 /// The core slice-equivalence check (the tentpole invariant): run the
 /// solver once uninterrupted, then again chained through adversarially
@@ -638,31 +639,43 @@ fn resume_differential<W: PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
-/// Checks one seed's slice-equivalence for `family`'s resumable solvers.
+/// Runs the differential on both modes of `search`, named `<what>-find`
+/// and `<what>-count`.
+fn find_and_count<S: Countable>(
+    family: Family,
+    seed: u64,
+    what: &str,
+    search: &S,
+) -> Result<(), Failure>
+where
+    S::Answer: PartialEq + std::fmt::Debug,
+{
+    resume_differential(family, seed, &format!("{what}-find"), &mut |b, from| {
+        find_slice(search, b, from)
+    })?;
+    resume_differential(family, seed, &format!("{what}-count"), &mut |b, from| {
+        count_slice(search, b, from)
+    })
+}
+
+/// Checks one seed's slice-equivalence for `family`'s resumable searches,
+/// every mode of each.
 pub fn check_resume(family: Family, seed: u64) -> Result<(), Failure> {
     match family {
         Family::Sat => {
             let f = hostile::cnf(seed);
-            let solver = lb_sat::DpllSolver::default();
+            let search = lb_sat::DpllSolver::default().search(&f);
             resume_differential(family, seed, "dpll", &mut |b, from| {
-                solver
-                    .solve_resumable(&f, b, from)
-                    .map_err(|e| e.to_string())
+                find_slice(&search, b, from)
             })
         }
         Family::Csp => {
             use lb_csp::solver::{backtracking, BacktrackConfig};
             let inst = hostile::csp(seed);
-            let config = BacktrackConfig::default();
-            resume_differential(family, seed, "csp-solve", &mut |b, from| {
-                backtracking::solve_resumable(&inst, config, b, from).map_err(|e| e.to_string())
-            })?;
-            resume_differential(family, seed, "csp-count", &mut |b, from| {
-                backtracking::count_resumable(&inst, config, b, from).map_err(|e| e.to_string())
-            })
+            let search = backtracking::CspSearch::new(&inst, BacktrackConfig::default());
+            find_and_count(family, seed, "csp", &search)
         }
         Family::Join => {
-            use lb_join::wcoj;
             // Every fourth seed exercises the heavy/light split's leapfrog
             // frames (Bind-phase checkpoints) instead of the generic shape.
             let (q, db) = if seed.is_multiple_of(4) {
@@ -672,31 +685,16 @@ pub fn check_resume(family: Family, seed: u64) -> Result<(), Failure> {
             };
             // Broken databases are the *other* differential's concern; the
             // resume check only runs on instances the solver accepts.
-            if wcoj::count(&q, &db, None, &Budget::ticks(0)).is_err() {
-                return Ok(());
+            match lb_join::wcoj::JoinSearch::new(&q, &db, None) {
+                Ok(search) => find_and_count(family, seed, "join", &search),
+                Err(_) => Ok(()),
             }
-            resume_differential(family, seed, "join-count", &mut |b, from| {
-                wcoj::count_resumable(&q, &db, None, b, from).map_err(|e| e.to_string())
-            })?;
-            resume_differential(family, seed, "join-is-empty", &mut |b, from| {
-                wcoj::is_empty_resumable(&q, &db, None, b, from).map_err(|e| e.to_string())
-            })
         }
         Family::Graphalg => {
             use lb_graphalg::{clique, triangle};
             let g = hostile::graph(seed);
-            resume_differential(family, seed, "triangle-count", &mut |b, from| {
-                triangle::count_triangles_resumable(&g, b, from).map_err(|e| e.to_string())
-            })?;
-            resume_differential(family, seed, "triangle-find", &mut |b, from| {
-                triangle::find_triangle_naive_resumable(&g, b, from).map_err(|e| e.to_string())
-            })?;
-            resume_differential(family, seed, "clique-find", &mut |b, from| {
-                clique::find_clique_resumable(&g, 3, b, from).map_err(|e| e.to_string())
-            })?;
-            resume_differential(family, seed, "clique-count", &mut |b, from| {
-                clique::count_cliques_resumable(&g, 3, b, from).map_err(|e| e.to_string())
-            })
+            find_and_count(family, seed, "triangle", &triangle::TriangleScan::new(&g))?;
+            find_and_count(family, seed, "clique", &clique::CliqueSearch::new(&g, 3))
         }
     }
 }

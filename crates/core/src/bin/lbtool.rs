@@ -50,9 +50,13 @@
 //!
 //! Malformed input never panics: every parser reports a typed
 //! [`ParseError`] printed as `file:line:col: message`, exit code 1.
+//!
+//! A closed stdout (a reader such as `head` that stopped reading) ends the
+//! command quietly with exit code 0.
 
 use lb_serve::formats::{parse_csp, parse_db, parse_graph, parse_query};
-use lowerbounds::engine::checkpoint::{Checkpoint, ResumableOutcome};
+use lowerbounds::engine::checkpoint::{Checkpoint, CheckpointError, ResumableOutcome};
+use lowerbounds::engine::resumable::{self, count_slice, find_slice, Countable, Resumable};
 use lowerbounds::engine::{Budget, Outcome, ParseError, RunStats};
 use lowerbounds::graph::treewidth;
 use lowerbounds::hypotheses::Hypothesis;
@@ -60,6 +64,30 @@ use lowerbounds::join::agm;
 use lowerbounds::sat::{solve_2sat, CnfFormula, DpllSolver};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// Prints one line to stdout, as `println!` would; every line lbtool
+/// prints goes through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. When the reader has gone away (a broken
+/// pipe) nobody is left to read the rest, so the process ends quietly with
+/// exit code 0, wherever the command was; any other write failure is
+/// reported on stderr, exit code 1.
+#[expect(clippy::exit, reason = "a closed stdout ends lbtool from any depth")]
+fn emit(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Distinguishes "wrong input" from "budget ran out" for the process exit
 /// code. Parse failures keep their source position so every diagnostic is
@@ -146,7 +174,7 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         Err(CmdError::Exhausted { reason, checkpoint }) => {
-            println!("UNKNOWN");
+            out!("UNKNOWN");
             // Shared with lb-serve: one wording for resumable-vs-terminal
             // exhaustion everywhere a budget can run out.
             eprintln!(
@@ -231,18 +259,20 @@ fn extract_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, S
     Ok(Some(value))
 }
 
-/// Drives a resumable solver in `interval`-sized slices, atomically saving
+/// Drives one mode of a resumable search (`slice`: a [`find_slice`] or
+/// [`count_slice`] of it) in `interval`-sized slices, atomically saving
 /// the frontier after every suspended slice, until the verdict arrives or
 /// `budget` is spent. The returned outcome is terminal: an `Exhausted`
 /// here means the total budget ran out (with the last frontier saved, if a
-/// save path was given). The checkpoint file is removed on completion.
+/// save path was given). The checkpoint file is removed on completion. A
+/// refused checkpoint is reported with the file it came from.
 fn run_sliced<W>(
     budget: &Budget,
     ck: &CkOpts,
     mut slice: impl FnMut(
         &Budget,
         Option<&Checkpoint>,
-    ) -> Result<(ResumableOutcome<W>, RunStats), String>,
+    ) -> Result<(ResumableOutcome<W>, RunStats), CheckpointError>,
 ) -> Result<(Outcome<W>, RunStats), CmdError> {
     let mut from = match &ck.resume {
         Some(p) => Some(Checkpoint::load(p).map_err(|e| format!("{}: {e}", p.display()))?),
@@ -270,8 +300,8 @@ fn run_sliced<W>(
                 }
             }
         };
-        let (out, stats) =
-            slice(&Budget::ticks(slice_ticks), from.as_ref()).map_err(CmdError::Usage)?;
+        let (out, stats) = slice(&Budget::ticks(slice_ticks), from.as_ref())
+            .map_err(|e| format!("{}: {e}", describe_ck_source(ck)))?;
         total.absorb(&stats);
         spent += stats.total_ops();
         match out {
@@ -329,6 +359,46 @@ fn exhaust_with_save(reason: String, frontier: &Checkpoint, ck: &CkOpts) -> CmdE
     }
 }
 
+/// Runs find mode of `search` whole: in saved slices ([`run_sliced`]) when
+/// a checkpoint flag is given, else in one go.
+fn find_run<S: Resumable>(
+    search: &S,
+    budget: &Budget,
+    ck: &CkOpts,
+) -> Result<(Outcome<S::Answer>, RunStats), CmdError> {
+    if ck.active() {
+        run_sliced(budget, ck, |slice, from| find_slice(search, slice, from))
+    } else {
+        Ok(resumable::find(search, budget))
+    }
+}
+
+/// Runs count mode of `search` whole, like [`find_run`].
+fn count_run<S: Countable>(
+    search: &S,
+    budget: &Budget,
+    ck: &CkOpts,
+) -> Result<(Outcome<u64>, RunStats), CmdError> {
+    if ck.active() {
+        run_sliced(budget, ck, |slice, from| count_slice(search, slice, from))
+    } else {
+        Ok(resumable::count(search, budget))
+    }
+}
+
+/// The verdict of a finished run: the answer, `None` for `Unsat`, or the
+/// exhausted budget as a terminal error.
+fn decided<W>(outcome: Outcome<W>) -> Result<Option<W>, CmdError> {
+    match outcome {
+        Outcome::Sat(w) => Ok(Some(w)),
+        Outcome::Unsat => Ok(None),
+        Outcome::Exhausted(r) => Err(CmdError::Exhausted {
+            reason: r.to_string(),
+            checkpoint: None,
+        }),
+    }
+}
+
 fn report_stats(stats: &RunStats) {
     eprintln!(
         "nodes: {}, propagations: {}, backtracks: {}",
@@ -348,7 +418,7 @@ fn report_join_stats(stats: &RunStats) {
 /// Prints the final [`RunStats`] as one machine-readable JSON line on
 /// stdout (`--stats-json`) — the hook the bench harness scrapes.
 fn print_stats_json(stats: &RunStats) {
-    println!(
+    out!(
         "{{\"nodes\":{},\"propagations\":{},\"trie_advances\":{},\"tuples\":{},\"backtracks\":{},\"max_intermediate\":{},\"total_ops\":{}}}",
         stats.nodes,
         stats.propagations,
@@ -369,33 +439,20 @@ fn cmd_sat(args: &[String], two: bool, budget: &Budget, ck: &CkOpts) -> Result<(
             return Err("formula has clauses wider than 2; use `lbtool sat`".into());
         }
         solve_2sat(&f, budget)
-    } else if ck.active() {
-        let solver = DpllSolver::default();
-        run_sliced(budget, ck, |slice, from| {
-            solver
-                .solve_resumable(&f, slice, from)
-                .map_err(|e| format!("{}: {e}", describe_ck_source(ck)))
-        })?
     } else {
-        DpllSolver::default().solve(&f, budget)
+        find_run(&DpllSolver::default().search(&f), budget, ck)?
     };
     report_stats(&stats);
-    match outcome {
-        Outcome::Sat(m) => {
+    match decided(outcome)? {
+        Some(m) => {
             let lits: Vec<String> = m
                 .iter()
                 .enumerate()
                 .map(|(v, &b)| format!("{}{}", if b { "" } else { "-" }, v + 1))
                 .collect();
-            println!("SATISFIABLE\nv {} 0", lits.join(" "));
+            out!("SATISFIABLE\nv {} 0", lits.join(" "));
         }
-        Outcome::Unsat => println!("UNSATISFIABLE"),
-        Outcome::Exhausted(r) => {
-            return Err(CmdError::Exhausted {
-                reason: r.to_string(),
-                checkpoint: None,
-            })
-        }
+        None => out!("UNSATISFIABLE"),
     }
     Ok(())
 }
@@ -414,17 +471,7 @@ fn cmd_count(args: &[String], budget: &Budget) -> Result<(), CmdError> {
     let f = CnfFormula::from_dimacs(&text).map_err(in_file(path))?;
     let (outcome, stats) = lowerbounds::sat::count_models(&f, budget);
     report_stats(&stats);
-    match outcome {
-        Outcome::Sat(count) => println!("{count}"),
-        // lb-lint: allow(no-panic) -- invariant: model counting completes with Sat or exhausts
-        Outcome::Unsat => unreachable!("count_models has no Unsat outcome"),
-        Outcome::Exhausted(r) => {
-            return Err(CmdError::Exhausted {
-                reason: r.to_string(),
-                checkpoint: None,
-            })
-        }
-    }
+    out!("{}", decided(outcome)?.unwrap_or(0));
     Ok(())
 }
 
@@ -433,39 +480,17 @@ fn cmd_csp(args: &[String], budget: &Budget, ck: &CkOpts) -> Result<(), CmdError
     let path = args.first().ok_or("missing CSP file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let inst = parse_csp(&text).map_err(in_file(path))?;
-    let (outcome, stats) = if ck.active() {
-        run_sliced(budget, ck, |slice, from| {
-            backtracking::solve_resumable(&inst, BacktrackConfig::default(), slice, from)
-                .map_err(|e| format!("{}: {e}", describe_ck_source(ck)))
-        })?
-    } else {
-        lowerbounds::csp::solver::solve(&inst, budget)
-    };
+    let search = backtracking::CspSearch::new(&inst, BacktrackConfig::default());
+    let (outcome, stats) = find_run(&search, budget, ck)?;
     report_stats(&stats);
-    match outcome {
-        Outcome::Sat(a) => {
+    match decided(outcome)? {
+        Some(a) => {
             let vals: Vec<String> = a.iter().map(|v| v.to_string()).collect();
-            println!("SATISFIABLE\nv {}", vals.join(" "));
+            out!("SATISFIABLE\nv {}", vals.join(" "));
         }
-        Outcome::Unsat => println!("UNSATISFIABLE"),
-        Outcome::Exhausted(r) => {
-            return Err(CmdError::Exhausted {
-                reason: r.to_string(),
-                checkpoint: None,
-            })
-        }
+        None => out!("UNSATISFIABLE"),
     }
     Ok(())
-}
-
-/// Maps a resumable-join error to a diagnostic: instance errors stand on
-/// their own, checkpoint errors name the file they came from.
-fn describe_resume_error(e: lowerbounds::join::wcoj::ResumeError, ck: &CkOpts) -> String {
-    use lowerbounds::join::wcoj::ResumeError;
-    match e {
-        ResumeError::Join(e) => e.to_string(),
-        ResumeError::Checkpoint(e) => format!("{}: {e}", describe_ck_source(ck)),
-    }
 }
 
 fn cmd_join(args: &[String], budget: &Budget, ck: &CkOpts) -> Result<(), CmdError> {
@@ -484,10 +509,8 @@ fn cmd_join(args: &[String], budget: &Budget, ck: &CkOpts) -> Result<(), CmdErro
     let db = parse_db(&text).map_err(in_file(path))?;
     let q = parse_query(spec).map_err(in_file("<query>"))?;
     let (outcome, stats) = if ck.active() {
-        run_sliced(budget, ck, |slice, from| {
-            wcoj::count_resumable(&q, &db, order.as_deref(), slice, from)
-                .map_err(|e| describe_resume_error(e, ck))
-        })?
+        let search = wcoj::JoinSearch::new(&q, &db, order.as_deref()).map_err(|e| e.to_string())?;
+        run_sliced(budget, ck, |slice, from| count_slice(&search, slice, from))?
     } else if print {
         // Stream each tuple as it is found (attribute order, one line
         // each) — memory stays flat no matter how large the answer is.
@@ -497,7 +520,7 @@ fn cmd_join(args: &[String], budget: &Budget, ck: &CkOpts) -> Result<(), CmdErro
                 .map(u64::to_string)
                 .collect::<Vec<String>>()
                 .join(" ");
-            println!("{line}");
+            out!("{line}");
         })
         .map_err(|e| e.to_string())?
     } else {
@@ -506,17 +529,7 @@ fn cmd_join(args: &[String], budget: &Budget, ck: &CkOpts) -> Result<(), CmdErro
         wcoj::count(&q, &db, order.as_deref(), budget).map_err(|e| e.to_string())?
     };
     report_join_stats(&stats);
-    match outcome {
-        Outcome::Sat(count) => println!("{count}"),
-        // lb-lint: allow(no-panic) -- invariant: join counting completes with Sat or exhausts
-        Outcome::Unsat => unreachable!("join counting has no Unsat outcome"),
-        Outcome::Exhausted(r) => {
-            return Err(CmdError::Exhausted {
-                reason: r.to_string(),
-                checkpoint: None,
-            })
-        }
-    }
+    out!("{}", decided(outcome)?.unwrap_or(0));
     if stats_json {
         print_stats_json(&stats);
     }
@@ -528,26 +541,9 @@ fn cmd_triangle(args: &[String], budget: &Budget, ck: &CkOpts) -> Result<(), Cmd
     let path = args.first().ok_or("missing graph file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let g = parse_graph(&text).map_err(in_file(path))?;
-    let (outcome, stats) = if ck.active() {
-        run_sliced(budget, ck, |slice, from| {
-            triangle::count_triangles_resumable(&g, slice, from)
-                .map_err(|e| format!("{}: {e}", describe_ck_source(ck)))
-        })?
-    } else {
-        triangle::count_triangles(&g, budget)
-    };
+    let (outcome, stats) = count_run(&triangle::TriangleScan::new(&g), budget, ck)?;
     report_join_stats(&stats);
-    match outcome {
-        Outcome::Sat(count) => println!("{count}"),
-        // lb-lint: allow(no-panic) -- invariant: triangle counting completes with Sat or exhausts
-        Outcome::Unsat => unreachable!("triangle counting has no Unsat outcome"),
-        Outcome::Exhausted(r) => {
-            return Err(CmdError::Exhausted {
-                reason: r.to_string(),
-                checkpoint: None,
-            })
-        }
-    }
+    out!("{}", decided(outcome)?.unwrap_or(0));
     Ok(())
 }
 
@@ -569,50 +565,21 @@ fn cmd_clique(args: &[String], budget: &Budget, ck: &CkOpts) -> Result<(), CmdEr
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let g = parse_graph(&text).map_err(in_file(path))?;
+    let search = clique::CliqueSearch::new(&g, k);
     if counting {
-        let (outcome, stats) = if ck.active() {
-            run_sliced(budget, ck, |slice, from| {
-                clique::count_cliques_resumable(&g, k, slice, from)
-                    .map_err(|e| format!("{}: {e}", describe_ck_source(ck)))
-            })?
-        } else {
-            clique::count_cliques(&g, k, budget)
-        };
+        let (outcome, stats) = count_run(&search, budget, ck)?;
         report_stats(&stats);
-        match outcome {
-            Outcome::Sat(count) => println!("{count}"),
-            // lb-lint: allow(no-panic) -- invariant: clique counting completes with Sat or exhausts
-            Outcome::Unsat => unreachable!("clique counting has no Unsat outcome"),
-            Outcome::Exhausted(r) => {
-                return Err(CmdError::Exhausted {
-                    reason: r.to_string(),
-                    checkpoint: None,
-                })
-            }
-        }
+        out!("{}", decided(outcome)?.unwrap_or(0));
         return Ok(());
     }
-    let (outcome, stats) = if ck.active() {
-        run_sliced(budget, ck, |slice, from| {
-            clique::find_clique_resumable(&g, k, slice, from)
-                .map_err(|e| format!("{}: {e}", describe_ck_source(ck)))
-        })?
-    } else {
-        clique::find_clique(&g, k, budget)
-    };
+    let (outcome, stats) = find_run(&search, budget, ck)?;
     report_stats(&stats);
-    match outcome {
-        Outcome::Sat(vs) => {
+    match decided(outcome)? {
+        Some(vs) => {
             let vs: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
-            println!("CLIQUE\nv {}", vs.join(" "));
+            out!("CLIQUE\nv {}", vs.join(" "));
         }
-        Outcome::Unsat => println!("NONE"),
-        Outcome::Exhausted(r) => {
-            return Err(CmdError::Exhausted {
-                reason: r.to_string(),
-                checkpoint: None,
-            })
-        }
+        None => out!("NONE"),
     }
     Ok(())
 }
@@ -623,14 +590,14 @@ fn cmd_treewidth(args: &[String]) -> Result<(), CmdError> {
     let g = parse_graph(&text).map_err(in_file(path))?;
     let lo = treewidth::treewidth_lower_bound(&g);
     let (hi, td) = treewidth::treewidth_upper_bound(&g);
-    println!("n = {}, m = {}", g.num_vertices(), g.num_edges());
-    println!("MMD lower bound:        {lo}");
-    println!("heuristic upper bound:  {hi} ({} bags)", td.num_bags());
+    out!("n = {}, m = {}", g.num_vertices(), g.num_edges());
+    out!("MMD lower bound:        {lo}");
+    out!("heuristic upper bound:  {hi} ({} bags)", td.num_bags());
     if g.num_vertices() <= treewidth::exact::MAX_EXACT_N {
         let tw = treewidth::treewidth_exact(&g);
-        println!("exact treewidth:        {tw}");
+        out!("exact treewidth:        {tw}");
     } else {
-        println!(
+        out!(
             "exact treewidth:        (skipped, n > {})",
             treewidth::exact::MAX_EXACT_N
         );
@@ -642,10 +609,10 @@ fn cmd_rho_star(args: &[String]) -> Result<(), CmdError> {
     let spec = args.first().ok_or("missing query string")?;
     let q = parse_query(spec).map_err(in_file("<query>"))?;
     let rho = agm::rho_star(&q).map_err(|e| e.to_string())?;
-    println!("query:   {spec}");
-    println!("ρ*:      {rho} (= {:.4})", rho.to_f64());
+    out!("query:   {spec}");
+    out!("ρ*:      {rho} (= {:.4})", rho.to_f64());
     for n in [1000u64, 1_000_000] {
-        println!(
+        out!(
             "AGM bound at N = {n}: {:.0} tuples",
             agm::agm_bound(&q, n).map_err(|e| e.to_string())?
         );
@@ -676,9 +643,9 @@ fn cmd_claims(args: &[String]) -> Result<(), CmdError> {
         let hyp = c
             .hypothesis
             .map_or("unconditional".to_string(), |h| h.name().to_string());
-        println!("{:<44} [{hyp}]", c.id);
-        println!("    {}", c.statement);
-        println!("    rules out: {} | witness: {}", c.rules_out, c.witness);
+        out!("{:<44} [{hyp}]", c.id);
+        out!("    {}", c.statement);
+        out!("    rules out: {} | witness: {}", c.rules_out, c.witness);
     }
     Ok(())
 }
@@ -738,7 +705,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CmdError> {
     }
     let server = lb_serve::Server::bind(cfg).map_err(|e| e.to_string())?;
     if let Some(addr) = server.local_addr() {
-        println!("listening on {addr}");
+        out!("listening on {addr}");
         use std::io::Write;
         std::io::stdout().flush().map_err(|e| e.to_string())?;
     }
@@ -792,7 +759,7 @@ fn cmd_submit(args: &[String]) -> Result<(), CmdError> {
     })
     .map(|((client, id), backoffs)| (client, id, backoffs))
     .map_err(|e| e.to_string())?;
-    println!("submitted {id}");
+    out!("submitted {id}");
     if backoffs > 0 {
         eprintln!("absorbed {backoffs} typed rejection(s) before admission");
     }
@@ -811,7 +778,7 @@ fn cmd_submit(args: &[String]) -> Result<(), CmdError> {
                 status.preemptions, status.spent
             );
             match status.verdict {
-                Some(v) => println!("{}", v.to_line()),
+                Some(v) => out!("{}", v.to_line()),
                 None => return Err(format!("{id}: done without a verdict").into()),
             }
             return Ok(());
@@ -823,7 +790,7 @@ fn cmd_submit(args: &[String]) -> Result<(), CmdError> {
                 "attempts: {}, preemptions: {}, ticks spent: {}",
                 status.attempts, status.preemptions, status.spent
             );
-            println!(
+            out!(
                 "QUARANTINED {}",
                 status
                     .evidence

@@ -270,3 +270,31 @@ fn rho_star_refuses_comma_separated_atoms() {
         stderr(&out)
     );
 }
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // 20,000 rows of `i i`: about 200 KiB of answer lines, far more than a
+    // pipe buffers, so lbtool is still writing when the reader goes away.
+    let dir = Scratch::new("closed-stdout");
+    let rows: String = (0..20_000).map(|i| format!("{i} {i}\n")).collect();
+    let db = dir.write("big.db", &format!("rel R 2\n{rows}"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lbtool"))
+        .args(["join", &db, "R(a,b)", "--print"])
+        .current_dir(&dir.0)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lbtool");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first tuple");
+    assert_eq!(first, "0 0\n");
+    // The reader is dropped here: lbtool's next writes hit a closed pipe.
+    let out = child.wait_with_output().expect("wait for lbtool");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "lbtool panicked: {err}");
+    assert_ne!(out.status.code(), Some(101), "stderr: {err}");
+}

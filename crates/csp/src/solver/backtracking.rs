@@ -12,20 +12,24 @@
 //!
 //! The search runs on an explicit frame stack structured as a micro-step
 //! machine: every counted operation applies its effect and advances the
-//! phase *before* spending the tick, so [`solve_resumable`] and
-//! [`count_resumable`] can suspend at any failed charge into a
-//! [`Checkpoint`] and later continue with the next operation — same
-//! verdict, same summed [`RunStats`] as one uninterrupted run.
+//! phase *before* spending the tick. [`CspSearch`] implements [`Resumable`]
+//! and [`Countable`], so the engine's [`find_slice`] and [`count_slice`]
+//! drivers can suspend at any failed charge into a [`Checkpoint`] and later
+//! continue with the next operation — same verdict, same summed
+//! [`RunStats`] as one uninterrupted run.
 //!
 //! [`RunStats::nodes`]: lb_engine::RunStats::nodes
 //! [`RunStats::backtracks`]: lb_engine::RunStats::backtracks
 //! [`RunStats`]: lb_engine::RunStats
+//! [`Resumable`]: lb_engine::resumable::Resumable
+//! [`Countable`]: lb_engine::resumable::Countable
+//! [`find_slice`]: lb_engine::resumable::find_slice
+//! [`count_slice`]: lb_engine::resumable::count_slice
+//! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
 use crate::instance::{Assignment, CspInstance, Value};
-use lb_engine::checkpoint::{
-    Checkpoint, CheckpointError, Digest, PayloadReader, PayloadWriter, ResumableOutcome,
-    SolverFamily,
-};
+use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
+use lb_engine::resumable::{self, Countable, Resumable};
 use lb_engine::{Budget, ExhaustReason, Outcome, RunStats, Ticker};
 
 /// Payload version of backtracking-CSP checkpoints; bumped whenever the
@@ -52,24 +56,20 @@ impl Default for BacktrackConfig {
     }
 }
 
-/// What a resumable entry point does with solutions; serialized into the
-/// checkpoint so a `count` frontier cannot silently resume as `solve`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Solve,
-    Count,
-}
-
-/// Immutable search context: the instance, the configuration, and the
-/// constraint-by-variable index (recomputed, never serialized).
-struct Ctx<'a> {
+/// Backtracking search on one instance under one configuration, as a
+/// resumable search: find mode returns a solution, count mode the number
+/// of solutions. Holds the constraint-by-variable index (recomputed, never
+/// serialized).
+#[derive(Clone, Debug)]
+pub struct CspSearch<'a> {
     inst: &'a CspInstance,
     config: BacktrackConfig,
     by_var: Vec<Vec<usize>>,
 }
 
-impl<'a> Ctx<'a> {
-    fn new(inst: &'a CspInstance, config: BacktrackConfig) -> Self {
+impl<'a> CspSearch<'a> {
+    /// The search of `inst` under `config`.
+    pub fn new(inst: &'a CspInstance, config: BacktrackConfig) -> Self {
         let mut by_var = vec![Vec::new(); inst.num_vars];
         // lb-lint: allow(unbudgeted-loop) -- one-time index construction, linear in total scope size
         for (ci, c) in inst.constraints.iter().enumerate() {
@@ -82,7 +82,7 @@ impl<'a> Ctx<'a> {
                 by_var[v].push(ci); // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
             }
         }
-        Ctx {
+        CspSearch {
             inst,
             config,
             by_var,
@@ -148,10 +148,11 @@ struct Frame {
     trail: Vec<(usize, Value)>,
 }
 
-/// The explicit-stack backtracking state. `domain_count` is derived from
-/// `domains` (and recomputed on decode).
+/// The explicit-stack backtracking state: the frontier a [`CspSearch`]
+/// checkpoints. `domain_count` is derived from `domains` (and recomputed on
+/// decode).
 #[derive(Clone, Debug)]
-struct Machine {
+pub struct Machine {
     /// `domains[v][d]` = still possible.
     domains: Vec<Vec<bool>>,
     domain_count: Vec<usize>,
@@ -160,8 +161,89 @@ struct Machine {
     phase: Phase,
 }
 
-impl Machine {
-    fn fresh(inst: &CspInstance) -> Machine {
+/// Finds one solution under `budget`: `Sat(assignment)`, `Unsat`, or
+/// `Exhausted`, plus run counters.
+pub fn solve(
+    inst: &CspInstance,
+    config: BacktrackConfig,
+    budget: &Budget,
+) -> (Outcome<Assignment>, RunStats) {
+    resumable::find(&CspSearch::new(inst, config), budget)
+}
+
+/// Counts all solutions under `budget`: `Sat(count)` (zero counts as
+/// completed) or `Exhausted`.
+pub fn count(
+    inst: &CspInstance,
+    config: BacktrackConfig,
+    budget: &Budget,
+) -> (Outcome<u64>, RunStats) {
+    resumable::count(&CspSearch::new(inst, config), budget)
+}
+
+/// Enumerates all solutions through a callback; returning `true` stops.
+/// `Sat(true)` means the visitor stopped the search, `Sat(false)` that the
+/// space was exhausted normally; `Exhausted` that the budget ran out.
+pub fn enumerate_until<F: FnMut(&[Value]) -> bool>(
+    inst: &CspInstance,
+    config: BacktrackConfig,
+    budget: &Budget,
+    mut visit: F,
+) -> (Outcome<bool>, RunStats) {
+    let ctx = CspSearch::new(inst, config);
+    let mut m = ctx.fresh();
+    let mut ticker = Ticker::new(budget);
+    let result = loop {
+        match ctx.run(&mut m, &mut ticker) {
+            Ok(Some(solution)) => {
+                if visit(&solution) {
+                    break Ok(Some(true));
+                }
+            }
+            Ok(None) => break Ok(Some(false)),
+            Err(reason) => break Err(reason),
+        }
+    };
+    ticker.finish(result)
+}
+
+impl Resumable for CspSearch<'_> {
+    type State = Machine;
+    type Answer = Assignment;
+    const FAMILY: SolverFamily = SolverFamily::CspBacktracking;
+    const PAYLOAD_VERSION: u16 = CHECKPOINT_PAYLOAD_VERSION;
+
+    /// FNV digest binding a checkpoint to (instance, configuration).
+    fn digest(&self) -> u64 {
+        let inst = self.inst;
+        let mut d = Digest::new();
+        d.str("csp-backtracking")
+            .usize(inst.num_vars)
+            .usize(inst.domain_size)
+            .usize(inst.constraints.len());
+        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
+        for c in &inst.constraints {
+            d.usize(c.scope.len());
+            // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
+            for &v in &c.scope {
+                d.usize(v);
+            }
+            d.usize(c.relation.arity()).usize(c.relation.tuples().len());
+            // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
+            for t in c.relation.tuples() {
+                // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
+                for &v in t {
+                    d.u64(u64::from(v));
+                }
+            }
+        }
+        d.u64(u64::from(self.config.mrv))
+            .u64(u64::from(self.config.forward_checking));
+        d.finish()
+    }
+
+    fn fresh(&self) -> Machine {
+        let inst = self.inst;
         Machine {
             domains: vec![vec![true; inst.domain_size]; inst.num_vars],
             domain_count: vec![inst.domain_size; inst.num_vars],
@@ -175,74 +257,74 @@ impl Machine {
     /// positioned to continue past it), exhaustion of the search space
     /// (`Ok(None)`), or a failed charge (`Err`, machine resumable).
     fn run(
-        &mut self,
-        ctx: &Ctx<'_>,
+        &self,
+        m: &mut Machine,
         ticker: &mut Ticker,
     ) -> Result<Option<Assignment>, ExhaustReason> {
         loop {
-            match self.phase {
+            match m.phase {
                 Phase::Select => {
-                    match ctx.pick_var(&self.assigned, &self.domain_count) {
+                    match self.pick_var(&m.assigned, &m.domain_count) {
                         None => {
-                            let solution: Assignment = self
+                            let solution: Assignment = m
                                 .assigned
                                 .iter()
                                 // lb-lint: allow(no-panic, panic-reachability) -- invariant: a complete solution assigns every variable
                                 .map(|a| a.expect("all assigned"))
                                 .collect();
-                            debug_assert!(ctx.inst.eval(&solution));
-                            self.phase = Phase::Unwind;
+                            debug_assert!(self.inst.eval(&solution));
+                            m.phase = Phase::Unwind;
                             return Ok(Some(solution));
                         }
-                        Some(var) => self.phase = Phase::NextValue { var, d: 0 },
+                        Some(var) => m.phase = Phase::NextValue { var, d: 0 },
                     }
                 }
                 Phase::NextValue { var, d } => {
                     let mut d = d;
                     let mut open = None;
                     // lb-lint: allow(unbudgeted-loop) -- scans at most domain_size values for the next open value; selection charges a node
-                    while (d as usize) < ctx.inst.domain_size {
+                    while (d as usize) < self.inst.domain_size {
                         // lb-lint: allow(no-unchecked-index, panic-reachability) -- var < num_vars; d < domain_size by the loop bound
-                        if self.domains[var][d as usize] {
+                        if m.domains[var][d as usize] {
                             open = Some(d);
                             break;
                         }
                         d += 1;
                     }
                     match open {
-                        None => self.phase = Phase::Unwind,
+                        None => m.phase = Phase::Unwind,
                         Some(d) => {
-                            self.frames.push(Frame {
+                            m.frames.push(Frame {
                                 var,
                                 d,
                                 trail: Vec::new(),
                             });
-                            ticker.record_intermediate(self.frames.len() as u64);
-                            self.assigned[var] = Some(d); // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
-                            self.phase = Phase::Consist;
+                            ticker.record_intermediate(m.frames.len() as u64);
+                            m.assigned[var] = Some(d); // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
+                            m.phase = Phase::Consist;
                             ticker.node()?;
                         }
                     }
                 }
                 Phase::Consist => {
-                    let Some(frame) = self.frames.last() else {
+                    let Some(frame) = m.frames.last() else {
                         // Unreachable from valid transitions; recover by
                         // unwinding rather than panicking.
-                        self.phase = Phase::Unwind;
+                        m.phase = Phase::Unwind;
                         continue;
                     };
                     let var = frame.var;
-                    self.phase = if !ctx.consistent_after(&self.assigned, var) {
+                    m.phase = if !self.consistent_after(&m.assigned, var) {
                         Phase::Unwind
-                    } else if ctx.config.forward_checking {
+                    } else if self.config.forward_checking {
                         Phase::ForwardCheck { ci_idx: 0, d: 0 }
                     } else {
                         Phase::Select
                     };
                 }
                 Phase::ForwardCheck { ci_idx, d } => {
-                    let Some(frame) = self.frames.last() else {
-                        self.phase = Phase::Unwind;
+                    let Some(frame) = m.frames.last() else {
+                        m.phase = Phase::Unwind;
                         continue;
                     };
                     let var = frame.var;
@@ -250,18 +332,18 @@ impl Machine {
                     let mut d = d;
                     loop {
                         // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
-                        let Some(&ci) = ctx.by_var[var].get(ci_idx) else {
-                            self.phase = Phase::Select;
+                        let Some(&ci) = self.by_var[var].get(ci_idx) else {
+                            m.phase = Phase::Select;
                             break;
                         };
-                        let c = &ctx.inst.constraints[ci]; // lb-lint: allow(no-unchecked-index, panic-reachability) -- by_var holds constraint indices from enumerate()
-                                                           // Exactly one unassigned scope variable?
+                        let c = &self.inst.constraints[ci]; // lb-lint: allow(no-unchecked-index, panic-reachability) -- by_var holds constraint indices from enumerate()
+                                                            // Exactly one unassigned scope variable?
                         let mut unassigned_var = None;
                         let mut multiple = false;
                         // lb-lint: allow(unbudgeted-loop) -- scans one constraint scope; bounded by arity
                         for &v in &c.scope {
                             // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
-                            if self.assigned[v].is_none() {
+                            if m.assigned[v].is_none() {
                                 match unassigned_var {
                                     None => unassigned_var = Some(v),
                                     Some(u) if u == v => {}
@@ -278,24 +360,24 @@ impl Machine {
                             continue;
                         };
                         // Prune values of u not extendable to an allowed tuple.
-                        while (d as usize) < ctx.inst.domain_size {
+                        while (d as usize) < self.inst.domain_size {
                             // lb-lint: allow(no-unchecked-index, panic-reachability) -- u < num_vars; d ranges over 0..domain_size = the row length
-                            if self.domains[u][d as usize] {
+                            if m.domains[u][d as usize] {
                                 let t: Vec<Value> = c
                                     .scope
                                     .iter()
-                                    .map(|&v| self.assigned[v].unwrap_or(d)) // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
+                                    .map(|&v| m.assigned[v].unwrap_or(d)) // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
                                     .collect();
                                 if !c.relation.allows(&t) {
                                     // lb-lint: allow(no-unchecked-index, panic-reachability) -- u < num_vars; d < domain_size by the loop bound
-                                    self.domains[u][d as usize] = false;
-                                    self.domain_count[u] -= 1; // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
-                                    if let Some(top) = self.frames.last_mut() {
+                                    m.domains[u][d as usize] = false;
+                                    m.domain_count[u] -= 1; // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
+                                    if let Some(top) = m.frames.last_mut() {
                                         top.trail.push((u, d));
                                         ticker.record_intermediate(top.trail.len() as u64);
                                     }
                                     d += 1;
-                                    self.phase = Phase::ForwardCheck { ci_idx, d };
+                                    m.phase = Phase::ForwardCheck { ci_idx, d };
                                     ticker.backtrack()?;
                                     continue;
                                 }
@@ -303,15 +385,15 @@ impl Machine {
                             d += 1;
                         }
                         // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
-                        if self.domain_count[u] == 0 {
-                            self.phase = Phase::Unwind;
+                        if m.domain_count[u] == 0 {
+                            m.phase = Phase::Unwind;
                             break;
                         }
                         ci_idx += 1;
                         d = 0;
                     }
                 }
-                Phase::Unwind => match self.frames.pop() {
+                Phase::Unwind => match m.frames.pop() {
                     None => return Ok(None),
                     Some(frame) => {
                         // lb-lint: allow(unbudgeted-loop) -- undoes one frame's trail; entries were charged when pruned
@@ -319,13 +401,13 @@ impl Machine {
                             // Restore idempotently: a hostile (but
                             // checksummed) trail must not corrupt counts.
                             // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
-                            if !self.domains[v][dv as usize] {
-                                self.domains[v][dv as usize] = true; // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
-                                self.domain_count[v] += 1; // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
+                            if !m.domains[v][dv as usize] {
+                                m.domains[v][dv as usize] = true; // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
+                                m.domain_count[v] += 1; // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
                             }
                         }
-                        self.assigned[frame.var] = None; // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
-                        self.phase = Phase::NextValue {
+                        m.assigned[frame.var] = None; // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
+                        m.phase = Phase::NextValue {
                             var: frame.var,
                             d: frame.d + 1,
                         };
@@ -335,40 +417,23 @@ impl Machine {
         }
     }
 
-    fn encode(&self, digest: u64, mode: Mode, count: u64) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        w.u64(digest)
-            .u8(match mode {
-                Mode::Solve => 0,
-                Mode::Count => 1,
-            })
-            .u64(count)
-            .usize(self.domains.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for row in &self.domains {
-            w.usize(row.len());
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-            for &b in row {
+    fn encode(&self, m: &Machine, w: &mut PayloadWriter) {
+        w.seq(&m.domains, |w, row| {
+            w.seq(row, |w, &b| {
                 w.bool(b);
-            }
-        }
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for a in &self.assigned {
-            w.u64(match a {
-                None => 0,
-                Some(v) => u64::from(*v) + 1,
             });
-        }
-        w.usize(self.frames.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for frame in &self.frames {
-            w.usize(frame.var).u32(frame.d).usize(frame.trail.len());
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-            for &(v, d) in &frame.trail {
-                w.usize(v).u32(d);
-            }
-        }
-        match self.phase {
+        })
+        .each(&m.assigned, |w, a| {
+            w.u64(a.map_or(0, |v| u64::from(v) + 1));
+        })
+        .seq(&m.frames, |w, frame| {
+            w.usize(frame.var)
+                .u32(frame.d)
+                .seq(&frame.trail, |w, &(v, d)| {
+                    w.usize(v).u32(d);
+                });
+        });
+        match m.phase {
             Phase::Select => {
                 w.u8(0);
             }
@@ -385,103 +450,30 @@ impl Machine {
                 w.u8(4);
             }
         }
-        w.finish()
     }
 
-    /// Decodes and validates a frontier against `ctx`. Returns the machine
-    /// plus the running solution count recorded by `count_resumable`.
-    fn decode(
-        ctx: &Ctx<'_>,
-        digest: u64,
-        mode: Mode,
-        ck: &Checkpoint,
-    ) -> Result<(Machine, u64), CheckpointError> {
-        ck.verify(SolverFamily::CspBacktracking, CHECKPOINT_PAYLOAD_VERSION)?;
-        let fam = SolverFamily::CspBacktracking;
-        let mut r = PayloadReader::new(ck.payload());
-        let found = r.u64()?;
-        if found != digest {
-            return Err(CheckpointError::InstanceMismatch {
-                family: fam,
-                expected: digest,
-                found,
-            });
-        }
-        let mode_at = r.offset();
-        let stored_mode = match r.u8()? {
-            0 => Mode::Solve,
-            1 => Mode::Count,
-            b => {
-                return Err(CheckpointError::Malformed {
-                    what: format!("invalid mode byte {b}"),
-                    offset: mode_at,
-                })
-            }
-        };
-        if stored_mode != mode {
-            return Err(CheckpointError::Malformed {
-                what: format!(
-                    "checkpoint was taken by a {} run, cannot resume as {}",
-                    if stored_mode == Mode::Solve {
-                        "solve"
-                    } else {
-                        "count"
-                    },
-                    if mode == Mode::Solve {
-                        "solve"
-                    } else {
-                        "count"
-                    },
-                ),
-                offset: mode_at,
-            });
-        }
-        let count = r.u64()?;
-        let n = ctx.inst.num_vars;
-        let ds = ctx.inst.domain_size;
-        let stored_n = r.usize()?;
-        if stored_n != n {
-            return Err(CheckpointError::Malformed {
-                what: format!("checkpoint has {stored_n} variables, instance has {n}"),
-                offset: r.offset(),
-            });
-        }
-        let mut domains = Vec::with_capacity(n);
-        let mut domain_count = Vec::with_capacity(n);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..n {
-            let row_at = r.offset();
-            let row_len = r.usize()?;
-            if row_len != ds {
-                return Err(CheckpointError::Malformed {
-                    what: format!("domain row of {row_len} values, instance domain size is {ds}"),
-                    offset: row_at,
-                });
-            }
-            let mut row = Vec::with_capacity(ds);
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-            for _ in 0..ds {
-                row.push(r.bool()?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            }
-            domain_count.push(row.iter().filter(|&&b| b).count()); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            domains.push(row); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-        }
-        let mut assigned = Vec::with_capacity(n);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..n {
+    /// Decodes and validates a frontier against the instance.
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Result<Machine, CheckpointError> {
+        let n = self.inst.num_vars;
+        let ds = self.inst.domain_size;
+        let domains = r.seq(n..=n, 8, "domain rows", |r, _| {
+            r.seq(ds..=ds, 1, "domain row", |r, _| r.bool())
+        })?;
+        let domain_count = domains
+            .iter()
+            .map(|row| row.iter().filter(|&&b| b).count())
+            .collect();
+        let assigned = r.items(0..n, 8, "assignment", |r, _| {
             let at = r.offset();
-            let v = r.u64()?;
-            if v == 0 {
-                assigned.push(None); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            } else if v - 1 < ds as u64 {
-                assigned.push(Some((v - 1) as Value)); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            } else {
-                return Err(CheckpointError::Malformed {
+            match r.u64()? {
+                0 => Ok(None),
+                v if v - 1 < ds as u64 => Ok(Some((v - 1) as Value)),
+                v => Err(CheckpointError::Malformed {
                     what: format!("assigned value {} out of domain (< {ds} required)", v - 1),
                     offset: at,
-                });
+                }),
             }
-        }
+        })?;
         let read_value = |r: &mut PayloadReader<'_>| -> Result<Value, CheckpointError> {
             let at = r.offset();
             let d = r.u32()?;
@@ -494,22 +486,14 @@ impl Machine {
                 })
             }
         };
-        let frame_count = r.seq_len(20, "frame stack")?;
-        let mut frames = Vec::with_capacity(frame_count);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..frame_count {
+        let frames = r.seq(.., 20, "frame stack", |r, _| {
             let var = r.usize_below(n, "frame var")?;
-            let d = read_value(&mut r)?;
-            let trail_len = r.seq_len(12, "prune trail")?;
-            let mut trail = Vec::with_capacity(trail_len);
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-            for _ in 0..trail_len {
-                let v = r.usize_below(n, "trail var")?;
-                let dv = read_value(&mut r)?;
-                trail.push((v, dv)); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            }
-            frames.push(Frame { var, d, trail }); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-        }
+            let d = read_value(r)?;
+            let trail = r.seq(.., 12, "prune trail", |r, _| {
+                Ok((r.usize_below(n, "trail var")?, read_value(r)?))
+            })?;
+            Ok(Frame { var, d, trail })
+        })?;
         let tag_at = r.offset();
         let phase = match r.u8()? {
             0 => Phase::Select,
@@ -535,8 +519,8 @@ impl Machine {
                             what: "forward-check phase with an empty frame stack".into(),
                             offset: tag_at,
                         })?;
-                // lb-lint: allow(no-unchecked-index, panic-reachability) -- top_var came from a decoded frame validated < num_vars
-                let ci_idx = r.usize_at_most(ctx.by_var[top_var].len(), "constraint cursor")?;
+                let constraints = self.by_var.get(top_var).map_or(0, Vec::len);
+                let ci_idx = r.usize_at_most(constraints, "constraint cursor")?;
                 let at = r.offset();
                 let d = r.u32()?;
                 if (d as usize) > ds {
@@ -561,190 +545,17 @@ impl Machine {
                 offset: tag_at,
             });
         }
-        r.finish()?;
-        Ok((
-            Machine {
-                domains,
-                domain_count,
-                assigned,
-                frames,
-                phase,
-            },
-            count,
-        ))
+        Ok(Machine {
+            domains,
+            domain_count,
+            assigned,
+            frames,
+            phase,
+        })
     }
 }
 
-/// FNV digest binding a checkpoint to (instance, configuration).
-fn instance_digest(inst: &CspInstance, config: BacktrackConfig) -> u64 {
-    let mut d = Digest::new();
-    d.str("csp-backtracking")
-        .usize(inst.num_vars)
-        .usize(inst.domain_size)
-        .usize(inst.constraints.len());
-    // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
-    for c in &inst.constraints {
-        d.usize(c.scope.len());
-        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
-        for &v in &c.scope {
-            d.usize(v);
-        }
-        d.usize(c.relation.arity()).usize(c.relation.tuples().len());
-        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
-        for t in c.relation.tuples() {
-            // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in instance size; runs once per resume
-            for &v in t {
-                d.u64(u64::from(v));
-            }
-        }
-    }
-    d.u64(u64::from(config.mrv))
-        .u64(u64::from(config.forward_checking));
-    d.finish()
-}
-
-/// Finds one solution under `budget`: `Sat(assignment)`, `Unsat`, or
-/// `Exhausted`, plus run counters.
-pub fn solve(
-    inst: &CspInstance,
-    config: BacktrackConfig,
-    budget: &Budget,
-) -> (Outcome<Assignment>, RunStats) {
-    if inst.domain_size == 0 && inst.num_vars > 0 {
-        return (Outcome::Unsat, RunStats::default());
-    }
-    let ctx = Ctx::new(inst, config);
-    let mut m = Machine::fresh(inst);
-    let mut ticker = Ticker::new(budget);
-    let result = m.run(&ctx, &mut ticker);
-    ticker.finish(result)
-}
-
-/// Counts all solutions under `budget`: `Sat(count)` (zero counts as
-/// completed) or `Exhausted`.
-pub fn count(
-    inst: &CspInstance,
-    config: BacktrackConfig,
-    budget: &Budget,
-) -> (Outcome<u64>, RunStats) {
-    if inst.domain_size == 0 && inst.num_vars > 0 {
-        return (Outcome::Sat(0), RunStats::default());
-    }
-    let ctx = Ctx::new(inst, config);
-    let mut m = Machine::fresh(inst);
-    let mut ticker = Ticker::new(budget);
-    let mut n = 0u64;
-    let result = loop {
-        match m.run(&ctx, &mut ticker) {
-            Ok(Some(_)) => n += 1,
-            Ok(None) => break Ok(Some(n)),
-            Err(reason) => break Err(reason),
-        }
-    };
-    ticker.finish(result)
-}
-
-/// Enumerates all solutions through a callback; returning `true` stops.
-/// `Sat(true)` means the visitor stopped the search, `Sat(false)` that the
-/// space was exhausted normally; `Exhausted` that the budget ran out.
-pub fn enumerate_until<F: FnMut(&[Value]) -> bool>(
-    inst: &CspInstance,
-    config: BacktrackConfig,
-    budget: &Budget,
-    mut visit: F,
-) -> (Outcome<bool>, RunStats) {
-    if inst.domain_size == 0 && inst.num_vars > 0 {
-        return (Outcome::Sat(false), RunStats::default());
-    }
-    let ctx = Ctx::new(inst, config);
-    let mut m = Machine::fresh(inst);
-    let mut ticker = Ticker::new(budget);
-    let result = loop {
-        match m.run(&ctx, &mut ticker) {
-            Ok(Some(solution)) => {
-                if visit(&solution) {
-                    break Ok(Some(true));
-                }
-            }
-            Ok(None) => break Ok(Some(false)),
-            Err(reason) => break Err(reason),
-        }
-    };
-    ticker.finish(result)
-}
-
-/// Like [`solve`], but exhaustion is a *pause*: a
-/// [`ResumableOutcome::Suspended`] carries a [`Checkpoint`] which, passed
-/// back as `from`, continues exactly where the run stopped.
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn solve_resumable(
-    inst: &CspInstance,
-    config: BacktrackConfig,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<Assignment>, RunStats), CheckpointError> {
-    if inst.domain_size == 0 && inst.num_vars > 0 {
-        return Ok((ResumableOutcome::Unsat, RunStats::default()));
-    }
-    let ctx = Ctx::new(inst, config);
-    let digest = instance_digest(inst, config);
-    let mut m = match from {
-        Some(ck) => Machine::decode(&ctx, digest, Mode::Solve, ck)?.0,
-        None => Machine::fresh(inst),
-    };
-    let mut ticker = Ticker::new(budget);
-    let outcome = match m.run(&ctx, &mut ticker) {
-        Ok(Some(solution)) => ResumableOutcome::Sat(solution),
-        Ok(None) => ResumableOutcome::Unsat,
-        Err(reason) => ResumableOutcome::Suspended {
-            reason,
-            checkpoint: Checkpoint::new(
-                SolverFamily::CspBacktracking,
-                CHECKPOINT_PAYLOAD_VERSION,
-                m.encode(digest, Mode::Solve, 0),
-            ),
-        },
-    };
-    Ok((outcome, ticker.stats()))
-}
-
-/// Like [`count`], but exhaustion is a *pause*: the running solution count
-/// is part of the checkpoint, so chained resumes sum to the one-shot count.
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn count_resumable(
-    inst: &CspInstance,
-    config: BacktrackConfig,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<u64>, RunStats), CheckpointError> {
-    if inst.domain_size == 0 && inst.num_vars > 0 {
-        return Ok((ResumableOutcome::Sat(0), RunStats::default()));
-    }
-    let ctx = Ctx::new(inst, config);
-    let digest = instance_digest(inst, config);
-    let (mut m, mut n) = match from {
-        Some(ck) => Machine::decode(&ctx, digest, Mode::Count, ck)?,
-        None => (Machine::fresh(inst), 0),
-    };
-    let mut ticker = Ticker::new(budget);
-    let outcome = loop {
-        match m.run(&ctx, &mut ticker) {
-            Ok(Some(_)) => n += 1,
-            Ok(None) => break ResumableOutcome::Sat(n),
-            Err(reason) => {
-                break ResumableOutcome::Suspended {
-                    reason,
-                    checkpoint: Checkpoint::new(
-                        SolverFamily::CspBacktracking,
-                        CHECKPOINT_PAYLOAD_VERSION,
-                        m.encode(digest, Mode::Count, n),
-                    ),
-                }
-            }
-        }
-    };
-    Ok((outcome, ticker.stats()))
-}
+impl Countable for CspSearch<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -866,8 +677,6 @@ mod tests {
         for cfg in all_configs() {
             assert!(solve(&inst, cfg, &Budget::unlimited()).0.is_unsat());
             assert_eq!(count(&inst, cfg, &Budget::unlimited()).0.unwrap_sat(), 0);
-            let (out, _) = count_resumable(&inst, cfg, &Budget::unlimited(), None).unwrap();
-            assert_eq!(out, ResumableOutcome::Sat(0));
         }
     }
 
@@ -897,59 +706,5 @@ mod tests {
         let (full, big) = count(&inst, BacktrackConfig::default(), &Budget::unlimited());
         assert!(full.is_sat());
         assert!(small.le(&big));
-    }
-
-    #[test]
-    fn sliced_resume_matches_one_shot_count() {
-        for seed in 0..6u64 {
-            let g = lb_graph::generators::gnp(6, 0.5, seed);
-            let inst = generators::random_binary_csp(&g, 3, 0.4, seed);
-            for cfg in all_configs() {
-                let (one_shot, full) = count(&inst, cfg, &Budget::unlimited());
-                let mut from: Option<Checkpoint> = None;
-                let mut summed = RunStats::default();
-                let sliced = loop {
-                    let (out, stats) =
-                        count_resumable(&inst, cfg, &Budget::ticks(5), from.as_ref())
-                            .expect("clean resume");
-                    summed.absorb(&stats);
-                    match out {
-                        ResumableOutcome::Suspended { checkpoint, .. } => {
-                            let bytes = checkpoint.to_bytes();
-                            from = Some(Checkpoint::from_bytes(&bytes).expect("round trip"));
-                        }
-                        done => break done.into_outcome(),
-                    }
-                };
-                assert_eq!(sliced, one_shot, "seed {seed}, cfg {cfg:?}");
-                assert_eq!(summed, full, "seed {seed}, cfg {cfg:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn mode_confusion_is_rejected() {
-        let g = lb_graph::generators::gnp(6, 0.5, 2);
-        let inst = generators::random_binary_csp(&g, 3, 0.4, 2);
-        let cfg = BacktrackConfig::default();
-        let (out, _) = count_resumable(&inst, cfg, &Budget::ticks(2), None).unwrap();
-        let ck = out.checkpoint().expect("suspended").clone();
-        let err = solve_resumable(&inst, cfg, &Budget::unlimited(), Some(&ck)).unwrap_err();
-        assert!(matches!(err, CheckpointError::Malformed { .. }), "{err}");
-    }
-
-    #[test]
-    fn config_change_is_rejected() {
-        let g = lb_graph::generators::gnp(6, 0.5, 3);
-        let inst = generators::random_binary_csp(&g, 3, 0.4, 3);
-        let (out, _) =
-            solve_resumable(&inst, BacktrackConfig::default(), &Budget::ticks(2), None).unwrap();
-        let ck = out.checkpoint().expect("suspended").clone();
-        let other = BacktrackConfig {
-            mrv: false,
-            forward_checking: false,
-        };
-        let err = solve_resumable(&inst, other, &Budget::unlimited(), Some(&ck)).unwrap_err();
-        assert!(matches!(err, CheckpointError::InstanceMismatch { .. }));
     }
 }

@@ -4,8 +4,9 @@
 //! multi-tenant load the engine's [`Budget`](crate::Budget) preempts runs,
 //! and before this module a preemption *discarded* all work done: the only
 //! artifact of an exhausted run was `Outcome::Exhausted(reason)`. This
-//! module turns exhaustion into a pause. A solver's `solve_resumable` entry
-//! point returns a [`ResumableOutcome`]: either a final verdict, or
+//! module turns exhaustion into a pause. A slice of a resumable search (the
+//! [`resumable`](crate::resumable) drivers) returns a [`ResumableOutcome`]:
+//! either a final verdict, or
 //! `Suspended { reason, checkpoint }` where the [`Checkpoint`] captures the
 //! exact search frontier — DPLL decision stack + assignment, CSP
 //! backtracking state, WCOJ trie-iterator positions, triangle/clique loop
@@ -829,14 +830,6 @@ impl<W> ResumableOutcome<W> {
         matches!(self, ResumableOutcome::Suspended { .. })
     }
 
-    /// The checkpoint, if suspended.
-    pub fn checkpoint(&self) -> Option<&Checkpoint> {
-        match self {
-            ResumableOutcome::Suspended { checkpoint, .. } => Some(checkpoint),
-            _ => None,
-        }
-    }
-
     /// Converts to a plain [`Outcome`](crate::Outcome), discarding any
     /// checkpoint.
     pub fn into_outcome(self) -> crate::Outcome<W> {
@@ -901,13 +894,32 @@ impl PayloadWriter {
         self.u64(v as u64)
     }
 
-    /// Appends a length-prefixed sequence of usizes.
-    pub fn seq_usize(&mut self, vs: &[usize]) -> &mut Self {
-        self.usize(vs.len());
-        for &v in vs {
-            self.usize(v);
+    /// Appends each item with `put`, with no length prefix: the reader
+    /// knows the count from the instance or from what it decoded before
+    /// ([`PayloadReader::items`]).
+    pub fn each<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        for item in items {
+            put(self, item);
         }
         self
+    }
+
+    /// Appends a length-prefixed sequence, each item with `put`
+    /// ([`PayloadReader::seq`] reads it back).
+    pub fn seq<T>(&mut self, items: &[T], put: impl FnMut(&mut Self, &T)) -> &mut Self {
+        self.usize(items.len());
+        self.each(items, put)
+    }
+
+    /// Appends a length-prefixed sequence of usizes.
+    pub fn seq_usize(&mut self, vs: &[usize]) -> &mut Self {
+        self.seq(vs, |w, &v| {
+            w.usize(v);
+        })
     }
 
     /// The encoded payload.
@@ -1026,12 +1038,15 @@ impl<'a> PayloadReader<'a> {
         Ok(v)
     }
 
-    /// Reads a sequence length, guarding against lengths that could not
-    /// possibly fit in the remaining bytes (each element needs at least
-    /// `min_elem_bytes`).
-    pub fn seq_len(&mut self, min_elem_bytes: usize, what: &str) -> Result<usize, CheckpointError> {
-        let at = self.pos;
-        let n = self.usize()?;
+    /// Errors unless `n` elements of at least `min_elem_bytes` each fit in
+    /// the bytes that remain; `at` is the offset the error names.
+    fn fits(
+        &self,
+        n: usize,
+        min_elem_bytes: usize,
+        what: &str,
+        at: usize,
+    ) -> Result<(), CheckpointError> {
         let remaining = self.bytes.len() - self.pos;
         if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
             return Err(CheckpointError::Malformed {
@@ -1041,7 +1056,60 @@ impl<'a> PayloadReader<'a> {
                 offset: at,
             });
         }
+        Ok(())
+    }
+
+    /// Reads a sequence length, guarding against lengths that could not
+    /// possibly fit in the remaining bytes (each element needs at least
+    /// `min_elem_bytes`).
+    pub fn seq_len(&mut self, min_elem_bytes: usize, what: &str) -> Result<usize, CheckpointError> {
+        let at = self.pos;
+        let n = self.usize()?;
+        self.fits(n, min_elem_bytes, what, at)?;
         Ok(n)
+    }
+
+    /// Reads one item per key with `get`, once that many items of at least
+    /// `min_elem_bytes` each are known to fit in the remaining bytes: the
+    /// reading side of [`PayloadWriter::each`], for a count the reader
+    /// already knows (`0..n`, or the entries a decoded list names). Nothing
+    /// is allocated for a count the payload cannot hold.
+    pub fn items<K, T>(
+        &mut self,
+        keys: impl ExactSizeIterator<Item = K>,
+        min_elem_bytes: usize,
+        what: &str,
+        mut get: impl FnMut(&mut Self, K) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        self.fits(keys.len(), min_elem_bytes, what, self.pos)?;
+        let mut out = Vec::with_capacity(keys.len());
+        for key in keys {
+            out.push(get(self, key)?);
+        }
+        Ok(out)
+    }
+
+    /// Reads a length-prefixed sequence ([`PayloadWriter::seq`]): the length
+    /// must lie in `lens` (the bound the instance sets: `n..=n` for a count
+    /// it fixes, `..=k` for a stack at most `k` deep, `..` for none) and
+    /// pass [`seq_len`](Self::seq_len)'s remaining-bytes bound; then each
+    /// item is read with `get`, which also receives its index.
+    pub fn seq<T>(
+        &mut self,
+        lens: impl std::ops::RangeBounds<usize> + fmt::Debug,
+        min_elem_bytes: usize,
+        what: &str,
+        get: impl FnMut(&mut Self, usize) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let at = self.pos;
+        let n = self.seq_len(min_elem_bytes, what)?;
+        if !lens.contains(&n) {
+            return Err(CheckpointError::Malformed {
+                what: format!("{what} length {n} out of range ({lens:?} required)"),
+                offset: at,
+            });
+        }
+        self.items(0..n, min_elem_bytes, what, get)
     }
 
     /// Asserts the payload is fully consumed.
@@ -1224,6 +1292,36 @@ mod tests {
     }
 
     #[test]
+    fn sequences_round_trip_within_their_bounds() {
+        let mut w = PayloadWriter::new();
+        w.seq(&[3u64, 4], |w, &v| {
+            w.u64(v);
+        })
+        .each([true, false], |w, b| {
+            w.bool(b);
+        });
+        let payload = w.finish();
+        let mut r = PayloadReader::new(&payload);
+        assert_eq!(r.seq(..=2, 8, "xs", |r, _| r.u64()).unwrap(), vec![3, 4]);
+        assert_eq!(
+            r.items(0..2, 1, "flags", |r, _| r.bool()).unwrap(),
+            [true, false]
+        );
+        r.finish().unwrap();
+        // Longer than the instance allows, or than the bytes left can hold.
+        let mut r = PayloadReader::new(&payload);
+        assert!(matches!(
+            r.seq(..=1, 8, "xs", |r, _| r.u64()),
+            Err(CheckpointError::Malformed { offset: 0, .. })
+        ));
+        let mut r = PayloadReader::new(&payload);
+        assert!(matches!(
+            r.items(0..4, 8, "ys", |r, _| r.u64()),
+            Err(CheckpointError::Malformed { .. })
+        ));
+    }
+
+    #[test]
     fn save_load_round_trip_and_io_errors() {
         let dir = std::env::temp_dir().join(format!("lbck-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1344,7 +1442,6 @@ mod tests {
             checkpoint: sample(),
         };
         assert!(p.is_suspended());
-        assert!(p.checkpoint().is_some());
         assert!(p.into_outcome().is_exhausted());
     }
 }

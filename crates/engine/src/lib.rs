@@ -74,6 +74,7 @@
 pub mod checkpoint;
 pub mod fault;
 pub mod parse;
+pub mod resumable;
 
 pub use checkpoint::{
     atomic_write, cleanup_artifacts, exhaustion_diagnostic, tmp_sibling, Checkpoint,

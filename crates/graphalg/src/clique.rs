@@ -18,22 +18,26 @@
 //!
 //! The branch-and-prune enumeration runs on an explicit frame stack (one
 //! candidate list + cursor per level of the partial clique) and applies
-//! each extension's effect before spending the tick, so
-//! [`find_clique_resumable`] and [`count_cliques_resumable`] can suspend
-//! any failed charge into a [`Checkpoint`] and continue later — same
-//! verdict, same summed [`RunStats`] as an uninterrupted run. The
-//! Nešetřil–Poljak detector is deliberately *not* resumable: its progress
-//! lives inside whole matrix multiplies.
+//! each extension's effect before spending the tick. [`CliqueSearch`]
+//! implements [`Resumable`] and [`Countable`], so the engine's
+//! [`find_slice`] and [`count_slice`] drivers can suspend any failed charge
+//! into a [`Checkpoint`] and continue later — same verdict, same summed
+//! [`RunStats`] as an uninterrupted run. The Nešetřil–Poljak detector is
+//! deliberately *not* resumable: its progress lives inside whole matrix
+//! multiplies.
 //!
 //! [`RunStats::nodes`]: lb_engine::RunStats::nodes
 //! [`RunStats::propagations`]: lb_engine::RunStats::propagations
 //! [`RunStats`]: lb_engine::RunStats
+//! [`Resumable`]: lb_engine::resumable::Resumable
+//! [`Countable`]: lb_engine::resumable::Countable
+//! [`find_slice`]: lb_engine::resumable::find_slice
+//! [`count_slice`]: lb_engine::resumable::count_slice
+//! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
 use crate::triangle::find_triangle_matmul;
-use lb_engine::checkpoint::{
-    Checkpoint, CheckpointError, Digest, PayloadReader, PayloadWriter, ResumableOutcome,
-    SolverFamily,
-};
+use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
+use lb_engine::resumable::{self, Countable, Resumable};
 use lb_engine::{Budget, ExhaustReason, Outcome, RunStats, Ticker};
 use lb_graph::Graph;
 
@@ -58,19 +62,55 @@ enum Phase {
     Emit,
 }
 
-/// The explicit-stack enumeration state. Invariant: in `Step`,
-/// `frames.len() == current.len() + 1` (or both empty once finished); in
-/// `Emit`, `current.len() == k` and no frame was opened for the full level.
+/// The explicit-stack enumeration state: the frontier a [`CliqueSearch`]
+/// checkpoints. Invariant: in `Step`, `frames.len() == current.len() + 1`
+/// (or both empty once finished); in `Emit`, `current.len() == k` and no
+/// frame was opened for the full level.
 #[derive(Clone, Debug)]
-struct Machine {
+pub struct Machine {
     current: Vec<usize>,
     frames: Vec<Frame>,
     phase: Phase,
 }
 
-impl Machine {
-    fn fresh(g: &Graph, k: usize) -> Machine {
-        if k == 0 {
+/// Branch-and-prune k-clique enumeration on one graph, as a resumable
+/// search: find mode returns a k-clique (vertices ascending), count mode
+/// the number of k-cliques.
+#[derive(Clone, Copy, Debug)]
+pub struct CliqueSearch<'a> {
+    g: &'a Graph,
+    k: usize,
+}
+
+impl<'a> CliqueSearch<'a> {
+    /// The search for k-cliques of `g`.
+    pub fn new(g: &'a Graph, k: usize) -> CliqueSearch<'a> {
+        CliqueSearch { g, k }
+    }
+}
+
+impl Resumable for CliqueSearch<'_> {
+    type State = Machine;
+    type Answer = Vec<usize>;
+    const FAMILY: SolverFamily = SolverFamily::CliqueEnum;
+    const PAYLOAD_VERSION: u16 = CHECKPOINT_PAYLOAD_VERSION;
+
+    /// FNV digest binding a checkpoint to (graph, k).
+    fn digest(&self) -> u64 {
+        let mut d = Digest::new();
+        d.str("clique-enum");
+        d.usize(self.g.num_vertices())
+            .usize(self.g.num_edges())
+            .usize(self.k);
+        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in the edge list; runs once per resume
+        for (u, v) in self.g.edges() {
+            d.usize(u).usize(v);
+        }
+        d.finish()
+    }
+
+    fn fresh(&self) -> Machine {
+        if self.k == 0 {
             // The empty clique always exists: emit it, then finish.
             return Machine {
                 current: Vec::new(),
@@ -81,7 +121,7 @@ impl Machine {
         Machine {
             current: Vec::new(),
             frames: vec![Frame {
-                cands: (0..g.num_vertices()).collect(),
+                cands: (0..self.g.num_vertices()).collect(),
                 pos: 0,
             }],
             phase: Phase::Step,
@@ -92,44 +132,44 @@ impl Machine {
     /// ascending, machine positioned to continue past it), the end of the
     /// search (`Ok(None)`), or a failed charge (`Err`, resumable).
     fn run(
-        &mut self,
-        g: &Graph,
-        k: usize,
+        &self,
+        m: &mut Machine,
         ticker: &mut Ticker,
     ) -> Result<Option<Vec<usize>>, ExhaustReason> {
+        let (g, k) = (self.g, self.k);
         loop {
-            match self.phase {
+            match m.phase {
                 Phase::Emit => {
-                    let out = self.current.clone();
+                    let out = m.current.clone();
                     // Position past the clique: drop its last vertex and
                     // continue scanning the frame that produced it.
-                    self.current.pop();
-                    self.phase = Phase::Step;
+                    m.current.pop();
+                    m.phase = Phase::Step;
                     return Ok(Some(out));
                 }
                 Phase::Step => {
-                    let Some(frame) = self.frames.last_mut() else {
+                    let Some(frame) = m.frames.last_mut() else {
                         return Ok(None);
                     };
-                    let need = k - self.current.len();
+                    let need = k - m.current.len();
                     if frame.cands.len() < need {
                         // Prune: too few candidates left (uncharged, as in
                         // the recursive formulation).
-                        self.frames.pop();
-                        self.current.pop();
+                        m.frames.pop();
+                        m.current.pop();
                         continue;
                     }
                     let Some(&v) = frame.cands.get(frame.pos) else {
                         // Frame exhausted: ascend (uncharged).
-                        self.frames.pop();
-                        self.current.pop();
+                        m.frames.pop();
+                        m.current.pop();
                         continue;
                     };
                     frame.pos += 1;
-                    self.current.push(v);
-                    ticker.record_intermediate(self.current.len() as u64);
-                    if self.current.len() == k {
-                        self.phase = Phase::Emit;
+                    m.current.push(v);
+                    ticker.record_intermediate(m.current.len() as u64);
+                    if m.current.len() == k {
+                        m.phase = Phase::Emit;
                         ticker.node()?;
                         continue;
                     }
@@ -137,7 +177,7 @@ impl Machine {
                     // full intersection is kept (the prune above counts
                     // vertices below the scan start, matching the
                     // recursion); the cursor skips to the first above `v`.
-                    let cands: Vec<usize> = self
+                    let cands: Vec<usize> = m
                         .frames
                         .last()
                         .map(|f| {
@@ -149,77 +189,34 @@ impl Machine {
                         })
                         .unwrap_or_default();
                     let pos = cands.partition_point(|&x| x <= v);
-                    self.frames.push(Frame { cands, pos });
-                    ticker.record_intermediate(self.frames.len() as u64);
+                    m.frames.push(Frame { cands, pos });
+                    ticker.record_intermediate(m.frames.len() as u64);
                     ticker.node()?;
                 }
             }
         }
     }
 
-    fn encode(&self, digest: u64, mode: u8, n: u64) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        w.u64(digest).u8(mode).u64(n);
-        w.seq_usize(&self.current);
-        w.usize(self.frames.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for f in &self.frames {
-            w.seq_usize(&f.cands);
-            w.usize(f.pos);
-        }
-        w.u8(match self.phase {
+    fn encode(&self, m: &Machine, w: &mut PayloadWriter) {
+        w.seq_usize(&m.current).seq(&m.frames, |w, f| {
+            w.seq_usize(&f.cands).usize(f.pos);
+        });
+        w.u8(match m.phase {
             Phase::Step => 0,
             Phase::Emit => 1,
         });
-        w.finish()
     }
 
-    fn decode(
-        g: &Graph,
-        k: usize,
-        digest: u64,
-        mode: u8,
-        ck: &Checkpoint,
-    ) -> Result<(Machine, u64), CheckpointError> {
-        ck.verify(SolverFamily::CliqueEnum, CHECKPOINT_PAYLOAD_VERSION)?;
-        let mut r = PayloadReader::new(ck.payload());
-        let found = r.u64()?;
-        if found != digest {
-            return Err(CheckpointError::InstanceMismatch {
-                family: SolverFamily::CliqueEnum,
-                expected: digest,
-                found,
-            });
-        }
-        let mode_at = r.offset();
-        let stored_mode = r.u8()?;
-        if stored_mode != mode {
-            return Err(CheckpointError::Malformed {
-                what: format!(
-                    "checkpoint mode {stored_mode} does not match entry point mode {mode}"
-                ),
-                offset: mode_at,
-            });
-        }
-        let n = r.u64()?;
-        let nv = g.num_vertices();
-        let cur_len = r.usize_at_most(k, "partial clique length")?;
-        let mut current = Vec::with_capacity(cur_len);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..cur_len {
-            current.push(r.usize_below(nv, "clique vertex")?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-        }
-        let frame_count = r.usize_at_most(k.max(1), "frame stack length")?;
-        let mut frames = Vec::with_capacity(frame_count);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..frame_count {
-            let len = r.seq_len(8, "candidate list")?;
-            let mut cands = Vec::with_capacity(len);
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Result<Machine, CheckpointError> {
+        let (nv, k) = (self.g.num_vertices(), self.k);
+        let current = r.seq(..=k, 8, "partial clique", |r, _| {
+            r.usize_below(nv, "clique vertex")
+        })?;
+        let frames = r.seq(..=k.max(1), 16, "frame stack", |r, _| {
             let at = r.offset();
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-            for _ in 0..len {
-                cands.push(r.usize_below(nv, "candidate vertex")?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            }
+            let cands = r.seq(.., 8, "candidate list", |r, _| {
+                r.usize_below(nv, "candidate vertex")
+            })?;
             if !cands.iter().zip(cands.iter().skip(1)).all(|(a, b)| a < b) {
                 return Err(CheckpointError::Malformed {
                     what: "candidate list is not strictly ascending".into(),
@@ -227,8 +224,8 @@ impl Machine {
                 });
             }
             let pos = r.usize_at_most(cands.len(), "candidate cursor")?;
-            frames.push(Frame { cands, pos }); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-        }
+            Ok(Frame { cands, pos })
+        })?;
         let tag_at = r.offset();
         let phase = match r.u8()? {
             0 => Phase::Step,
@@ -256,52 +253,25 @@ impl Machine {
                 offset: tag_at,
             });
         }
-        r.finish()?;
-        Ok((
-            Machine {
-                current,
-                frames,
-                phase,
-            },
-            n,
-        ))
+        Ok(Machine {
+            current,
+            frames,
+            phase,
+        })
     }
 }
 
-/// FNV digest binding a checkpoint to (graph, k).
-fn instance_digest(g: &Graph, k: usize) -> u64 {
-    let mut d = Digest::new();
-    d.str("clique-enum");
-    d.usize(g.num_vertices()).usize(g.num_edges()).usize(k);
-    // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in the edge list; runs once per resume
-    for (u, v) in g.edges() {
-        d.usize(u).usize(v);
-    }
-    d.finish()
-}
+impl Countable for CliqueSearch<'_> {}
 
 /// Finds a k-clique by branch-and-prune enumeration: `Sat(clique)`,
 /// `Unsat`, or `Exhausted`.
 pub fn find_clique(g: &Graph, k: usize, budget: &Budget) -> (Outcome<Vec<usize>>, RunStats) {
-    let mut ticker = Ticker::new(budget);
-    let mut m = Machine::fresh(g, k);
-    let result = m.run(g, k, &mut ticker);
-    ticker.finish(result)
+    resumable::find(&CliqueSearch::new(g, k), budget)
 }
 
 /// Counts the k-cliques of `g`: `Sat(count)` or `Exhausted`.
 pub fn count_cliques(g: &Graph, k: usize, budget: &Budget) -> (Outcome<u64>, RunStats) {
-    let mut ticker = Ticker::new(budget);
-    let mut m = Machine::fresh(g, k);
-    let mut n = 0u64;
-    let result = loop {
-        match m.run(g, k, &mut ticker) {
-            Ok(Some(_)) => n += 1,
-            Ok(None) => break Ok(Some(n)),
-            Err(reason) => break Err(reason),
-        }
-    };
-    ticker.finish(result)
+    resumable::count(&CliqueSearch::new(g, k), budget)
 }
 
 /// Enumerates k-cliques (vertices ascending within each clique) through a
@@ -314,9 +284,10 @@ pub fn enumerate_cliques<F: FnMut(&[usize]) -> bool>(
     visit: &mut F,
 ) -> (Outcome<bool>, RunStats) {
     let mut ticker = Ticker::new(budget);
-    let mut m = Machine::fresh(g, k);
+    let search = CliqueSearch::new(g, k);
+    let mut m = search.fresh();
     let result = loop {
-        match m.run(g, k, &mut ticker) {
+        match search.run(&mut m, &mut ticker) {
             Ok(Some(c)) => {
                 if visit(&c) {
                     break Ok(Some(true));
@@ -327,71 +298,6 @@ pub fn enumerate_cliques<F: FnMut(&[usize]) -> bool>(
         }
     };
     ticker.finish(result)
-}
-
-/// Like [`find_clique`], but exhaustion is a *pause*: the enumeration
-/// frontier persists in a [`Checkpoint`] and chained resumes reach the
-/// one-shot verdict with the same summed [`RunStats`].
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn find_clique_resumable(
-    g: &Graph,
-    k: usize,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<Vec<usize>>, RunStats), CheckpointError> {
-    let digest = instance_digest(g, k);
-    let (mut m, _) = match from {
-        Some(ck) => Machine::decode(g, k, digest, 0, ck)?,
-        None => (Machine::fresh(g, k), 0),
-    };
-    let mut ticker = Ticker::new(budget);
-    let outcome = match m.run(g, k, &mut ticker) {
-        Ok(Some(c)) => ResumableOutcome::Sat(c),
-        Ok(None) => ResumableOutcome::Unsat,
-        Err(reason) => ResumableOutcome::Suspended {
-            reason,
-            checkpoint: Checkpoint::new(
-                SolverFamily::CliqueEnum,
-                CHECKPOINT_PAYLOAD_VERSION,
-                m.encode(digest, 0, 0),
-            ),
-        },
-    };
-    Ok((outcome, ticker.stats()))
-}
-
-/// Like [`count_cliques`], but exhaustion is a *pause*: the frontier and
-/// the running count persist in a [`Checkpoint`].
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn count_cliques_resumable(
-    g: &Graph,
-    k: usize,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<u64>, RunStats), CheckpointError> {
-    let digest = instance_digest(g, k);
-    let (mut m, mut n) = match from {
-        Some(ck) => Machine::decode(g, k, digest, 1, ck)?,
-        None => (Machine::fresh(g, k), 0),
-    };
-    let mut ticker = Ticker::new(budget);
-    let outcome = loop {
-        match m.run(g, k, &mut ticker) {
-            Ok(Some(_)) => n += 1,
-            Ok(None) => break ResumableOutcome::Sat(n),
-            Err(reason) => {
-                break ResumableOutcome::Suspended {
-                    reason,
-                    checkpoint: Checkpoint::new(
-                        SolverFamily::CliqueEnum,
-                        CHECKPOINT_PAYLOAD_VERSION,
-                        m.encode(digest, 1, n),
-                    ),
-                }
-            }
-        }
-    };
-    Ok((outcome, ticker.stats()))
 }
 
 /// Finds a k-clique via the Nešetřil–Poljak construction (n^{ωk/3}):
@@ -466,8 +372,9 @@ fn neipol_3t(
 ) -> Result<Option<Vec<usize>>, ExhaustReason> {
     // Enumerate all t-cliques.
     let mut t_cliques: Vec<Vec<usize>> = Vec::new();
-    let mut m = Machine::fresh(g, t);
-    while let Some(c) = m.run(g, t, ticker)? {
+    let search = CliqueSearch::new(g, t);
+    let mut m = search.fresh();
+    while let Some(c) = search.run(&mut m, ticker)? {
         t_cliques.push(c);
         ticker.record_intermediate(t_cliques.len() as u64);
     }
@@ -614,63 +521,6 @@ mod tests {
         assert!(out.is_exhausted());
         let (out, _) = count_cliques(&g, 3, &Budget::ticks(5));
         assert!(out.is_exhausted());
-    }
-
-    #[test]
-    fn sliced_resume_matches_one_shot() {
-        for seed in 0..6u64 {
-            let g = generators::gnp(16, 0.45, seed);
-            for k in [3usize, 4] {
-                let (one_shot, full) = count_cliques(&g, k, &Budget::unlimited());
-                let mut from: Option<Checkpoint> = None;
-                let mut summed = RunStats::default();
-                let sliced = loop {
-                    let (out, stats) =
-                        count_cliques_resumable(&g, k, &Budget::ticks(5), from.as_ref())
-                            .expect("clean resume");
-                    summed.absorb(&stats);
-                    match out {
-                        ResumableOutcome::Suspended { checkpoint, .. } => {
-                            let bytes = checkpoint.to_bytes();
-                            from = Some(Checkpoint::from_bytes(&bytes).expect("round trip"));
-                        }
-                        ResumableOutcome::Sat(n) => break n,
-                        ResumableOutcome::Unsat => unreachable!("count never returns Unsat"),
-                    }
-                };
-                assert_eq!(Outcome::Sat(sliced), one_shot, "seed {seed}, k {k}");
-                assert_eq!(summed, full, "seed {seed}, k {k}");
-
-                let (want, _) = find_clique(&g, k, &Budget::unlimited());
-                let mut from: Option<Checkpoint> = None;
-                let got = loop {
-                    let (out, _) = find_clique_resumable(&g, k, &Budget::ticks(5), from.as_ref())
-                        .expect("clean resume");
-                    match out {
-                        ResumableOutcome::Suspended { checkpoint, .. } => from = Some(checkpoint),
-                        ResumableOutcome::Sat(c) => break Some(c),
-                        ResumableOutcome::Unsat => break None,
-                    }
-                };
-                assert_eq!(
-                    got.is_some(),
-                    want.unwrap_decided().is_some(),
-                    "seed {seed}"
-                );
-                if let Some(c) = got {
-                    assert!(g.is_clique(&c) && c.len() == k, "seed {seed}, k {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn changed_k_is_rejected_on_resume() {
-        let g = generators::gnp(16, 0.45, 0);
-        let (out, _) = count_cliques_resumable(&g, 4, &Budget::ticks(3), None).unwrap();
-        let ck = out.checkpoint().expect("suspended").clone();
-        let err = count_cliques_resumable(&g, 5, &Budget::unlimited(), Some(&ck)).unwrap_err();
-        assert!(matches!(err, CheckpointError::InstanceMismatch { .. }));
     }
 
     #[test]

@@ -23,22 +23,27 @@
 //!
 //! The naive edge scan is a one-counter state machine (next edge index,
 //! running count, pending witness) that applies each edge's effect before
-//! spending the tick, so [`find_triangle_naive_resumable`] and
-//! [`count_triangles_resumable`] can suspend any failed charge into a
-//! [`Checkpoint`] and continue later — same verdict, same summed
-//! [`RunStats`] as an uninterrupted run. The matrix and AYZ detectors are
+//! spending the tick. [`TriangleScan`] implements [`Resumable`] and
+//! [`Countable`], so the engine's [`find_slice`] and [`count_slice`]
+//! drivers can suspend any failed charge into a [`Checkpoint`] and
+//! continue later — same verdict, same summed [`RunStats`] as an
+//! uninterrupted run. The running sum lives in the frontier, so the scan
+//! writes no separate count field. The matrix and AYZ detectors are
 //! deliberately *not* resumable: their budget granularity is whole matrix
 //! multiplies, so a checkpoint could not capture useful partial progress.
 //!
 //! [`RunStats::nodes`]: lb_engine::RunStats::nodes
 //! [`RunStats::propagations`]: lb_engine::RunStats::propagations
 //! [`RunStats`]: lb_engine::RunStats
+//! [`Resumable`]: lb_engine::resumable::Resumable
+//! [`Countable`]: lb_engine::resumable::Countable
+//! [`find_slice`]: lb_engine::resumable::find_slice
+//! [`count_slice`]: lb_engine::resumable::count_slice
+//! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
 use crate::matmul::BoolMatrix;
-use lb_engine::checkpoint::{
-    Checkpoint, CheckpointError, Digest, PayloadReader, PayloadWriter, ResumableOutcome,
-    SolverFamily,
-};
+use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
+use lb_engine::resumable::{self, Countable, Resumable};
 use lb_engine::{Budget, ExhaustReason, Outcome, RunStats, Ticker};
 use lb_graph::Graph;
 
@@ -46,9 +51,10 @@ use lb_graph::Graph;
 /// frontier encoding below changes.
 pub const CHECKPOINT_PAYLOAD_VERSION: u16 = 1;
 
-/// The edge-scan frontier: everything needed to continue the naive scan.
+/// The edge-scan frontier: everything needed to continue the naive scan,
+/// and what a [`TriangleScan`] checkpoints.
 #[derive(Clone, Debug)]
-struct Machine {
+pub struct Machine {
     /// Next edge index to examine.
     next: usize,
     /// Running Σ|N(u) ∩ N(v)| over examined edges (count mode).
@@ -59,14 +65,6 @@ struct Machine {
 }
 
 impl Machine {
-    fn fresh() -> Machine {
-        Machine {
-            next: 0,
-            total: 0,
-            pending: None,
-        }
-    }
-
     /// Scans edges until a witness (`Ok(Some)`, find mode only), the end of
     /// the edge list (`Ok(None)`), or a failed charge (`Err`, resumable).
     fn run(
@@ -99,11 +97,65 @@ impl Machine {
             ticker.node()?;
         }
     }
+}
 
-    fn encode(&self, digest: u64, mode: u8) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        w.u64(digest).u8(mode).usize(self.next).u64(self.total);
-        match self.pending {
+/// The naive edge scan over one graph, as a resumable search: find mode
+/// returns a triangle (vertices ascending), count mode the number of
+/// triangles.
+#[derive(Clone, Debug)]
+pub struct TriangleScan<'a> {
+    g: &'a Graph,
+    edges: Vec<(usize, usize)>,
+}
+
+impl<'a> TriangleScan<'a> {
+    /// The scan over the edges of `g`.
+    pub fn new(g: &'a Graph) -> TriangleScan<'a> {
+        TriangleScan {
+            g,
+            edges: g.edges(),
+        }
+    }
+}
+
+impl Resumable for TriangleScan<'_> {
+    type State = Machine;
+    type Answer = [usize; 3];
+    const FAMILY: SolverFamily = SolverFamily::TriangleScan;
+    const PAYLOAD_VERSION: u16 = CHECKPOINT_PAYLOAD_VERSION;
+    const COUNT_FIELD: bool = false;
+
+    /// FNV digest binding a checkpoint to the graph.
+    fn digest(&self) -> u64 {
+        let mut d = Digest::new();
+        d.str("triangle-scan");
+        d.usize(self.g.num_vertices()).usize(self.edges.len());
+        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in the edge list; runs once per resume
+        for &(u, v) in &self.edges {
+            d.usize(u).usize(v);
+        }
+        d.finish()
+    }
+
+    fn fresh(&self) -> Machine {
+        Machine {
+            next: 0,
+            total: 0,
+            pending: None,
+        }
+    }
+
+    fn run(
+        &self,
+        m: &mut Machine,
+        ticker: &mut Ticker,
+    ) -> Result<Option<[usize; 3]>, ExhaustReason> {
+        m.run(self.g, &self.edges, true, ticker)
+    }
+
+    fn encode(&self, m: &Machine, w: &mut PayloadWriter) {
+        w.usize(m.next).u64(m.total);
+        match m.pending {
             None => {
                 w.u8(0);
             }
@@ -111,39 +163,12 @@ impl Machine {
                 w.u8(1).usize(a).usize(b).usize(c);
             }
         }
-        w.finish()
     }
 
-    fn decode(
-        g: &Graph,
-        num_edges: usize,
-        digest: u64,
-        mode: u8,
-        ck: &Checkpoint,
-    ) -> Result<Machine, CheckpointError> {
-        ck.verify(SolverFamily::TriangleScan, CHECKPOINT_PAYLOAD_VERSION)?;
-        let mut r = PayloadReader::new(ck.payload());
-        let found = r.u64()?;
-        if found != digest {
-            return Err(CheckpointError::InstanceMismatch {
-                family: SolverFamily::TriangleScan,
-                expected: digest,
-                found,
-            });
-        }
-        let mode_at = r.offset();
-        let stored_mode = r.u8()?;
-        if stored_mode != mode {
-            return Err(CheckpointError::Malformed {
-                what: format!(
-                    "checkpoint mode {stored_mode} does not match entry point mode {mode}"
-                ),
-                offset: mode_at,
-            });
-        }
-        let next = r.usize_at_most(num_edges, "edge cursor")?;
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Result<Machine, CheckpointError> {
+        let next = r.usize_at_most(self.edges.len(), "edge cursor")?;
         let total = r.u64()?;
-        let n = g.num_vertices();
+        let n = self.g.num_vertices();
         let pending = match r.u8()? {
             0 => None,
             1 => Some([
@@ -158,7 +183,6 @@ impl Machine {
                 })
             }
         };
-        r.finish()?;
         Ok(Machine {
             next,
             total,
@@ -167,57 +191,25 @@ impl Machine {
     }
 }
 
-/// FNV digest binding a checkpoint to the graph.
-fn instance_digest(g: &Graph, edges: &[(usize, usize)]) -> u64 {
-    let mut d = Digest::new();
-    d.str("triangle-scan");
-    d.usize(g.num_vertices()).usize(edges.len());
-    // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in the edge list; runs once per resume
-    for &(u, v) in edges {
-        d.usize(u).usize(v);
+impl Countable for TriangleScan<'_> {
+    /// Count mode scans for the running sum Σ|N(u) ∩ N(v)| kept in the
+    /// frontier, which counts each triangle once per edge.
+    fn count_answers(
+        &self,
+        m: &mut Machine,
+        n: &mut u64,
+        ticker: &mut Ticker,
+    ) -> Result<(), ExhaustReason> {
+        m.run(self.g, &self.edges, false, ticker)?;
+        *n = m.total / 3;
+        Ok(())
     }
-    d.finish()
 }
 
 /// Naive detection: for each edge, intersect the endpoints' neighborhoods.
 /// `Sat(triangle)`, `Unsat`, or `Exhausted`.
 pub fn find_triangle_naive(g: &Graph, budget: &Budget) -> (Outcome<[usize; 3]>, RunStats) {
-    let edges = g.edges();
-    let mut ticker = Ticker::new(budget);
-    let mut m = Machine::fresh();
-    let result = m.run(g, &edges, true, &mut ticker);
-    ticker.finish(result)
-}
-
-/// Like [`find_triangle_naive`], but exhaustion is a *pause*: the scan
-/// position persists in a [`Checkpoint`] and chained resumes reach the
-/// one-shot verdict with the same summed [`RunStats`].
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn find_triangle_naive_resumable(
-    g: &Graph,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<[usize; 3]>, RunStats), CheckpointError> {
-    let edges = g.edges();
-    let digest = instance_digest(g, &edges);
-    let mut m = match from {
-        Some(ck) => Machine::decode(g, edges.len(), digest, 0, ck)?,
-        None => Machine::fresh(),
-    };
-    let mut ticker = Ticker::new(budget);
-    let outcome = match m.run(g, &edges, true, &mut ticker) {
-        Ok(Some(t)) => ResumableOutcome::Sat(t),
-        Ok(None) => ResumableOutcome::Unsat,
-        Err(reason) => ResumableOutcome::Suspended {
-            reason,
-            checkpoint: Checkpoint::new(
-                SolverFamily::TriangleScan,
-                CHECKPOINT_PAYLOAD_VERSION,
-                m.encode(digest, 0),
-            ),
-        },
-    };
-    Ok((outcome, ticker.stats()))
+    resumable::find(&TriangleScan::new(g), budget)
 }
 
 /// Matrix-multiplication detection: a triangle exists iff (A²∧A) ≠ 0.
@@ -320,42 +312,7 @@ pub fn find_triangle_ayz(g: &Graph, budget: &Budget) -> (Outcome<[usize; 3]>, Ru
 /// counting experiments): Σ over edges of |N(u) ∩ N(v)| / 3. `Sat(count)`
 /// or `Exhausted`.
 pub fn count_triangles(g: &Graph, budget: &Budget) -> (Outcome<u64>, RunStats) {
-    let edges = g.edges();
-    let mut ticker = Ticker::new(budget);
-    let mut m = Machine::fresh();
-    let result = m
-        .run(g, &edges, false, &mut ticker)
-        .map(|_| Some(m.total / 3));
-    ticker.finish(result)
-}
-
-/// Like [`count_triangles`], but exhaustion is a *pause*: the scan position
-/// and the running sum persist in a [`Checkpoint`].
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn count_triangles_resumable(
-    g: &Graph,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<u64>, RunStats), CheckpointError> {
-    let edges = g.edges();
-    let digest = instance_digest(g, &edges);
-    let mut m = match from {
-        Some(ck) => Machine::decode(g, edges.len(), digest, 1, ck)?,
-        None => Machine::fresh(),
-    };
-    let mut ticker = Ticker::new(budget);
-    let outcome = match m.run(g, &edges, false, &mut ticker) {
-        Ok(_) => ResumableOutcome::Sat(m.total / 3),
-        Err(reason) => ResumableOutcome::Suspended {
-            reason,
-            checkpoint: Checkpoint::new(
-                SolverFamily::TriangleScan,
-                CHECKPOINT_PAYLOAD_VERSION,
-                m.encode(digest, 1),
-            ),
-        },
-    };
-    Ok((outcome, ticker.stats()))
+    resumable::count(&TriangleScan::new(g), budget)
 }
 
 fn sorted3(a: usize, b: usize, c: usize) -> [usize; 3] {
@@ -457,68 +414,6 @@ mod tests {
             }
             assert_eq!(count_unlimited(&g), brute, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn sliced_resume_matches_one_shot() {
-        for seed in 0..8u64 {
-            let g = generators::gnp(25, 0.15, seed);
-            // Counting: chain tiny slices, compare verdict and summed stats.
-            let (one_shot, full) = count_triangles(&g, &Budget::unlimited());
-            let mut from: Option<Checkpoint> = None;
-            let mut summed = RunStats::default();
-            let sliced = loop {
-                let (out, stats) = count_triangles_resumable(&g, &Budget::ticks(4), from.as_ref())
-                    .expect("clean resume");
-                summed.absorb(&stats);
-                match out {
-                    ResumableOutcome::Suspended { checkpoint, .. } => {
-                        let bytes = checkpoint.to_bytes();
-                        from = Some(Checkpoint::from_bytes(&bytes).expect("round trip"));
-                    }
-                    ResumableOutcome::Sat(n) => break n,
-                    ResumableOutcome::Unsat => unreachable!("count never returns Unsat"),
-                }
-            };
-            assert_eq!(Outcome::Sat(sliced), one_shot, "seed {seed}");
-            assert_eq!(summed, full, "seed {seed}");
-
-            // Finding: the sliced verdict must match the one-shot one.
-            let (want, _) = find_triangle_naive(&g, &Budget::unlimited());
-            let mut from: Option<Checkpoint> = None;
-            let got = loop {
-                let (out, _) = find_triangle_naive_resumable(&g, &Budget::ticks(4), from.as_ref())
-                    .expect("clean resume");
-                match out {
-                    ResumableOutcome::Suspended { checkpoint, .. } => from = Some(checkpoint),
-                    ResumableOutcome::Sat(t) => break Some(t),
-                    ResumableOutcome::Unsat => break None,
-                }
-            };
-            assert_eq!(got, want.unwrap_decided(), "seed {seed}");
-            if let Some(t) = got {
-                assert!(is_triangle(&g, &t), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn mode_confusion_is_rejected() {
-        let g = generators::gnp(25, 0.15, 0);
-        let (out, _) = count_triangles_resumable(&g, &Budget::ticks(2), None).unwrap();
-        let ck = out.checkpoint().expect("suspended").clone();
-        let err = find_triangle_naive_resumable(&g, &Budget::unlimited(), Some(&ck)).unwrap_err();
-        assert!(matches!(err, CheckpointError::Malformed { .. }));
-    }
-
-    #[test]
-    fn graph_change_is_rejected_on_resume() {
-        let g1 = generators::gnp(25, 0.15, 1);
-        let g2 = generators::gnp(25, 0.15, 2);
-        let (out, _) = count_triangles_resumable(&g1, &Budget::ticks(2), None).unwrap();
-        let ck = out.checkpoint().expect("suspended").clone();
-        let err = count_triangles_resumable(&g2, &Budget::unlimited(), Some(&ck)).unwrap_err();
-        assert!(matches!(err, CheckpointError::InstanceMismatch { .. }));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   Ngo–Porat–Ré–Rudra / Veldhuizen) running in Õ(N^{ρ*}): flat per-atom
 //!   [`trie`]s, per-variable leapfrog intersection with galloping seeks,
 //!   and the "Skew Strikes Back" heavy/light split for heavy-hitter
-//!   values ([`reference`] preserves the pre-leapfrog generic join as the
+//!   values ([`reference`](mod@reference) preserves the pre-leapfrog generic join as the
 //!   differential oracle);
 //! * [`binary`] — the classical baseline: a left-deep plan of pairwise hash
 //!   joins, which materializes Ω(N²) intermediates on the AGM-worst-case

@@ -37,10 +37,13 @@
 //! the light-mode cursor or the heavy-mode leapfrog state (per-iterator
 //! positions, whose turn it is, the running maximum, how many agree).
 //! Every counted operation applies its effect and advances the phase
-//! *before* spending the tick, so [`count_resumable`] and
-//! [`is_empty_resumable`] can suspend at any failed charge into a
-//! [`Checkpoint`] and later continue with the next operation — same
-//! verdict, same summed [`RunStats`] as one uninterrupted run.
+//! *before* spending the tick. [`JoinSearch`] implements [`Resumable`] and
+//! [`Countable`], so the engine's [`find_slice`] (the Boolean query: is
+//! there an answer?) and [`count_slice`] drivers can suspend at any failed
+//! charge into a [`Checkpoint`] and later continue with the next operation
+//! — same verdict, same summed [`RunStats`] as one uninterrupted run.
+//! Preparing the tries is the only step that can fail on a malformed
+//! instance, and it happens in [`JoinSearch::new`], before any slice runs.
 //!
 //! Light mode runs fused: one loop takes the driver's next candidate
 //! (`nodes` tick), probes the other participants in turn (a
@@ -67,8 +70,9 @@
 //! root. The root's ticker pays the first variable's ticks once and the
 //! workers pay everything below, so the summed [`RunStats`] equal the
 //! sequential machine's exactly. Every entry point that can stop early
-//! (`count` under a budget or a fault plan, the resumable and emptiness
-//! entries, [`join`], [`join_foreach`]) runs sequentially.
+//! (`count` under a budget or a fault plan, every slice of a
+//! [`JoinSearch`], [`is_empty`], [`join`], [`join_foreach`]) runs
+//! sequentially.
 //!
 //! [`Trie`]: crate::trie::Trie
 //! [`Trie::seek`]: crate::trie::Trie::seek
@@ -76,15 +80,18 @@
 //! [`RunStats::trie_advances`]: lb_engine::RunStats::trie_advances
 //! [`RunStats::tuples`]: lb_engine::RunStats::tuples
 //! [`RunStats`]: lb_engine::RunStats
+//! [`Resumable`]: lb_engine::resumable::Resumable
+//! [`Countable`]: lb_engine::resumable::Countable
+//! [`find_slice`]: lb_engine::resumable::find_slice
+//! [`count_slice`]: lb_engine::resumable::count_slice
+//! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
 use crate::database::{sort_dedup_rows, Database};
 use crate::query::{AnswerTuple, JoinQuery};
 use crate::trie::Trie;
 use crate::Value;
-use lb_engine::checkpoint::{
-    Checkpoint, CheckpointError, Digest, PayloadReader, PayloadWriter, ResumableOutcome,
-    SolverFamily,
-};
+use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
+use lb_engine::resumable::{self, Countable, Resumable};
 use lb_engine::{Budget, ExhaustReason, Outcome, RunStats, Ticker};
 
 /// Payload version of generic-join checkpoints; bumped whenever the
@@ -112,39 +119,6 @@ impl std::fmt::Display for JoinError {
 }
 
 impl std::error::Error for JoinError {}
-
-/// Errors from *resumable* join evaluation: either the instance is bad
-/// (as in [`JoinError`]) or the checkpoint is.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ResumeError {
-    /// The query/database/order is malformed.
-    Join(JoinError),
-    /// The checkpoint could not be decoded or does not match.
-    Checkpoint(CheckpointError),
-}
-
-impl std::fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResumeError::Join(e) => e.fmt(f),
-            ResumeError::Checkpoint(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
-impl From<JoinError> for ResumeError {
-    fn from(e: JoinError) -> Self {
-        ResumeError::Join(e)
-    }
-}
-
-impl From<CheckpointError> for ResumeError {
-    fn from(e: CheckpointError) -> Self {
-        ResumeError::Checkpoint(e)
-    }
-}
 
 /// A prepared atom: a columnar trie over the rows re-sorted so columns
 /// follow the global variable order, repeated attributes collapsed to
@@ -354,13 +328,14 @@ enum LeapAction {
 }
 
 /// The explicit-stack Leapfrog Triejoin state: trie-iterator positions
-/// per atom plus the per-level intersection frames.
+/// per atom plus the per-level intersection frames; the frontier a
+/// [`JoinSearch`] checkpoints.
 ///
 /// `floor` and `ceiling` bound the levels this machine may search; they
 /// only differ from 0 and `usize::MAX` in a split [`count`], and never
 /// enter a checkpoint.
 #[derive(Clone, Debug)]
-struct Machine {
+pub struct Machine {
     ranges: Vec<Range>,
     tuple: Vec<Value>,
     frames: Vec<Frame>,
@@ -798,296 +773,6 @@ impl Machine {
             }
         }
     }
-
-    fn encode(&self, digest: u64, mode: u8, n: u64) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        w.u64(digest).u8(mode).u64(n);
-        w.usize(self.ranges.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for r in &self.ranges {
-            w.usize(r.depth).usize(r.lo).usize(r.hi);
-        }
-        w.usize(self.tuple.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for &v in &self.tuple {
-            w.u64(v);
-        }
-        w.usize(self.frames.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for f in &self.frames {
-            w.seq_usize(&f.participants);
-            w.bool(f.heavy);
-            w.usize(f.driver);
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-            for r in &f.saved {
-                w.usize(r.depth).usize(r.lo).usize(r.hi);
-            }
-            if f.heavy {
-                // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-                for &p in &f.pos {
-                    w.usize(p);
-                }
-                w.usize(f.turn).usize(f.agreed).u64(f.max_v);
-            } else {
-                w.usize(f.cur);
-            }
-            w.u64(f.v);
-        }
-        match self.phase {
-            Phase::Enter => {
-                w.u8(0);
-            }
-            Phase::Step => {
-                w.u8(1);
-            }
-            Phase::Narrow { idx } => {
-                w.u8(2).usize(idx);
-            }
-            Phase::Bind => {
-                w.u8(3);
-            }
-            Phase::Emit => {
-                w.u8(4);
-            }
-        }
-        w.finish()
-    }
-
-    /// Decodes and validates a frontier against the prepared query. Returns
-    /// the machine plus the running answer count.
-    fn decode(
-        p: &Prepared,
-        digest: u64,
-        mode: u8,
-        ck: &Checkpoint,
-    ) -> Result<(Machine, u64), CheckpointError> {
-        ck.verify(SolverFamily::GenericJoin, CHECKPOINT_PAYLOAD_VERSION)?;
-        let fam = SolverFamily::GenericJoin;
-        let mut r = PayloadReader::new(ck.payload());
-        let found = r.u64()?;
-        if found != digest {
-            return Err(CheckpointError::InstanceMismatch {
-                family: fam,
-                expected: digest,
-                found,
-            });
-        }
-        let mode_at = r.offset();
-        let stored_mode = r.u8()?;
-        if stored_mode != mode {
-            return Err(CheckpointError::Malformed {
-                what: format!(
-                    "checkpoint mode {stored_mode} does not match entry point mode {mode}"
-                ),
-                offset: mode_at,
-            });
-        }
-        let n = r.u64()?;
-        let num_atoms = p.atoms.len();
-        let read_range =
-            |r: &mut PayloadReader<'_>, atom: usize| -> Result<Range, CheckpointError> {
-                let Some(pa) = p.atoms.get(atom) else {
-                    return Err(CheckpointError::Malformed {
-                        what: format!("range for unknown atom {atom}"),
-                        offset: r.offset(),
-                    });
-                };
-                let ranks = pa.var_ranks.len();
-                let at = r.offset();
-                let depth = r.usize_at_most(ranks, "range depth")?;
-                let bound = range_bound(&pa.trie, depth);
-                let lo = r.usize_at_most(bound, "range lo")?;
-                let hi = r.usize_at_most(bound, "range hi")?;
-                if lo > hi {
-                    return Err(CheckpointError::Malformed {
-                        what: format!("range lo {lo} > hi {hi}"),
-                        offset: at,
-                    });
-                }
-                Ok(Range { lo, hi, depth })
-            };
-        let stored_atoms = r.usize()?;
-        if stored_atoms != num_atoms {
-            return Err(CheckpointError::Malformed {
-                what: format!("checkpoint has {stored_atoms} atoms, query has {num_atoms}"),
-                offset: r.offset(),
-            });
-        }
-        let mut ranges = Vec::with_capacity(num_atoms);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for atom in 0..num_atoms {
-            ranges.push(read_range(&mut r, atom)?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-        }
-        let stored_vars = r.usize()?;
-        if stored_vars != p.num_vars {
-            return Err(CheckpointError::Malformed {
-                what: format!(
-                    "checkpoint has {stored_vars} variables, query has {}",
-                    p.num_vars
-                ),
-                offset: r.offset(),
-            });
-        }
-        let mut tuple = Vec::with_capacity(p.num_vars);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..p.num_vars {
-            tuple.push(r.u64()?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-        }
-        let frame_count = r.usize_at_most(p.num_vars, "frame stack length")?;
-        let mut frames = Vec::with_capacity(frame_count);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..frame_count {
-            let part_len = r.seq_len(8, "participants")?;
-            let mut participants = Vec::with_capacity(part_len);
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-            for _ in 0..part_len {
-                // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-                participants.push(r.usize_below(num_atoms, "participant atom")?);
-            }
-            let heavy = r.bool()?;
-            let driver = r.usize_below(part_len.max(1), "driver slot")?;
-            if part_len == 0 {
-                return Err(CheckpointError::Malformed {
-                    what: "frame with no participants".into(),
-                    offset: r.offset(),
-                });
-            }
-            let mut saved = Vec::with_capacity(part_len);
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-            for &atom in &participants {
-                saved.push(read_range(&mut r, atom)?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            }
-            let mut cur = 0;
-            let mut pos = Vec::new();
-            let mut turn = 0;
-            let mut agreed = 0;
-            let mut max_v = 0;
-            if heavy {
-                // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-                for slot in 0..part_len {
-                    let sr = saved.get(slot).copied().unwrap_or_default();
-                    let at = r.offset();
-                    let pj = r.usize_at_most(sr.hi, "leapfrog position")?;
-                    if pj < sr.lo {
-                        return Err(CheckpointError::Malformed {
-                            what: format!("leapfrog position {pj} below range lo {}", sr.lo),
-                            offset: at,
-                        });
-                    }
-                    pos.push(pj); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-                }
-                turn = r.usize_below(part_len, "leapfrog turn")?;
-                agreed = r.usize_at_most(part_len, "leapfrog agreement")?;
-                max_v = r.u64()?;
-            } else {
-                let sr = saved.get(driver).copied().unwrap_or_default();
-                let at = r.offset();
-                cur = r.usize_at_most(sr.hi, "light cursor")?;
-                if cur < sr.lo {
-                    return Err(CheckpointError::Malformed {
-                        what: format!("light cursor {cur} below range lo {}", sr.lo),
-                        offset: at,
-                    });
-                }
-            }
-            let v = r.u64()?;
-            // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            frames.push(Frame {
-                participants,
-                saved,
-                heavy,
-                driver,
-                cur,
-                pos,
-                turn,
-                agreed,
-                max_v,
-                v,
-            });
-        }
-        let tag_at = r.offset();
-        let phase = match r.u8()? {
-            0 => Phase::Enter,
-            1 => Phase::Step,
-            2 => {
-                let top = frames.last().ok_or_else(|| CheckpointError::Malformed {
-                    what: "narrow phase with an empty frame stack".into(),
-                    offset: tag_at,
-                })?;
-                if top.heavy {
-                    return Err(CheckpointError::Malformed {
-                        what: "narrow phase on a heavy (leapfrog) frame".into(),
-                        offset: tag_at,
-                    });
-                }
-                let idx = r.usize_at_most(top.participants.len(), "narrow index")?;
-                Phase::Narrow { idx }
-            }
-            3 => {
-                let top = frames.last().ok_or_else(|| CheckpointError::Malformed {
-                    what: "bind phase with an empty frame stack".into(),
-                    offset: tag_at,
-                })?;
-                if !top.heavy {
-                    return Err(CheckpointError::Malformed {
-                        what: "bind phase on a light frame".into(),
-                        offset: tag_at,
-                    });
-                }
-                Phase::Bind
-            }
-            4 => Phase::Emit,
-            b => {
-                return Err(CheckpointError::Malformed {
-                    what: format!("invalid phase tag {b}"),
-                    offset: tag_at,
-                })
-            }
-        };
-        r.finish()?;
-        Ok((
-            Machine {
-                ranges,
-                tuple,
-                frames,
-                phase,
-                floor: 0,
-                ceiling: usize::MAX,
-            },
-            n,
-        ))
-    }
-}
-
-/// FNV digest binding a checkpoint to (query, database, variable order).
-fn instance_digest(q: &JoinQuery, db: &Database, order: Option<&[String]>) -> u64 {
-    let mut d = Digest::new();
-    d.str("generic-join");
-    let attrs = q.attributes();
-    let ord: Vec<String> = order.map(|o| o.to_vec()).unwrap_or_else(|| attrs.clone());
-    d.usize(ord.len());
-    // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
-    for a in &ord {
-        d.str(a);
-    }
-    d.usize(q.atoms.len());
-    // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
-    for atom in &q.atoms {
-        d.str(&atom.relation);
-        d.usize(atom.attrs.len());
-        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
-        for a in &atom.attrs {
-            d.str(a);
-        }
-        if let Some(table) = db.table(&atom.relation) {
-            // Row-major values: the same sequence as row by row.
-            d.usize(table.arity()).usize(table.len());
-            table.flat().iter().for_each(|&v| {
-                d.u64(v);
-            });
-        }
-    }
-    d.finish()
 }
 
 /// Positions of the sorted attributes within the chosen variable order.
@@ -1325,82 +1010,291 @@ pub fn is_empty(
     order: Option<&[String]>,
     budget: &Budget,
 ) -> Result<(Outcome<bool>, RunStats), JoinError> {
-    let p = prepare(q, db, order)?;
-    let mut ticker = Ticker::new(budget);
-    let mut m = Machine::fresh(&p);
-    let result = match m.run(&p, &mut ticker, &mut Vec::new()) {
-        Ok(found) => Ok(Some(!found)),
-        Err(reason) => Err(reason),
+    let (found, stats) = resumable::find(&JoinSearch::new(q, db, order)?, budget);
+    let empty = match found {
+        Outcome::Sat(_) => Outcome::Sat(false),
+        Outcome::Unsat => Outcome::Sat(true),
+        Outcome::Exhausted(reason) => Outcome::Exhausted(reason),
     };
-    Ok(ticker.finish(result))
+    Ok((empty, stats))
 }
 
-/// Like [`count`], but exhaustion is a *pause*: the trie-iterator positions
-/// and the running count persist in a [`Checkpoint`], and chained resumes
-/// sum to the one-shot answer.
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn count_resumable(
-    q: &JoinQuery,
-    db: &Database,
-    order: Option<&[String]>,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<u64>, RunStats), ResumeError> {
-    let p = prepare(q, db, order)?;
-    let digest = instance_digest(q, db, order);
-    let (mut m, mut n) = match from {
-        Some(ck) => Machine::decode(&p, digest, 0, ck)?,
-        None => (Machine::fresh(&p), 0),
-    };
-    let mut ticker = Ticker::new(budget);
-    let mut spare = Vec::new();
-    let outcome = loop {
-        match m.run(&p, &mut ticker, &mut spare) {
-            Ok(true) => n += 1,
-            Ok(false) => break ResumableOutcome::Sat(n),
-            Err(reason) => {
-                break ResumableOutcome::Suspended {
-                    reason,
-                    checkpoint: Checkpoint::new(
-                        SolverFamily::GenericJoin,
-                        CHECKPOINT_PAYLOAD_VERSION,
-                        m.encode(digest, 0, n),
-                    ),
-                }
+/// Leapfrog Triejoin on one query, database and variable order, as a
+/// resumable search: find mode answers the Boolean query with one answer
+/// tuple (in [`JoinQuery::attributes`] order), count mode counts the
+/// answers. The tries are built once, by [`JoinSearch::new`].
+pub struct JoinSearch<'a> {
+    q: &'a JoinQuery,
+    db: &'a Database,
+    order: Option<Vec<String>>,
+    p: Prepared,
+    pos_of: Vec<usize>,
+}
+
+impl<'a> JoinSearch<'a> {
+    /// Prepares the tries of `q` over `db` in `order` (attribute order
+    /// when `None`): the only step that can fail, on a malformed database
+    /// or order.
+    pub fn new(
+        q: &'a JoinQuery,
+        db: &'a Database,
+        order: Option<&[String]>,
+    ) -> Result<JoinSearch<'a>, JoinError> {
+        let p = prepare(q, db, order)?;
+        let attrs = q.attributes();
+        let pos_of = attr_positions(&attrs, order.unwrap_or(&attrs));
+        Ok(JoinSearch {
+            q,
+            db,
+            order: order.map(<[String]>::to_vec),
+            p,
+            pos_of,
+        })
+    }
+}
+
+/// Writes one trie range (the codec of [`JoinSearch`]'s frontier).
+fn put_range(w: &mut PayloadWriter, r: &Range) {
+    w.usize(r.depth).usize(r.lo).usize(r.hi);
+}
+
+impl Resumable for JoinSearch<'_> {
+    type State = Machine;
+    type Answer = Vec<Value>;
+    const FAMILY: SolverFamily = SolverFamily::GenericJoin;
+    const PAYLOAD_VERSION: u16 = CHECKPOINT_PAYLOAD_VERSION;
+    /// Counting wrote mode 0 and the emptiness check mode 1 before the
+    /// two shared one interface.
+    const MODE_TAGS: Option<[u8; 2]> = Some([1, 0]);
+
+    /// FNV digest binding a checkpoint to (query, database, variable order).
+    fn digest(&self) -> u64 {
+        let (q, db) = (self.q, self.db);
+        let mut d = Digest::new();
+        d.str("generic-join");
+        let attrs = q.attributes();
+        let ord = self.order.as_deref().unwrap_or(&attrs);
+        d.usize(ord.len());
+        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
+        for a in ord {
+            d.str(a);
+        }
+        d.usize(q.atoms.len());
+        // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
+        for atom in &q.atoms {
+            d.str(&atom.relation);
+            d.usize(atom.attrs.len());
+            // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in query and database; runs once per resume
+            for a in &atom.attrs {
+                d.str(a);
+            }
+            if let Some(table) = db.table(&atom.relation) {
+                // Row-major values: the same sequence as row by row.
+                d.usize(table.arity()).usize(table.len());
+                table.flat().iter().for_each(|&v| {
+                    d.u64(v);
+                });
             }
         }
-    };
-    Ok((outcome, ticker.stats()))
+        d.finish()
+    }
+
+    fn fresh(&self) -> Machine {
+        Machine::fresh(&self.p)
+    }
+
+    fn run(
+        &self,
+        m: &mut Machine,
+        ticker: &mut Ticker,
+    ) -> Result<Option<Vec<Value>>, ExhaustReason> {
+        let found = m.run(&self.p, ticker, &mut Vec::new())?;
+        Ok(found.then(|| {
+            self.pos_of
+                .iter()
+                .map(|&i| m.tuple.get(i).copied().unwrap_or(0))
+                .collect()
+        }))
+    }
+
+    fn encode(&self, m: &Machine, w: &mut PayloadWriter) {
+        w.seq(&m.ranges, put_range)
+            .seq(&m.tuple, |w, &v| {
+                w.u64(v);
+            })
+            .seq(&m.frames, |w, f| {
+                w.seq_usize(&f.participants)
+                    .bool(f.heavy)
+                    .usize(f.driver)
+                    .each(&f.saved, put_range);
+                if f.heavy {
+                    w.each(&f.pos, |w, &p| {
+                        w.usize(p);
+                    })
+                    .usize(f.turn)
+                    .usize(f.agreed)
+                    .u64(f.max_v);
+                } else {
+                    w.usize(f.cur);
+                }
+                w.u64(f.v);
+            });
+        w.u8(match m.phase {
+            Phase::Enter => 0,
+            Phase::Step => 1,
+            Phase::Narrow { .. } => 2,
+            Phase::Bind => 3,
+            Phase::Emit => 4,
+        });
+        if let Phase::Narrow { idx } = m.phase {
+            w.usize(idx);
+        }
+    }
+
+    /// Decodes and validates a frontier against the prepared query.
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Result<Machine, CheckpointError> {
+        let p = &self.p;
+        let num_atoms = p.atoms.len();
+        let read_range =
+            |r: &mut PayloadReader<'_>, atom: usize| -> Result<Range, CheckpointError> {
+                let Some(pa) = p.atoms.get(atom) else {
+                    return Err(CheckpointError::Malformed {
+                        what: format!("range for unknown atom {atom}"),
+                        offset: r.offset(),
+                    });
+                };
+                let ranks = pa.var_ranks.len();
+                let at = r.offset();
+                let depth = r.usize_at_most(ranks, "range depth")?;
+                let bound = range_bound(&pa.trie, depth);
+                let lo = r.usize_at_most(bound, "range lo")?;
+                let hi = r.usize_at_most(bound, "range hi")?;
+                if lo > hi {
+                    return Err(CheckpointError::Malformed {
+                        what: format!("range lo {lo} > hi {hi}"),
+                        offset: at,
+                    });
+                }
+                Ok(Range { lo, hi, depth })
+            };
+        let ranges = r.seq(num_atoms..=num_atoms, 24, "atom ranges", read_range)?;
+        let tuple = r.seq(p.num_vars..=p.num_vars, 8, "tuple", |r, _| r.u64())?;
+        let frames = r.seq(..=p.num_vars, 33, "frame stack", |r, _| {
+            let participants = r.seq(.., 8, "participants", |r, _| {
+                r.usize_below(num_atoms, "participant atom")
+            })?;
+            let part_len = participants.len();
+            let heavy = r.bool()?;
+            let driver = r.usize_below(part_len.max(1), "driver slot")?;
+            if part_len == 0 {
+                return Err(CheckpointError::Malformed {
+                    what: "frame with no participants".into(),
+                    offset: r.offset(),
+                });
+            }
+            let saved = r.items(participants.iter(), 24, "saved ranges", |r, &atom| {
+                read_range(r, atom)
+            })?;
+            let mut frame = Frame {
+                participants,
+                heavy,
+                driver,
+                ..Frame::default()
+            };
+            if heavy {
+                frame.pos = r.items(saved.iter(), 8, "leapfrog positions", |r, sr| {
+                    let at = r.offset();
+                    let pj = r.usize_at_most(sr.hi, "leapfrog position")?;
+                    if pj < sr.lo {
+                        return Err(CheckpointError::Malformed {
+                            what: format!("leapfrog position {pj} below range lo {}", sr.lo),
+                            offset: at,
+                        });
+                    }
+                    Ok(pj)
+                })?;
+                frame.turn = r.usize_below(part_len, "leapfrog turn")?;
+                frame.agreed = r.usize_at_most(part_len, "leapfrog agreement")?;
+                frame.max_v = r.u64()?;
+            } else {
+                let sr = saved.get(driver).copied().unwrap_or_default();
+                let at = r.offset();
+                frame.cur = r.usize_at_most(sr.hi, "light cursor")?;
+                if frame.cur < sr.lo {
+                    return Err(CheckpointError::Malformed {
+                        what: format!("light cursor {} below range lo {}", frame.cur, sr.lo),
+                        offset: at,
+                    });
+                }
+            }
+            frame.saved = saved;
+            frame.v = r.u64()?;
+            Ok(frame)
+        })?;
+        let tag_at = r.offset();
+        let phase = match r.u8()? {
+            0 => Phase::Enter,
+            1 => Phase::Step,
+            2 => {
+                let top = frames.last().ok_or_else(|| CheckpointError::Malformed {
+                    what: "narrow phase with an empty frame stack".into(),
+                    offset: tag_at,
+                })?;
+                if top.heavy {
+                    return Err(CheckpointError::Malformed {
+                        what: "narrow phase on a heavy (leapfrog) frame".into(),
+                        offset: tag_at,
+                    });
+                }
+                let idx = r.usize_at_most(top.participants.len(), "narrow index")?;
+                Phase::Narrow { idx }
+            }
+            3 => {
+                let top = frames.last().ok_or_else(|| CheckpointError::Malformed {
+                    what: "bind phase with an empty frame stack".into(),
+                    offset: tag_at,
+                })?;
+                if !top.heavy {
+                    return Err(CheckpointError::Malformed {
+                        what: "bind phase on a light frame".into(),
+                        offset: tag_at,
+                    });
+                }
+                Phase::Bind
+            }
+            4 => Phase::Emit,
+            b => {
+                return Err(CheckpointError::Malformed {
+                    what: format!("invalid phase tag {b}"),
+                    offset: tag_at,
+                })
+            }
+        };
+        Ok(Machine {
+            ranges,
+            tuple,
+            frames,
+            phase,
+            floor: 0,
+            ceiling: usize::MAX,
+        })
+    }
 }
 
-/// Like [`is_empty`], but exhaustion is a *pause*.
-#[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-pub fn is_empty_resumable(
-    q: &JoinQuery,
-    db: &Database,
-    order: Option<&[String]>,
-    budget: &Budget,
-    from: Option<&Checkpoint>,
-) -> Result<(ResumableOutcome<bool>, RunStats), ResumeError> {
-    let p = prepare(q, db, order)?;
-    let digest = instance_digest(q, db, order);
-    let (mut m, _) = match from {
-        Some(ck) => Machine::decode(&p, digest, 1, ck)?,
-        None => (Machine::fresh(&p), 0),
-    };
-    let mut ticker = Ticker::new(budget);
-    let outcome = match m.run(&p, &mut ticker, &mut Vec::new()) {
-        Ok(found) => ResumableOutcome::Sat(!found),
-        Err(reason) => ResumableOutcome::Suspended {
-            reason,
-            checkpoint: Checkpoint::new(
-                SolverFamily::GenericJoin,
-                CHECKPOINT_PAYLOAD_VERSION,
-                m.encode(digest, 1, 0),
-            ),
-        },
-    };
-    Ok((outcome, ticker.stats()))
+impl Countable for JoinSearch<'_> {
+    /// Runs the slice with one pool of spare frames, as [`count`] does.
+    fn count_answers(
+        &self,
+        m: &mut Machine,
+        n: &mut u64,
+        ticker: &mut Ticker,
+    ) -> Result<(), ExhaustReason> {
+        let mut spare = Vec::new();
+        while m.run(&self.p, ticker, &mut spare)? {
+            *n += 1;
+        }
+        Ok(())
+    }
 }
 
 /// Testing oracle: joins the atoms one at a time by scanning all pairs
@@ -1653,8 +1547,8 @@ mod tests {
             Err(JoinError::BadOrder(_))
         ));
         assert!(matches!(
-            count_resumable(&q, &db, Some(&ord), &Budget::unlimited(), None),
-            Err(ResumeError::Join(JoinError::BadOrder(_)))
+            JoinSearch::new(&q, &db, Some(&ord)),
+            Err(JoinError::BadOrder(_))
         ));
     }
 
@@ -1741,72 +1635,6 @@ mod tests {
     }
 
     #[test]
-    fn sliced_resume_matches_one_shot_count() {
-        for seed in 0..6u64 {
-            let q = JoinQuery::triangle();
-            let db = generators::random_binary_database(&q, 30, 8, seed);
-            let (one_shot, full) = count(&q, &db, None, &Budget::unlimited()).unwrap();
-            let mut from: Option<Checkpoint> = None;
-            let mut summed = RunStats::default();
-            let sliced = loop {
-                let (out, stats) = count_resumable(&q, &db, None, &Budget::ticks(6), from.as_ref())
-                    .expect("clean resume");
-                summed.absorb(&stats);
-                match out {
-                    ResumableOutcome::Suspended { checkpoint, .. } => {
-                        let bytes = checkpoint.to_bytes();
-                        from = Some(Checkpoint::from_bytes(&bytes).expect("round trip"));
-                    }
-                    done => break done.into_outcome(),
-                }
-            };
-            assert_eq!(sliced, one_shot, "seed {seed}");
-            assert_eq!(summed, full, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn sliced_resume_matches_one_shot_on_heavy_instances() {
-        // Slices small enough to suspend mid-leapfrog (Bind/Step phases).
-        let q = JoinQuery::triangle();
-        let db = heavy_hitter_db(16, 60);
-        let (one_shot, full) = count(&q, &db, None, &Budget::unlimited()).unwrap();
-        for ticks in [1u64, 3, 7] {
-            let mut from: Option<Checkpoint> = None;
-            let mut summed = RunStats::default();
-            let sliced = loop {
-                let (out, stats) =
-                    count_resumable(&q, &db, None, &Budget::ticks(ticks), from.as_ref())
-                        .expect("clean resume");
-                summed.absorb(&stats);
-                match out {
-                    ResumableOutcome::Suspended { checkpoint, .. } => {
-                        let bytes = checkpoint.to_bytes();
-                        from = Some(Checkpoint::from_bytes(&bytes).expect("round trip"));
-                    }
-                    done => break done.into_outcome(),
-                }
-            };
-            assert_eq!(sliced, one_shot, "ticks {ticks}");
-            assert_eq!(summed, full, "ticks {ticks}");
-        }
-    }
-
-    #[test]
-    fn database_change_is_rejected_on_resume() {
-        let q = JoinQuery::triangle();
-        let db1 = generators::random_binary_database(&q, 30, 8, 1);
-        let db2 = generators::random_binary_database(&q, 30, 8, 2);
-        let (out, _) = count_resumable(&q, &db1, None, &Budget::ticks(3), None).unwrap();
-        let ck = out.checkpoint().expect("suspended").clone();
-        let err = count_resumable(&q, &db2, None, &Budget::unlimited(), Some(&ck)).unwrap_err();
-        assert!(matches!(
-            err,
-            ResumeError::Checkpoint(CheckpointError::InstanceMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn a_nullary_atom_trie_counts_the_tables_row() {
         let q = JoinQuery::new(vec![Atom::new("R", &["a", "b"]), Atom::new("U", &[])]);
         let mut db = tiny_triangle_db();
@@ -1817,17 +1645,5 @@ mod tests {
         let p = prepare(&q, &db, None).unwrap();
         assert_eq!(p.atoms[1].trie.rows(), 1);
         assert_eq!(p.atoms[0].trie.rows(), db.table("R").unwrap().len());
-    }
-
-    #[test]
-    fn old_payload_version_is_rejected() {
-        let q = JoinQuery::triangle();
-        let db = tiny_triangle_db();
-        let (out, _) = count_resumable(&q, &db, None, &Budget::ticks(3), None).unwrap();
-        let ck = out.checkpoint().expect("suspended").clone();
-        // Re-wrap the payload under the retired v1 tag: decode must refuse.
-        let stale = Checkpoint::new(SolverFamily::GenericJoin, 1, ck.payload().to_vec());
-        let err = count_resumable(&q, &db, None, &Budget::unlimited(), Some(&stale)).unwrap_err();
-        assert!(matches!(err, ResumeError::Checkpoint(_)));
     }
 }

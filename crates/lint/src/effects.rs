@@ -24,7 +24,7 @@
 //!   contents), scheduler requeue calls, and `set_read_timeout`/
 //!   `set_write_timeout`/`set_nonblocking` calls.
 //!
-//! [`check`] then propagates the summaries interprocedurally over the PR-5
+//! `check` then propagates the summaries interprocedurally over the PR-5
 //! call graph, exactly like the PR-6 `charging_set`: per-function effect
 //! sets close over callees by fixpoint, and demand sites that are not
 //! discharged inside their own function walk up the (reverse) call graph

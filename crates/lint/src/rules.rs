@@ -257,6 +257,9 @@ impl Default for Config {
                 "crates/join/src/".into(),
                 "crates/graphalg/src/".into(),
                 "crates/serve/src/runner.rs".into(),
+                // The generic slice drivers every resumable family runs
+                // through (`find_slice`, `count_slice`).
+                "crates/engine/src/resumable.rs".into(),
             ],
             solver_loop_paths: vec![
                 "crates/sat/src/".into(),
@@ -264,6 +267,7 @@ impl Default for Config {
                 "crates/join/src/".into(),
                 "crates/graphalg/src/".into(),
                 "crates/serve/src/runner.rs".into(),
+                "crates/engine/src/resumable.rs".into(),
             ],
             root_prefixes: vec!["solve".into(), "count".into(), "find_".into()],
             root_suffixes: vec!["_resumable".into(), "_join".into()],

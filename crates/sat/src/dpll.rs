@@ -16,12 +16,15 @@
 //! as a micro-step machine: every counted operation applies its effect and
 //! advances the phase to the continuation point *before* spending the
 //! tick. When the budget fails mid-charge the operation is already done and
-//! counted, so [`DpllSolver::solve_resumable`] can serialize the frontier —
-//! decision stack, assignment, simplification trail, scan position — into a
-//! [`Checkpoint`] and a later call continues with the *next* operation.
-//! Chained resumes therefore produce the same verdict and the same summed
-//! [`RunStats`] as one uninterrupted run (the slice-equivalence invariant,
-//! machine-checked in `tests/resume_properties.rs`).
+//! counted, so the engine's [`find_slice`] driver, running a
+//! [`DpllSearch`] (DPLL's [`Resumable`] implementation), can serialize the
+//! frontier — decision stack, assignment, simplification trail, scan
+//! position — into a [`Checkpoint`] and a later call continues with the
+//! *next* operation. Chained resumes therefore produce the same verdict and
+//! the same summed [`RunStats`] as one uninterrupted run (the
+//! slice-equivalence invariant, machine-checked in
+//! `tests/resume_properties.rs`). DPLL only finds, so its payload carries no
+//! mode byte and no count field.
 //!
 //! # Derived state
 //!
@@ -39,16 +42,19 @@
 //! (`tests/dpll_replay_pins.rs` pins them).
 //!
 //! The counts are a function of the formula and the assignment alone, so
-//! they are not checkpointed: every `solve`/`solve_resumable` call rebuilds
+//! they are not checkpointed: every `solve` call and every slice rebuilds
 //! them in O(|F|) from the assignment it starts from. Keeping them out of
 //! the payload keeps the checkpoint format, and every checkpoint already
 //! spooled by a served job, valid.
+//!
+//! [`RunStats`]: lb_engine::RunStats
+//! [`Resumable`]: lb_engine::resumable::Resumable
+//! [`find_slice`]: lb_engine::resumable::find_slice
+//! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
 use crate::cnf::{CnfFormula, Lit};
-use lb_engine::checkpoint::{
-    Checkpoint, CheckpointError, Digest, PayloadReader, PayloadWriter, ResumableOutcome,
-    SolverFamily,
-};
+use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
+use lb_engine::resumable::{self, Resumable};
 use lb_engine::{Budget, ExhaustReason, Outcome, RunStats, Ticker};
 
 /// Payload version of DPLL checkpoints; bumped whenever the frontier
@@ -116,11 +122,12 @@ struct Frame {
     trail: Vec<usize>,
 }
 
-/// The explicit-stack DPLL search state. Everything needed to continue the
-/// run lives here; the formula and configuration are supplied externally
-/// and cross-checked via an FNV digest at resume time.
+/// The explicit-stack DPLL search state: the frontier a [`DpllSearch`]
+/// checkpoints. Everything needed to continue the run lives here; the
+/// formula and configuration are supplied externally and cross-checked via
+/// an FNV digest at resume time.
 #[derive(Clone, Debug)]
-struct Machine {
+pub struct Machine {
     assignment: Vec<Option<bool>>,
     /// Simplification trail of the current (deepest) level.
     trail: Vec<usize>,
@@ -136,7 +143,7 @@ struct Machine {
 /// Search state derived from [`Machine::assignment`], updated on every
 /// assignment change so no step of the search rescans the clause database.
 /// It is a pure function of the formula and the assignment: never
-/// checkpointed, rebuilt in O(|F|) at the start of every [`Machine::run`].
+/// checkpointed, rebuilt in O(|F|) at the start of every run of a slice.
 struct Derived {
     occurs: Occurrences,
     counts: Counts,
@@ -351,20 +358,6 @@ impl Counts {
 }
 
 impl Machine {
-    fn fresh(f: &CnfFormula) -> Machine {
-        Machine {
-            assignment: vec![None; f.num_vars()],
-            trail: Vec::new(),
-            frames: Vec::new(),
-            pure_pos: Vec::new(),
-            pure_neg: Vec::new(),
-            phase: Phase::UnitScan {
-                clause: 0,
-                changed: false,
-            },
-        }
-    }
-
     /// Undoes the current level's simplification trail and starts unwinding.
     fn fail_level(&mut self, f: &CnfFormula, derived: &mut Derived) {
         std::mem::take(&mut self.trail)
@@ -387,302 +380,6 @@ impl Machine {
         self.pure_pos = snapshot(&derived.counts.pos);
         self.pure_neg = snapshot(&derived.counts.neg);
     }
-
-    /// Runs micro-steps until a verdict or a failed charge. Every counted
-    /// operation updates the machine to its continuation point *before*
-    /// spending the tick, so an `Err` return leaves the machine resumable
-    /// with nothing redone and nothing double-counted.
-    fn run(
-        &mut self,
-        f: &CnfFormula,
-        config: &DpllConfig,
-        ticker: &mut Ticker,
-    ) -> Result<bool, ExhaustReason> {
-        let mut derived = Derived::new(f, &self.assignment);
-        loop {
-            match self.phase {
-                Phase::UnitScan { clause, changed } => {
-                    // Only hot clauses (conflicts and units) need a visit;
-                    // the scan jumps between them in index order.
-                    let mut i = clause;
-                    let mut changed = changed;
-                    let mut conflict = false;
-                    while let Some(c) = derived.counts.next_hot(i) {
-                        i = c + 1;
-                        match derived.counts.unit_literal(f, c, &self.assignment) {
-                            None => {
-                                conflict = true;
-                                break;
-                            }
-                            Some(l) if config.unit_propagation => {
-                                derived.set(
-                                    f,
-                                    &mut self.assignment,
-                                    l.var(),
-                                    Some(l.is_positive()),
-                                );
-                                self.trail.push(l.var());
-                                ticker.record_intermediate(self.trail.len() as u64);
-                                changed = true;
-                                self.phase = Phase::UnitScan { clause: i, changed };
-                                ticker.propagation()?;
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                    if conflict {
-                        self.fail_level(f, &mut derived);
-                        ticker.backtrack()?;
-                    } else if config.pure_literal && !changed {
-                        self.compute_purity(&derived);
-                        self.phase = Phase::PureScan {
-                            var: 0,
-                            changed: false,
-                        };
-                    } else if changed {
-                        self.phase = Phase::UnitScan {
-                            clause: 0,
-                            changed: false,
-                        };
-                    } else {
-                        self.phase = Phase::Choose;
-                    }
-                }
-                Phase::PureScan { var, changed } => {
-                    let mut v = var;
-                    let mut changed = changed;
-                    while let Some(a) = self.assignment.get(v) {
-                        let pos = self.pure_pos.get(v).copied().unwrap_or(false);
-                        let neg = self.pure_neg.get(v).copied().unwrap_or(false);
-                        if a.is_none() && (pos ^ neg) {
-                            derived.set(f, &mut self.assignment, v, Some(pos));
-                            self.trail.push(v);
-                            ticker.record_intermediate(self.trail.len() as u64);
-                            changed = true;
-                            v += 1;
-                            self.phase = Phase::PureScan { var: v, changed };
-                            ticker.propagation()?;
-                        } else {
-                            v += 1;
-                        }
-                    }
-                    self.pure_pos.clear();
-                    self.pure_neg.clear();
-                    self.phase = if changed {
-                        Phase::UnitScan {
-                            clause: 0,
-                            changed: false,
-                        }
-                    } else {
-                        Phase::Choose
-                    };
-                }
-                Phase::Choose => {
-                    if derived.counts.satisfied == f.clauses().len() {
-                        return Ok(true);
-                    }
-                    let mut unassigned = self
-                        .assignment
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| a.is_none())
-                        .map(|(v, _)| v);
-                    let var = match config.branching {
-                        Branching::FirstUnassigned => unassigned.next(),
-                        // `max_by_key` keeps the last of equal maxima.
-                        Branching::MostFrequent => {
-                            unassigned.max_by_key(|&v| derived.counts.occurrences(v))
-                        }
-                    };
-                    match var {
-                        None => {
-                            // No unassigned variables but not all clauses
-                            // satisfied: dead end.
-                            self.fail_level(f, &mut derived);
-                            ticker.backtrack()?;
-                        }
-                        Some(var) => {
-                            let trail = std::mem::take(&mut self.trail);
-                            self.frames.push(Frame {
-                                var,
-                                tried_false: false,
-                                trail,
-                            });
-                            ticker.record_intermediate(self.frames.len() as u64);
-                            derived.set(f, &mut self.assignment, var, Some(true));
-                            self.phase = Phase::UnitScan {
-                                clause: 0,
-                                changed: false,
-                            };
-                            ticker.node()?;
-                        }
-                    }
-                }
-                Phase::Unwind => match self.frames.last_mut() {
-                    None => return Ok(false),
-                    Some(top) => {
-                        if !top.tried_false {
-                            top.tried_false = true;
-                            let var = top.var;
-                            derived.set(f, &mut self.assignment, var, Some(false));
-                            self.phase = Phase::UnitScan {
-                                clause: 0,
-                                changed: false,
-                            };
-                        } else if let Some(frame) = self.frames.pop() {
-                            std::iter::once(frame.var)
-                                .chain(frame.trail)
-                                .for_each(|v| derived.set(f, &mut self.assignment, v, None));
-                        }
-                    }
-                },
-            }
-        }
-    }
-
-    /// The witness for a `Sat` verdict: unconstrained vars default to false.
-    fn witness(&self) -> Vec<bool> {
-        self.assignment.iter().map(|a| a.unwrap_or(false)).collect()
-    }
-
-    fn encode(&self, digest: u64) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        w.u64(digest).usize(self.assignment.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for a in &self.assignment {
-            w.u8(match a {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            });
-        }
-        w.seq_usize(&self.trail);
-        w.usize(self.frames.len());
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-        for frame in &self.frames {
-            w.usize(frame.var).bool(frame.tried_false);
-            w.seq_usize(&frame.trail);
-        }
-        match self.phase {
-            Phase::UnitScan { clause, changed } => {
-                w.u8(0).usize(clause).bool(changed);
-            }
-            Phase::PureScan { var, changed } => {
-                w.u8(1).usize(var).bool(changed);
-                // lb-lint: allow(unbudgeted-loop) -- checkpoint serialization, linear in machine state
-                for i in 0..self.assignment.len() {
-                    w.bool(self.pure_pos.get(i).copied().unwrap_or(false));
-                    w.bool(self.pure_neg.get(i).copied().unwrap_or(false));
-                }
-            }
-            Phase::Choose => {
-                w.u8(2);
-            }
-            Phase::Unwind => {
-                w.u8(3);
-            }
-        }
-        w.finish()
-    }
-
-    fn decode(f: &CnfFormula, digest: u64, ck: &Checkpoint) -> Result<Machine, CheckpointError> {
-        ck.verify(SolverFamily::Dpll, CHECKPOINT_PAYLOAD_VERSION)?;
-        let mut r = PayloadReader::new(ck.payload());
-        let found = r.u64()?;
-        if found != digest {
-            return Err(CheckpointError::InstanceMismatch {
-                family: SolverFamily::Dpll,
-                expected: digest,
-                found,
-            });
-        }
-        let n = f.num_vars();
-        let stored_n = r.usize()?;
-        if stored_n != n {
-            return Err(CheckpointError::Malformed {
-                what: format!("checkpoint has {stored_n} variables, formula has {n}"),
-                offset: r.offset(),
-            });
-        }
-        let mut assignment = Vec::with_capacity(n);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..n {
-            let at = r.offset();
-            // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            assignment.push(match r.u8()? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                b => {
-                    return Err(CheckpointError::Malformed {
-                        what: format!("invalid assignment byte {b}"),
-                        offset: at,
-                    })
-                }
-            });
-        }
-        let read_trail = |r: &mut PayloadReader<'_>| -> Result<Vec<usize>, CheckpointError> {
-            let len = r.seq_len(8, "trail")?;
-            let mut out = Vec::with_capacity(len);
-            // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-            for _ in 0..len {
-                out.push(r.usize_below(n, "trail var")?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            }
-            Ok(out)
-        };
-        let trail = read_trail(&mut r)?;
-        let frame_count = r.seq_len(17, "decision stack")?;
-        let mut frames = Vec::with_capacity(frame_count);
-        // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-        for _ in 0..frame_count {
-            let var = r.usize_below(n, "decision var")?;
-            let tried_false = r.bool()?;
-            let frame_trail = read_trail(&mut r)?;
-            // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-            frames.push(Frame {
-                var,
-                tried_false,
-                trail: frame_trail,
-            });
-        }
-        let tag_at = r.offset();
-        let (phase, pure_pos, pure_neg) = match r.u8()? {
-            0 => {
-                let clause = r.usize_at_most(f.clauses().len(), "clause index")?;
-                let changed = r.bool()?;
-                (Phase::UnitScan { clause, changed }, Vec::new(), Vec::new())
-            }
-            1 => {
-                let var = r.usize_at_most(n, "pure-scan var")?;
-                let changed = r.bool()?;
-                let mut pos = Vec::with_capacity(n);
-                let mut neg = Vec::with_capacity(n);
-                // lb-lint: allow(unbudgeted-loop) -- checkpoint deserialization, linear in the length-checked payload
-                for _ in 0..n {
-                    pos.push(r.bool()?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-                    neg.push(r.bool()?); // lb-lint: allow(unbounded-growth) -- rebuilds checkpointed state; bounded by the length-checked payload
-                }
-                (Phase::PureScan { var, changed }, pos, neg)
-            }
-            2 => (Phase::Choose, Vec::new(), Vec::new()),
-            3 => (Phase::Unwind, Vec::new(), Vec::new()),
-            b => {
-                return Err(CheckpointError::Malformed {
-                    what: format!("invalid phase tag {b}"),
-                    offset: tag_at,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(Machine {
-            assignment,
-            trail,
-            frames,
-            pure_pos,
-            pure_neg,
-            phase,
-        })
-    }
 }
 
 impl DpllSolver {
@@ -691,8 +388,41 @@ impl DpllSolver {
         DpllSolver { config }
     }
 
+    /// Decides satisfiability under `budget`: `Sat(model)`, `Unsat`, or
+    /// `Exhausted` if the budget ran out first, plus run counters.
+    pub fn solve(&self, f: &CnfFormula, budget: &Budget) -> (Outcome<Vec<bool>>, RunStats) {
+        resumable::find(&self.search(f), budget)
+    }
+    /// The resumable search of `f` under this solver's configuration:
+    /// slices of it run through the engine's
+    /// [`find_slice`](lb_engine::resumable::find_slice).
+    pub fn search<'a>(&self, f: &'a CnfFormula) -> DpllSearch<'a> {
+        DpllSearch {
+            f,
+            config: self.config,
+        }
+    }
+}
+
+/// DPLL on one formula under one configuration, as a resumable search: find
+/// mode returns a model (unconstrained variables false).
+#[derive(Clone, Copy, Debug)]
+pub struct DpllSearch<'a> {
+    f: &'a CnfFormula,
+    config: DpllConfig,
+}
+
+impl Resumable for DpllSearch<'_> {
+    type State = Machine;
+    type Answer = Vec<bool>;
+    const FAMILY: SolverFamily = SolverFamily::Dpll;
+    const PAYLOAD_VERSION: u16 = CHECKPOINT_PAYLOAD_VERSION;
+    const MODE_TAGS: Option<[u8; 2]> = None;
+    const COUNT_FIELD: bool = false;
+
     /// FNV digest binding a checkpoint to (formula, configuration).
-    fn digest(&self, f: &CnfFormula) -> u64 {
+    fn digest(&self) -> u64 {
+        let f = self.f;
         let mut d = Digest::new();
         d.str("dpll").usize(f.num_vars()).usize(f.clauses().len());
         // lb-lint: allow(unbudgeted-loop) -- digest pass, linear in the formula; runs once per resume
@@ -712,48 +442,259 @@ impl DpllSolver {
         d.finish()
     }
 
-    /// Decides satisfiability under `budget`: `Sat(model)`, `Unsat`, or
-    /// `Exhausted` if the budget ran out first, plus run counters.
-    pub fn solve(&self, f: &CnfFormula, budget: &Budget) -> (Outcome<Vec<bool>>, RunStats) {
-        let mut machine = Machine::fresh(f);
-        let mut ticker = Ticker::new(budget);
-        let result = machine
-            .run(f, &self.config, &mut ticker)
-            .map(|sat| sat.then(|| machine.witness()));
-        ticker.finish(result)
+    fn fresh(&self) -> Machine {
+        Machine {
+            assignment: vec![None; self.f.num_vars()],
+            trail: Vec::new(),
+            frames: Vec::new(),
+            pure_pos: Vec::new(),
+            pure_neg: Vec::new(),
+            phase: Phase::UnitScan {
+                clause: 0,
+                changed: false,
+            },
+        }
     }
 
-    /// Like [`solve`](DpllSolver::solve), but exhaustion is a *pause*: the
-    /// returned [`ResumableOutcome::Suspended`] carries a [`Checkpoint`]
-    /// which, passed back as `from`, continues the search exactly where it
-    /// stopped. Chained resumes match one uninterrupted run in verdict and
-    /// summed [`RunStats`].
-    #[must_use = "a resumable run's outcome carries the checkpoint needed to continue"]
-    pub fn solve_resumable(
+    /// Runs micro-steps until a model or the end of the search, or a
+    /// failed charge. Every counted operation updates the machine to its
+    /// continuation point *before* spending the tick, so an `Err` return
+    /// leaves the machine resumable with nothing redone and nothing
+    /// double-counted.
+    fn run(
         &self,
-        f: &CnfFormula,
-        budget: &Budget,
-        from: Option<&Checkpoint>,
-    ) -> Result<(ResumableOutcome<Vec<bool>>, RunStats), CheckpointError> {
-        let digest = self.digest(f);
-        let mut machine = match from {
-            Some(ck) => Machine::decode(f, digest, ck)?,
-            None => Machine::fresh(f),
+        m: &mut Machine,
+        ticker: &mut Ticker,
+    ) -> Result<Option<Vec<bool>>, ExhaustReason> {
+        let (f, config) = (self.f, &self.config);
+        let mut derived = Derived::new(f, &m.assignment);
+        loop {
+            match m.phase {
+                Phase::UnitScan { clause, changed } => {
+                    // Only hot clauses (conflicts and units) need a visit;
+                    // the scan jumps between them in index order.
+                    let mut i = clause;
+                    let mut changed = changed;
+                    let mut conflict = false;
+                    while let Some(c) = derived.counts.next_hot(i) {
+                        i = c + 1;
+                        match derived.counts.unit_literal(f, c, &m.assignment) {
+                            None => {
+                                conflict = true;
+                                break;
+                            }
+                            Some(l) if config.unit_propagation => {
+                                derived.set(f, &mut m.assignment, l.var(), Some(l.is_positive()));
+                                m.trail.push(l.var());
+                                ticker.record_intermediate(m.trail.len() as u64);
+                                changed = true;
+                                m.phase = Phase::UnitScan { clause: i, changed };
+                                ticker.propagation()?;
+                            }
+                            Some(_) => {}
+                        }
+                    }
+                    if conflict {
+                        m.fail_level(f, &mut derived);
+                        ticker.backtrack()?;
+                    } else if config.pure_literal && !changed {
+                        m.compute_purity(&derived);
+                        m.phase = Phase::PureScan {
+                            var: 0,
+                            changed: false,
+                        };
+                    } else if changed {
+                        m.phase = Phase::UnitScan {
+                            clause: 0,
+                            changed: false,
+                        };
+                    } else {
+                        m.phase = Phase::Choose;
+                    }
+                }
+                Phase::PureScan { var, changed } => {
+                    let mut v = var;
+                    let mut changed = changed;
+                    while let Some(a) = m.assignment.get(v) {
+                        let pos = m.pure_pos.get(v).copied().unwrap_or(false);
+                        let neg = m.pure_neg.get(v).copied().unwrap_or(false);
+                        if a.is_none() && (pos ^ neg) {
+                            derived.set(f, &mut m.assignment, v, Some(pos));
+                            m.trail.push(v);
+                            ticker.record_intermediate(m.trail.len() as u64);
+                            changed = true;
+                            v += 1;
+                            m.phase = Phase::PureScan { var: v, changed };
+                            ticker.propagation()?;
+                        } else {
+                            v += 1;
+                        }
+                    }
+                    m.pure_pos.clear();
+                    m.pure_neg.clear();
+                    m.phase = if changed {
+                        Phase::UnitScan {
+                            clause: 0,
+                            changed: false,
+                        }
+                    } else {
+                        Phase::Choose
+                    };
+                }
+                Phase::Choose => {
+                    if derived.counts.satisfied == f.clauses().len() {
+                        // The model: unconstrained variables default to false.
+                        let model = m.assignment.iter().map(|a| a.unwrap_or(false));
+                        return Ok(Some(model.collect()));
+                    }
+                    let mut unassigned = m
+                        .assignment
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, a)| a.is_none())
+                        .map(|(v, _)| v);
+                    let var = match config.branching {
+                        Branching::FirstUnassigned => unassigned.next(),
+                        // `max_by_key` keeps the last of equal maxima.
+                        Branching::MostFrequent => {
+                            unassigned.max_by_key(|&v| derived.counts.occurrences(v))
+                        }
+                    };
+                    match var {
+                        None => {
+                            // No unassigned variables but not all clauses
+                            // satisfied: dead end.
+                            m.fail_level(f, &mut derived);
+                            ticker.backtrack()?;
+                        }
+                        Some(var) => {
+                            let trail = std::mem::take(&mut m.trail);
+                            m.frames.push(Frame {
+                                var,
+                                tried_false: false,
+                                trail,
+                            });
+                            ticker.record_intermediate(m.frames.len() as u64);
+                            derived.set(f, &mut m.assignment, var, Some(true));
+                            m.phase = Phase::UnitScan {
+                                clause: 0,
+                                changed: false,
+                            };
+                            ticker.node()?;
+                        }
+                    }
+                }
+                Phase::Unwind => match m.frames.last_mut() {
+                    None => return Ok(None),
+                    Some(top) => {
+                        if !top.tried_false {
+                            top.tried_false = true;
+                            let var = top.var;
+                            derived.set(f, &mut m.assignment, var, Some(false));
+                            m.phase = Phase::UnitScan {
+                                clause: 0,
+                                changed: false,
+                            };
+                        } else if let Some(frame) = m.frames.pop() {
+                            std::iter::once(frame.var)
+                                .chain(frame.trail)
+                                .for_each(|v| derived.set(f, &mut m.assignment, v, None));
+                        }
+                    }
+                },
+            }
+        }
+    }
+
+    fn encode(&self, m: &Machine, w: &mut PayloadWriter) {
+        w.seq(&m.assignment, |w, a| {
+            w.u8(match a {
+                None => 0,
+                Some(false) => 1,
+                Some(true) => 2,
+            });
+        });
+        w.seq_usize(&m.trail).seq(&m.frames, |w, frame| {
+            w.usize(frame.var).bool(frame.tried_false);
+            w.seq_usize(&frame.trail);
+        });
+        match m.phase {
+            Phase::UnitScan { clause, changed } => {
+                w.u8(0).usize(clause).bool(changed);
+            }
+            Phase::PureScan { var, changed } => {
+                w.u8(1).usize(var).bool(changed);
+                w.each(0..m.assignment.len(), |w, i| {
+                    w.bool(m.pure_pos.get(i).copied().unwrap_or(false));
+                    w.bool(m.pure_neg.get(i).copied().unwrap_or(false));
+                });
+            }
+            Phase::Choose => {
+                w.u8(2);
+            }
+            Phase::Unwind => {
+                w.u8(3);
+            }
+        }
+    }
+
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Result<Machine, CheckpointError> {
+        let n = self.f.num_vars();
+        let assignment = r.seq(n..=n, 1, "assignment", |r, _| {
+            let at = r.offset();
+            match r.u8()? {
+                0 => Ok(None),
+                1 => Ok(Some(false)),
+                2 => Ok(Some(true)),
+                b => Err(CheckpointError::Malformed {
+                    what: format!("invalid assignment byte {b}"),
+                    offset: at,
+                }),
+            }
+        })?;
+        let read_trail =
+            |r: &mut PayloadReader<'_>| r.seq(.., 8, "trail", |r, _| r.usize_below(n, "trail var"));
+        let trail = read_trail(r)?;
+        let frames = r.seq(.., 17, "decision stack", |r, _| {
+            Ok(Frame {
+                var: r.usize_below(n, "decision var")?,
+                tried_false: r.bool()?,
+                trail: read_trail(r)?,
+            })
+        })?;
+        let tag_at = r.offset();
+        let (phase, pure_pos, pure_neg) = match r.u8()? {
+            0 => {
+                let clause = r.usize_at_most(self.f.clauses().len(), "clause index")?;
+                let changed = r.bool()?;
+                (Phase::UnitScan { clause, changed }, Vec::new(), Vec::new())
+            }
+            1 => {
+                let var = r.usize_at_most(n, "pure-scan var")?;
+                let changed = r.bool()?;
+                let snapshot = r.items(0..n, 2, "purity snapshot", |r, _| {
+                    Ok((r.bool()?, r.bool()?))
+                })?;
+                let (pos, neg) = snapshot.into_iter().unzip();
+                (Phase::PureScan { var, changed }, pos, neg)
+            }
+            2 => (Phase::Choose, Vec::new(), Vec::new()),
+            3 => (Phase::Unwind, Vec::new(), Vec::new()),
+            b => {
+                return Err(CheckpointError::Malformed {
+                    what: format!("invalid phase tag {b}"),
+                    offset: tag_at,
+                })
+            }
         };
-        let mut ticker = Ticker::new(budget);
-        let outcome = match machine.run(f, &self.config, &mut ticker) {
-            Ok(true) => ResumableOutcome::Sat(machine.witness()),
-            Ok(false) => ResumableOutcome::Unsat,
-            Err(reason) => ResumableOutcome::Suspended {
-                reason,
-                checkpoint: Checkpoint::new(
-                    SolverFamily::Dpll,
-                    CHECKPOINT_PAYLOAD_VERSION,
-                    machine.encode(digest),
-                ),
-            },
-        };
-        Ok((outcome, ticker.stats()))
+        Ok(Machine {
+            assignment,
+            trail,
+            frames,
+            pure_pos,
+            pure_neg,
+            phase,
+        })
     }
 }
 
@@ -874,65 +815,6 @@ mod tests {
         let (out, stats) = DpllSolver::default().solve(&f, &Budget::ticks(2));
         assert!(out.is_exhausted(), "2 ticks cannot decide 42 clauses");
         assert!(stats.total_ops() >= 2);
-    }
-
-    #[test]
-    fn sliced_resume_matches_one_shot() {
-        for seed in 0..6u64 {
-            let f = generators::random_ksat(8, 30, 3, seed);
-            for cfg in all_configs() {
-                let solver = DpllSolver::new(cfg);
-                let (one_shot, full) = solver.solve(&f, &Budget::unlimited());
-                let mut from: Option<Checkpoint> = None;
-                let mut summed = RunStats::default();
-                let sliced = loop {
-                    let (out, stats) = solver
-                        .solve_resumable(&f, &Budget::ticks(7), from.as_ref())
-                        .expect("clean resume");
-                    summed.absorb(&stats);
-                    match out {
-                        ResumableOutcome::Suspended { checkpoint, .. } => {
-                            // Round-trip through bytes, like a real restart.
-                            let bytes = checkpoint.to_bytes();
-                            from = Some(Checkpoint::from_bytes(&bytes).expect("round trip"));
-                        }
-                        done => break done.into_outcome(),
-                    }
-                };
-                assert_eq!(sliced, one_shot, "seed {seed}, cfg {cfg:?}");
-                assert_eq!(summed, full, "seed {seed}, cfg {cfg:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_family_checkpoint_is_rejected() {
-        let f = generators::random_ksat(6, 20, 3, 1);
-        let solver = DpllSolver::default();
-        let (out, _) = solver
-            .solve_resumable(&f, &Budget::ticks(3), None)
-            .expect("fresh start");
-        let ck = out.checkpoint().expect("suspended").clone();
-        let alien = Checkpoint::new(SolverFamily::GenericJoin, 1, ck.payload().to_vec());
-        let err = solver
-            .solve_resumable(&f, &Budget::unlimited(), Some(&alien))
-            .unwrap_err();
-        assert!(matches!(err, CheckpointError::WrongFamily { .. }));
-    }
-
-    #[test]
-    fn wrong_instance_checkpoint_is_rejected() {
-        let f1 = generators::random_ksat(8, 30, 3, 1);
-        let f2 = generators::random_ksat(8, 30, 3, 2);
-        let solver = DpllSolver::default();
-        let (out, _) = solver
-            .solve_resumable(&f1, &Budget::ticks(3), None)
-            .expect("fresh start");
-        let ck = out.checkpoint().expect("suspended").clone();
-        let err = solver
-            .solve_resumable(&f2, &Budget::unlimited(), Some(&ck))
-            .unwrap_err();
-        assert!(matches!(err, CheckpointError::InstanceMismatch { .. }));
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Dispatch from a parsed [`Instance`] to the family's resumable solver —
+//! Dispatch from a parsed [`Instance`] to the family's resumable search —
 //! one slice at a time, under the engine's budget/checkpoint contract.
 //!
-//! This is where the server meets the solvers: [`solve_slice`] runs
-//! exactly one budget slice (fresh or resumed from an LBCK checkpoint) and
-//! reports either a final [`Verdict`] or a suspension carrying the next
-//! checkpoint; [`solve_to_verdict`] drives slices to completion in-process
-//! — the *uninterrupted reference run* the soak harness compares every
-//! served verdict against.
+//! This is where the server meets the solvers: [`solve_slice`] builds the
+//! family's [`Resumable`] search, runs exactly one budget slice of it
+//! through the engine's [`find_slice`] or [`count_slice`] driver (fresh or
+//! resumed from an LBCK checkpoint), and reports either a final [`Verdict`]
+//! or a suspension carrying the next checkpoint; [`solve_to_verdict`]
+//! drives slices to completion in-process — the *uninterrupted reference
+//! run* the soak harness compares every served verdict against.
 
 use crate::job::{Instance, Verdict};
 use lb_engine::checkpoint::{Checkpoint, CheckpointError, ResumableOutcome};
+use lb_engine::resumable::{count_slice, find_slice, Countable, Resumable};
 use lb_engine::{exhaustion_diagnostic, Budget, ExhaustReason, RunStats};
 use std::fmt;
 
@@ -78,6 +80,27 @@ fn map_outcome<W>(out: ResumableOutcome<W>, sat: impl FnOnce(W) -> Verdict) -> S
     }
 }
 
+/// One find-mode slice of `search`, its answer rendered by `sat`.
+fn find<S: Resumable>(
+    search: &S,
+    slice: &Budget,
+    from: Option<&Checkpoint>,
+    sat: impl FnOnce(S::Answer) -> Verdict,
+) -> Result<(SliceOutcome, RunStats), SliceError> {
+    let (out, stats) = find_slice(search, slice, from)?;
+    Ok((map_outcome(out, sat), stats))
+}
+
+/// One count-mode slice of `search`.
+fn count<S: Countable>(
+    search: &S,
+    slice: &Budget,
+    from: Option<&Checkpoint>,
+) -> Result<(SliceOutcome, RunStats), SliceError> {
+    let (out, stats) = count_slice(search, slice, from)?;
+    Ok((map_outcome(out, Verdict::Count), stats))
+}
+
 /// Runs exactly one budget slice of `inst`, resuming `from` when given.
 /// This is the scheduler's preemption point: a `Suspended` outcome is a
 /// job giving up the worker, not a failure.
@@ -88,42 +111,26 @@ pub fn solve_slice(
     from: Option<&Checkpoint>,
 ) -> Result<(SliceOutcome, RunStats), SliceError> {
     match inst {
-        Instance::Sat(f) => {
-            let solver = lb_sat::DpllSolver::default();
-            let (out, stats) = solver.solve_resumable(f, slice, from)?;
-            Ok((
-                map_outcome(out, |m| Verdict::Sat(render_sat_model(&m))),
-                stats,
-            ))
-        }
+        Instance::Sat(f) => find(&lb_sat::DpllSolver::default().search(f), slice, from, |m| {
+            Verdict::Sat(render_sat_model(&m))
+        }),
         Instance::Csp(c) => {
-            let (out, stats) = lb_csp::solver::backtracking::solve_resumable(
-                c,
-                lb_csp::solver::BacktrackConfig::default(),
-                slice,
-                from,
-            )?;
-            Ok((map_outcome(out, |a| Verdict::Sat(render_values(&a))), stats))
+            let config = lb_csp::solver::BacktrackConfig::default();
+            let search = lb_csp::solver::backtracking::CspSearch::new(c, config);
+            find(&search, slice, from, |a| Verdict::Sat(render_values(&a)))
         }
         Instance::Join(q, db) => {
-            let (out, stats) =
-                lb_join::wcoj::count_resumable(q, db, None, slice, from).map_err(|e| match e {
-                    lb_join::wcoj::ResumeError::Join(j) => SliceError::Instance(j.to_string()),
-                    lb_join::wcoj::ResumeError::Checkpoint(c) => SliceError::Checkpoint(c),
-                })?;
-            Ok((map_outcome(out, Verdict::Count), stats))
+            let search = lb_join::wcoj::JoinSearch::new(q, db, None)
+                .map_err(|e| SliceError::Instance(e.to_string()))?;
+            count(&search, slice, from)
         }
-        Instance::Triangle(g) => {
-            let (out, stats) = lb_graphalg::triangle::count_triangles_resumable(g, slice, from)?;
-            Ok((map_outcome(out, Verdict::Count), stats))
-        }
-        Instance::Clique(g, k) => {
-            let (out, stats) = lb_graphalg::clique::find_clique_resumable(g, *k, slice, from)?;
-            Ok((
-                map_outcome(out, |vs| Verdict::Sat(render_values(&vs))),
-                stats,
-            ))
-        }
+        Instance::Triangle(g) => count(&lb_graphalg::triangle::TriangleScan::new(g), slice, from),
+        Instance::Clique(g, k) => find(
+            &lb_graphalg::clique::CliqueSearch::new(g, *k),
+            slice,
+            from,
+            |vs| Verdict::Sat(render_values(&vs)),
+        ),
     }
 }
 

@@ -26,7 +26,7 @@ use lb_engine::{Budget, ExhaustReason, Outcome, RunStats, Ticker};
 
 /// Structural facts of a [`solve_hom_via_core`] run, showing the treewidth
 /// saving the core affords. (Operation counts live in the accompanying
-/// [`RunStats`](lb_engine::RunStats).)
+/// [`RunStats`].)
 #[derive(Clone, Debug)]
 pub struct CoreHomReport {
     /// Universe size of A.

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use lowerbounds::csp::solver::{backtracking, bruteforce, treewidth_dp, BacktrackConfig};
-use lowerbounds::engine::checkpoint::{Checkpoint, ResumableOutcome};
+use lowerbounds::engine::checkpoint::{Checkpoint, CheckpointError, ResumableOutcome};
+use lowerbounds::engine::resumable::{count_slice, find_slice};
 use lowerbounds::engine::{Budget, ExhaustReason, Outcome, RunStats};
 use lowerbounds::graph::generators;
 use lowerbounds::graphalg::clique;
@@ -77,8 +78,11 @@ fn expired() -> Budget {
 /// into k slices, chained through checkpoints, must reproduce the one-shot
 /// verdict and sum to the one-shot work counters. Checkpoints cross each
 /// slice boundary through their byte encoding, as they would on disk.
-fn sliced_budget_matches_one_shot<W: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
-    mut run: impl FnMut(&Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), E>,
+fn sliced_budget_matches_one_shot<W: PartialEq + std::fmt::Debug>(
+    mut run: impl FnMut(
+        &Budget,
+        Option<&Checkpoint>,
+    ) -> Result<(ResumableOutcome<W>, RunStats), CheckpointError>,
 ) {
     let (full, full_stats) = run(&Budget::unlimited(), None).expect("one-shot run errored");
     assert!(!full.is_suspended(), "suspended under an unlimited budget");
@@ -235,22 +239,23 @@ proptest! {
     ) {
         // sat: DPLL.
         let f = sgen::random_ksat(n, 3 * n, 3.min(n), seed);
-        let solver = DpllSolver::default();
-        sliced_budget_matches_one_shot(|b, from| solver.solve_resumable(&f, b, from));
+        let dpll = DpllSolver::default().search(&f);
+        sliced_budget_matches_one_shot(|b, from| find_slice(&dpll, b, from));
         // csp: backtracking, decision and counting.
         let g = generators::gnp(n, p, seed);
         let inst = lowerbounds::csp::generators::random_binary_csp(&g, 2, 0.4, seed);
-        let cfg = BacktrackConfig::default();
-        sliced_budget_matches_one_shot(|b, from| backtracking::solve_resumable(&inst, cfg, b, from));
-        sliced_budget_matches_one_shot(|b, from| backtracking::count_resumable(&inst, cfg, b, from));
+        let csp = backtracking::CspSearch::new(&inst, BacktrackConfig::default());
+        sliced_budget_matches_one_shot(|b, from| find_slice(&csp, b, from));
+        sliced_budget_matches_one_shot(|b, from| count_slice(&csp, b, from));
         // join: generic WCOJ count on the triangle query.
         let q = JoinQuery::triangle();
         let db = jgen::random_binary_database(&q, 3 * n, 5, seed);
-        sliced_budget_matches_one_shot(|b, from| wcoj::count_resumable(&q, &db, None, b, from));
+        let join = wcoj::JoinSearch::new(&q, &db, None).expect("valid database");
+        sliced_budget_matches_one_shot(|b, from| count_slice(&join, b, from));
         // graphalg: triangle scan and clique enumeration.
-        use lowerbounds::graphalg::triangle;
-        sliced_budget_matches_one_shot(|b, from| triangle::count_triangles_resumable(&g, b, from));
-        sliced_budget_matches_one_shot(|b, from| clique::find_clique_resumable(&g, 3, b, from));
+        let scan = lowerbounds::graphalg::triangle::TriangleScan::new(&g);
+        sliced_budget_matches_one_shot(|b, from| count_slice(&scan, b, from));
+        sliced_budget_matches_one_shot(|b, from| find_slice(&clique::CliqueSearch::new(&g, 3), b, from));
     }
 
     /// Every solver family charges `RunStats.max_intermediate`: the

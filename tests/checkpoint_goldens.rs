@@ -33,6 +33,7 @@ use lowerbounds::csp::solver::{backtracking, BacktrackConfig};
 use lowerbounds::engine::checkpoint::{
     Checkpoint, CheckpointError, ResumableOutcome, SolverFamily,
 };
+use lowerbounds::engine::resumable::{count_slice, find_slice};
 use lowerbounds::engine::{Budget, RunStats};
 use lowerbounds::graph::generators::gnp;
 use lowerbounds::graphalg::{clique, triangle};
@@ -136,51 +137,66 @@ fn step<W: Debug>(
     Ok((step, stats))
 }
 
-fn join_step<W: Debug>(
-    run: Result<(ResumableOutcome<W>, RunStats), wcoj::ResumeError>,
-) -> Result<(Step, RunStats), CheckpointError> {
-    step(run.map_err(|e| match e {
-        wcoj::ResumeError::Checkpoint(c) => c,
-        wcoj::ResumeError::Join(j) => panic!("golden join instance rejected: {j}"),
-    }))
+impl Step {
+    /// A join find's verdict as the emptiness check's: an answer means
+    /// not empty.
+    fn emptiness(self) -> Step {
+        match self {
+            Step::Done(v) => Step::Done(format!("Sat({})", v == "Unsat")),
+            frontier => frontier,
+        }
+    }
 }
 
-/// One slice of the golden `name`'s entry point on its instance.
+/// One slice of the golden `name`'s search and mode on its instance.
 fn slice(
     name: &str,
     budget: &Budget,
     from: Option<&Checkpoint>,
 ) -> Result<(Step, RunStats), CheckpointError> {
-    let csp = || random_binary_csp(&gnp(10, 0.5, 4), 3, 0.25, 4);
-    let join = |domain| {
-        let q = JoinQuery::triangle();
-        let db = generators::random_binary_database(&q, 80, domain, 7);
-        (q, db)
-    };
-    let graph = || gnp(24, 0.35, 5);
-    let config = BacktrackConfig::default();
+    let csp = random_binary_csp(&gnp(10, 0.5, 4), 3, 0.25, 4);
+    let csp = backtracking::CspSearch::new(&csp, BacktrackConfig::default());
+    let q = JoinQuery::triangle();
+    let join_db = |domain| generators::random_binary_database(&q, 80, domain, 7);
+    let graph = gnp(24, 0.35, 5);
+    let grid = lowerbounds::graph::generators::grid(6, 6);
     match name {
         "dpll" => {
-            step(DpllSolver::default().solve_resumable(&random_ksat(30, 128, 3, 2), budget, from))
+            let f = random_ksat(30, 128, 3, 2);
+            step(find_slice(&DpllSolver::default().search(&f), budget, from))
         }
-        "csp-solve" => step(backtracking::solve_resumable(&csp(), config, budget, from)),
-        "csp-count" => step(backtracking::count_resumable(&csp(), config, budget, from)),
+        "csp-solve" => step(find_slice(&csp, budget, from)),
+        "csp-count" => step(count_slice(&csp, budget, from)),
         "join-count" => {
-            let (q, db) = join(14);
-            join_step(wcoj::count_resumable(&q, &db, None, budget, from))
+            let db = join_db(14);
+            let search = wcoj::JoinSearch::new(&q, &db, None).expect("golden join instance");
+            step(count_slice(&search, budget, from))
         }
         "join-is-empty" => {
-            let (q, db) = join(60);
-            join_step(wcoj::is_empty_resumable(&q, &db, None, budget, from))
+            let db = join_db(60);
+            let search = wcoj::JoinSearch::new(&q, &db, None).expect("golden join instance");
+            step(find_slice(&search, budget, from)).map(|(s, stats)| (s.emptiness(), stats))
         }
-        "triangle-find" => step(triangle::find_triangle_naive_resumable(
-            &lowerbounds::graph::generators::grid(6, 6),
+        "triangle-find" => step(find_slice(
+            &triangle::TriangleScan::new(&grid),
             budget,
             from,
         )),
-        "triangle-count" => step(triangle::count_triangles_resumable(&graph(), budget, from)),
-        "clique-find" => step(clique::find_clique_resumable(&graph(), 4, budget, from)),
-        "clique-count" => step(clique::count_cliques_resumable(&graph(), 4, budget, from)),
+        "triangle-count" => step(count_slice(
+            &triangle::TriangleScan::new(&graph),
+            budget,
+            from,
+        )),
+        "clique-find" => step(find_slice(
+            &clique::CliqueSearch::new(&graph, 4),
+            budget,
+            from,
+        )),
+        "clique-count" => step(count_slice(
+            &clique::CliqueSearch::new(&graph, 4),
+            budget,
+            from,
+        )),
         _ => panic!("no instance for golden `{name}`"),
     }
 }

@@ -5,7 +5,7 @@
 //! (and every recorded `RunStats`) even if all verdicts stayed right.
 //!
 //! Each case runs one `random_ksat` instance under one of the eight
-//! [`DpllConfig`]s, chained through `solve_resumable` with a fixed slice
+//! [`DpllConfig`]s, chained through `find_slice` with a fixed slice
 //! size (1 tick, 7 ticks, or unlimited). Its FNV digest folds in, in order:
 //! every suspended checkpoint's `to_bytes()`, every slice's [`RunStats`],
 //! and the final verdict with its model. The unlimited case also folds in
@@ -20,6 +20,7 @@
 
 use lb_chaos::hostile;
 use lowerbounds::engine::checkpoint::{Checkpoint, Digest, ResumableOutcome};
+use lowerbounds::engine::resumable::find_slice;
 use lowerbounds::engine::{Budget, RunStats};
 use lowerbounds::sat::generators::random_ksat;
 use lowerbounds::sat::{Branching, CnfFormula, DpllConfig, DpllSolver};
@@ -81,9 +82,9 @@ fn fold_verdict(d: &mut Digest, model: Option<Vec<bool>>) {
 fn fold_run(d: &mut Digest, solver: &DpllSolver, f: &CnfFormula, slice: Option<u64>) {
     let budget = slice.map_or_else(Budget::unlimited, Budget::ticks);
     let mut from: Option<Checkpoint> = None;
+    let search = solver.search(f);
     let model = loop {
-        let (out, stats) = solver
-            .solve_resumable(f, &budget, from.as_ref())
+        let (out, stats) = find_slice(&search, &budget, from.as_ref())
             .expect("a checkpoint from the same solver resumes");
         fold_stats(d, &stats);
         match out {

@@ -31,7 +31,7 @@ use std::process::{Command, Output};
 
 /// The most `lb-lint: allow` directives the workspace may carry. Lower it
 /// when a change removes allows; never raise it.
-const ALLOW_CEILING: usize = 303;
+const ALLOW_CEILING: usize = 245;
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -72,11 +72,11 @@ fn semantic_analysis_actually_covers_the_solvers() {
 
     for expected in [
         "DpllSolver::solve",
-        "DpllSolver::solve_resumable",
+        // The generic slice drivers: every resumable family's `run`,
+        // `encode` and `decode` is reached through them.
+        "find_slice",
         "solve_2sat",
-        "count_resumable",
-        "count_triangles_resumable",
-        "find_clique_resumable",
+        "count_slice",
         // The server's slice executor: every scheduler-driven solver run
         // goes through it, so R8/R9 must treat it as a root.
         "solve_slice",

@@ -6,7 +6,7 @@
 //! wrote, so a changed search order or frame encoding would invalidate
 //! every spooled checkpoint even if every verdict stayed right.
 //!
-//! Each case chains one resumable entry point on one generated instance
+//! Each case chains one mode of a resumable search on one generated instance
 //! through slices of a fixed size (1 tick, 7 ticks, or unlimited). Its FNV
 //! digest folds in, in order: every slice's [`RunStats`], every suspended
 //! checkpoint's `to_bytes()`, and the final outcome with its witness. The
@@ -23,7 +23,8 @@ use lb_chaos::hostile;
 use lowerbounds::csp::generators::random_binary_csp;
 use lowerbounds::csp::solver::{backtracking, BacktrackConfig};
 use lowerbounds::csp::CspInstance;
-use lowerbounds::engine::checkpoint::{Checkpoint, Digest, ResumableOutcome};
+use lowerbounds::engine::checkpoint::{Checkpoint, CheckpointError, Digest, ResumableOutcome};
+use lowerbounds::engine::resumable::{count_slice, find_slice};
 use lowerbounds::engine::{Budget, Outcome, RunStats};
 use lowerbounds::graph::{generators, Graph};
 use lowerbounds::graphalg::{clique, triangle};
@@ -35,9 +36,9 @@ const SLICES: [Option<u64>; 3] = [Some(1), Some(7), None];
 /// Hostile instances folded into each aggregate digest.
 const HOSTILE_SEEDS: u64 = 300;
 
-/// One budget slice of a resumable entry point, optionally resuming.
-type Slice<'a, W, E> =
-    dyn FnMut(&Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), E> + 'a;
+/// One budget slice of a resumable search, optionally resuming.
+type Slice<'a, W> = dyn FnMut(&Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), CheckpointError>
+    + 'a;
 
 /// The matching one-shot entry point.
 type OneShot<'a, W> = dyn FnMut(&Budget) -> (Outcome<W>, RunStats) + 'a;
@@ -53,9 +54,9 @@ fn fold_stats(d: &mut Digest, s: &RunStats) {
 
 /// Folds one chained run of `run` into `d`; the unlimited case also folds
 /// in `one_shot`.
-fn fold_run<W: Debug, E: Debug>(
+fn fold_run<W: Debug>(
     d: &mut Digest,
-    run: &mut Slice<'_, W, E>,
+    run: &mut Slice<'_, W>,
     one_shot: &mut OneShot<'_, W>,
     slice: Option<u64>,
 ) {
@@ -83,9 +84,13 @@ fn fold_run<W: Debug, E: Debug>(
 }
 
 /// One digest per entry of [`SLICES`], each folding every instance.
-fn row<I, W: Debug, E: Debug>(
+fn row<I, W: Debug>(
     instances: &[I],
-    mut run: impl FnMut(&I, &Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), E>,
+    mut run: impl FnMut(
+        &I,
+        &Budget,
+        Option<&Checkpoint>,
+    ) -> Result<(ResumableOutcome<W>, RunStats), CheckpointError>,
     mut one_shot: impl FnMut(&I, &Budget) -> (Outcome<W>, RunStats),
 ) -> [u64; 3] {
     let mut out = [0u64; 3];
@@ -133,12 +138,12 @@ fn csp_rows(instances: &[CspInstance]) -> Vec<[u64; 3]> {
     for config in csp_configs() {
         out.push(row(
             instances,
-            |inst, b, from| backtracking::solve_resumable(inst, config, b, from),
+            |inst, b, from| find_slice(&backtracking::CspSearch::new(inst, config), b, from),
             |inst, b| backtracking::solve(inst, config, b),
         ));
         out.push(row(
             instances,
-            |inst, b, from| backtracking::count_resumable(inst, config, b, from),
+            |inst, b, from| count_slice(&backtracking::CspSearch::new(inst, config), b, from),
             |inst, b| backtracking::count(inst, config, b),
         ));
     }
@@ -161,24 +166,24 @@ fn graph_rows(graphs: &[Graph]) -> Vec<[u64; 3]> {
     let mut out = vec![
         row(
             graphs,
-            triangle::find_triangle_naive_resumable,
+            |g, b, from| find_slice(&triangle::TriangleScan::new(g), b, from),
             triangle::find_triangle_naive,
         ),
         row(
             graphs,
-            triangle::count_triangles_resumable,
+            |g, b, from| count_slice(&triangle::TriangleScan::new(g), b, from),
             triangle::count_triangles,
         ),
     ];
     for k in [3, 4] {
         out.push(row(
             graphs,
-            |g, b, from| clique::find_clique_resumable(g, k, b, from),
+            |g, b, from| find_slice(&clique::CliqueSearch::new(g, k), b, from),
             |g, b| clique::find_clique(g, k, b),
         ));
         out.push(row(
             graphs,
-            |g, b, from| clique::count_cliques_resumable(g, k, b, from),
+            |g, b, from| count_slice(&clique::CliqueSearch::new(g, k), b, from),
             |g, b| clique::count_cliques(g, k, b),
         ));
     }

@@ -16,8 +16,9 @@
 use proptest::prelude::*;
 
 use lb_chaos::hostile;
-use lowerbounds::engine::checkpoint::{Checkpoint, ResumableOutcome};
+use lowerbounds::engine::checkpoint::{Checkpoint, CheckpointError, ResumableOutcome};
 use lowerbounds::engine::fault::with_plan;
+use lowerbounds::engine::resumable::{count_slice, find_slice, Countable};
 use lowerbounds::engine::{Budget, FaultPlan, RunStats};
 use lowerbounds::graphalg::{clique, triangle};
 use lowerbounds::join::wcoj;
@@ -26,13 +27,13 @@ use lowerbounds::join::wcoj;
 /// progress, so hitting this means the resume chain livelocked.
 const MAX_SLICES: u64 = 200_000;
 
-/// A resumable solver entry point: one budget slice, optionally
+/// One mode of a resumable search: one budget slice, optionally
 /// continuing from a checkpoint.
-type Run<'a, W, E> =
-    dyn FnMut(&Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), E> + 'a;
+type Run<'a, W> = dyn FnMut(&Budget, Option<&Checkpoint>) -> Result<(ResumableOutcome<W>, RunStats), CheckpointError>
+    + 'a;
 
 /// Runs `run` once, uninterrupted and fault-free; panics if it suspends.
-fn one_shot<W, E: std::fmt::Debug>(run: &mut Run<'_, W, E>) -> (ResumableOutcome<W>, RunStats) {
+fn one_shot<W>(run: &mut Run<'_, W>) -> (ResumableOutcome<W>, RunStats) {
     let (out, stats) = run(&Budget::unlimited(), None).expect("one-shot run errored");
     assert!(
         !out.is_suspended(),
@@ -46,8 +47,8 @@ fn one_shot<W, E: std::fmt::Debug>(run: &mut Run<'_, W, E>) -> (ResumableOutcome
 /// other slice additionally runs under a seeded [`FaultPlan`] so the
 /// interruption point is adversarial rather than a clean budget boundary.
 /// Returns the final outcome and the summed stats.
-fn chained<W, E: std::fmt::Debug>(
-    run: &mut Run<'_, W, E>,
+fn chained<W>(
+    run: &mut Run<'_, W>,
     slice_ticks: u64,
     fault_seed: Option<u64>,
 ) -> (ResumableOutcome<W>, RunStats) {
@@ -78,8 +79,8 @@ fn chained<W, E: std::fmt::Debug>(
 /// included, via `PartialEq`) and on summed stats, with and without
 /// adversarial mid-slice faults. Returns the one-shot outcome so callers
 /// can additionally validate the witness.
-fn assert_slice_equivalence<W: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
-    run: &mut Run<'_, W, E>,
+fn assert_slice_equivalence<W: PartialEq + std::fmt::Debug>(
+    run: &mut Run<'_, W>,
     k: u64,
     fault_seed: u64,
 ) -> ResumableOutcome<W> {
@@ -101,6 +102,22 @@ fn assert_slice_equivalence<W: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
     full
 }
 
+/// Slice equivalence of both modes of `search`: find under `fault_seed`,
+/// count under `fault_seed ^ count_salt`. Returns the one-shot find outcome.
+fn both_modes_equivalence<S: Countable>(
+    search: &S,
+    k: u64,
+    fault_seed: u64,
+    count_salt: u64,
+) -> ResumableOutcome<S::Answer>
+where
+    S::Answer: PartialEq + std::fmt::Debug,
+{
+    let count = &mut |b: &Budget, from: Option<&Checkpoint>| count_slice(search, b, from);
+    assert_slice_equivalence(count, k, fault_seed ^ count_salt);
+    assert_slice_equivalence(&mut |b, from| find_slice(search, b, from), k, fault_seed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -109,12 +126,8 @@ proptest! {
     fn dpll_slice_equivalence(seed in 0u64..5_000, k_idx in 0usize..3) {
         let k = [2u64, 5, 16][k_idx];
         let f = hostile::cnf(seed);
-        let solver = lowerbounds::sat::DpllSolver::default();
-        let full = assert_slice_equivalence(
-            &mut |b, from| solver.solve_resumable(&f, b, from),
-            k,
-            seed,
-        );
+        let search = lowerbounds::sat::DpllSolver::default().search(&f);
+        let full = assert_slice_equivalence(&mut |b, from| find_slice(&search, b, from), k, seed);
         if let ResumableOutcome::Sat(m) = full {
             prop_assert!(f.eval(&m), "one-shot witness does not satisfy the formula");
         }
@@ -126,20 +139,11 @@ proptest! {
         let k = [2u64, 5, 16][k_idx];
         use lowerbounds::csp::solver::{backtracking, BacktrackConfig};
         let inst = hostile::csp(seed);
-        let config = BacktrackConfig::default();
-        let full = assert_slice_equivalence(
-            &mut |b, from| backtracking::solve_resumable(&inst, config, b, from),
-            k,
-            seed,
-        );
+        let search = backtracking::CspSearch::new(&inst, BacktrackConfig::default());
+        let full = both_modes_equivalence(&search, k, seed, 0xc0);
         if let ResumableOutcome::Sat(a) = full {
             prop_assert!(inst.eval(&a), "one-shot witness violates a constraint");
         }
-        assert_slice_equivalence(
-            &mut |b, from| backtracking::count_resumable(&inst, config, b, from),
-            k,
-            seed ^ 0xc0,
-        );
     }
 
     /// Generic join (count and emptiness) on hostile query/database pairs.
@@ -149,19 +153,10 @@ proptest! {
         let (q, db) = hostile::join_instance(seed);
         // Broken databases are the parser/validation differential's
         // concern; resume only applies to instances the solver accepts.
-        if wcoj::count(&q, &db, None, &Budget::ticks(0)).is_err() {
+        let Ok(search) = wcoj::JoinSearch::new(&q, &db, None) else {
             return Ok(());
-        }
-        assert_slice_equivalence(
-            &mut |b, from| wcoj::count_resumable(&q, &db, None, b, from),
-            k,
-            seed,
-        );
-        assert_slice_equivalence(
-            &mut |b, from| wcoj::is_empty_resumable(&q, &db, None, b, from),
-            k,
-            seed ^ 0xe5,
-        );
+        };
+        both_modes_equivalence(&search, k, seed ^ 0xe5, 0xe5);
     }
 
     /// Triangle scan (find and count) on hostile graphs.
@@ -169,22 +164,13 @@ proptest! {
     fn triangle_slice_equivalence(seed in 0u64..5_000, k_idx in 0usize..3) {
         let k = [2u64, 5, 16][k_idx];
         let g = hostile::graph(seed);
-        let full = assert_slice_equivalence(
-            &mut |b, from| triangle::find_triangle_naive_resumable(&g, b, from),
-            k,
-            seed,
-        );
+        let full = both_modes_equivalence(&triangle::TriangleScan::new(&g), k, seed, 0x7a);
         if let ResumableOutcome::Sat([a, b, c]) = full {
             prop_assert!(
                 g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c),
                 "one-shot witness is not a triangle"
             );
         }
-        assert_slice_equivalence(
-            &mut |b, from| triangle::count_triangles_resumable(&g, b, from),
-            k,
-            seed ^ 0x7a,
-        );
     }
 
     /// Clique enumeration (find and count, k = 3) on hostile graphs.
@@ -192,11 +178,7 @@ proptest! {
     fn clique_slice_equivalence(seed in 0u64..5_000, k_idx in 0usize..3) {
         let k = [2u64, 5, 16][k_idx];
         let g = hostile::graph(seed);
-        let full = assert_slice_equivalence(
-            &mut |b, from| clique::find_clique_resumable(&g, 3, b, from),
-            k,
-            seed,
-        );
+        let full = both_modes_equivalence(&clique::CliqueSearch::new(&g, 3), k, seed, 0x3c);
         if let ResumableOutcome::Sat(c) = full {
             prop_assert_eq!(c.len(), 3);
             for i in 0..c.len() {
@@ -205,11 +187,6 @@ proptest! {
                 }
             }
         }
-        assert_slice_equivalence(
-            &mut |b, from| clique::count_cliques_resumable(&g, 3, b, from),
-            k,
-            seed ^ 0x3c,
-        );
     }
 }
 
@@ -224,7 +201,7 @@ fn hostile_fixture_checkpoints_are_rejected_by_solvers() {
     let dir =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/engine/fixtures/checkpoints");
     let f = hostile::cnf(7);
-    let solver = lowerbounds::sat::DpllSolver::default();
+    let search = lowerbounds::sat::DpllSolver::default().search(&f);
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).expect("fixtures dir (run the corpus regenerator)") {
         let path = entry.expect("dir entry").path();
@@ -240,7 +217,7 @@ fn hostile_fixture_checkpoints_are_rejected_by_solvers() {
         };
         // Container-valid fixtures must be rejected by the solver itself.
         let resumed = catch_unwind(AssertUnwindSafe(|| {
-            solver.solve_resumable(&f, &Budget::unlimited(), Some(&ck))
+            find_slice(&search, &Budget::unlimited(), Some(&ck))
         }))
         .unwrap_or_else(|_| panic!("{name}: resume panicked"));
         assert!(

@@ -8,7 +8,7 @@
 //! Each case joins one generated database (uniform, Zipf-skewed, or the
 //! AGM worst case of Theorem 3.2) for the triangle, the 4-cycle or the
 //! 4-clique, under the default variable order and its reverse, chained
-//! through `count_resumable` with a fixed slice size (1, 7 or 65,536
+//! through `count_slice` with a fixed slice size (1, 7 or 65,536
 //! ticks, or unlimited). Its FNV digest folds in, in order: every slice's
 //! [`RunStats`], every suspended checkpoint's `to_bytes()`, and the final
 //! count. The unlimited case also folds in the one-shot [`wcoj::count`]
@@ -31,6 +31,7 @@
 //! less than half the reference machine's operations.
 
 use lowerbounds::engine::checkpoint::{Checkpoint, Digest, ResumableOutcome};
+use lowerbounds::engine::resumable::count_slice;
 use lowerbounds::engine::{Budget, RunStats};
 use lowerbounds::join::{agm, generators, reference, wcoj, Database, JoinQuery, Table};
 
@@ -49,7 +50,7 @@ fn fold_stats(d: &mut Digest, s: &RunStats) {
         .u64(s.max_intermediate);
 }
 
-/// Folds one chained run of `count_resumable` into `d`.
+/// Folds one chained run of `count_slice` into `d`.
 fn fold_run(
     d: &mut Digest,
     q: &JoinQuery,
@@ -58,17 +59,18 @@ fn fold_run(
     slice: Option<u64>,
 ) {
     let budget = slice.map_or_else(Budget::unlimited, Budget::ticks);
+    let search = match wcoj::JoinSearch::new(q, db, order) {
+        Ok(search) => search,
+        Err(e) => {
+            // Broken hostile databases: the typed error is pinned too.
+            d.str(&e.to_string());
+            return;
+        }
+    };
     let mut from: Option<Checkpoint> = None;
     let count = loop {
-        let (out, stats) = match wcoj::count_resumable(q, db, order, &budget, from.as_ref()) {
-            Ok(run) => run,
-            Err(e) => {
-                // Broken hostile databases: the typed error is pinned too.
-                assert!(from.is_none(), "a mid-chain resume failed: {e}");
-                d.str(&e.to_string());
-                return;
-            }
-        };
+        let (out, stats) = count_slice(&search, &budget, from.as_ref())
+            .unwrap_or_else(|e| panic!("a mid-chain resume failed: {e}"));
         fold_stats(d, &stats);
         match out {
             ResumableOutcome::Suspended { checkpoint, .. } => {
