@@ -38,6 +38,17 @@
 //! `cargo run -p lb-chaos -- --family sat --seed N` reruns exactly the
 //! same instance, fault plan, and budget.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod differential;
 pub mod harness;
 pub mod hostile;

@@ -47,7 +47,7 @@ impl Rng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         debug_assert!(!items.is_empty());
         let i = self.below(items.len() as u64) as usize;
-        // lb-lint: allow(no-panic) -- invariant: callers pass non-empty slices (debug-asserted)
+        // In range: callers pass non-empty slices (debug-asserted above).
         &items[i]
     }
 }

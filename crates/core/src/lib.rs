@@ -46,6 +46,17 @@
 //! assert!(stats.tuples >= 1000); // machine-independent work counters
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod claims;
 pub mod experiments;
 pub mod hypotheses;

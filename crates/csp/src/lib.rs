@@ -19,6 +19,17 @@
 //! All solvers support deciding, counting, and enumerating solutions, and
 //! agree with each other (property-tested).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod consistency;
 pub mod generators;
 pub mod instance;

@@ -27,6 +27,8 @@
 //! [`count_slice`]: lb_engine::resumable::count_slice
 //! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::instance::{Assignment, CspInstance, Value};
 use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
 use lb_engine::resumable::{self, Countable, Resumable};
@@ -76,10 +78,14 @@ impl<'a> CspSearch<'a> {
             let mut seen = c.scope.clone();
             seen.sort_unstable();
             seen.dedup();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "scope variables are < num_vars, validated by CspInstance::add_constraint"
+            )]
             // lb-lint: allow(unbudgeted-loop) -- one-time index construction, linear in total scope size
             for v in seen {
                 // lb-lint: allow(unbounded-growth) -- one-time index construction, linear in total scope size
-                by_var[v].push(ci); // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
+                by_var[v].push(ci);
             }
         }
         CspSearch {
@@ -89,11 +95,14 @@ impl<'a> CspSearch<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "var/v index per-variable vectors sized num_vars"
+    )]
     fn pick_var(&self, assigned: &[Option<Value>], domain_count: &[usize]) -> Option<usize> {
-        // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
         let unassigned = (0..self.inst.num_vars).filter(|&v| assigned[v].is_none());
         if self.config.mrv {
-            unassigned.min_by_key(|&v| domain_count[v]) // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
+            unassigned.min_by_key(|&v| domain_count[v])
         } else {
             let mut it = unassigned;
             it.next()
@@ -101,16 +110,19 @@ impl<'a> CspSearch<'a> {
     }
 
     /// Checks constraints that are fully assigned and involve `var`.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "var and scope variables are < num_vars (validated by CspInstance::add_constraint), by_var holds constraint indices from enumerate(), and only assigned scope variables are projected"
+    )]
     fn consistent_after(&self, assigned: &[Option<Value>], var: usize) -> bool {
-        // lb-lint: allow(no-unchecked-index, unbudgeted-loop, panic-reachability) -- var/v index per-variable vectors sized num_vars; loop: bounded by the constraints on one variable; the caller charges per node
+        // lb-lint: allow(unbudgeted-loop) -- bounded by the constraints on one variable; the caller charges per node
         for &ci in &self.by_var[var] {
-            let c = &self.inst.constraints[ci]; // lb-lint: allow(no-unchecked-index, panic-reachability) -- by_var holds constraint indices from enumerate()
-                                                // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
+            let c = &self.inst.constraints[ci];
             if c.scope.iter().all(|&v| assigned[v].is_some()) {
                 let t: Vec<Value> = c
                     .scope
                     .iter()
-                    // lb-lint: allow(no-panic, no-unchecked-index, panic-reachability) -- the solver projects only scope variables (< num_vars) it has already assigned
                     .map(|&v| assigned[v].expect("checked"))
                     .collect();
                 if !c.relation.allows(&t) {
@@ -263,28 +275,32 @@ impl Resumable for CspSearch<'_> {
     ) -> Result<Option<Assignment>, ExhaustReason> {
         loop {
             match m.phase {
-                Phase::Select => {
-                    match self.pick_var(&m.assigned, &m.domain_count) {
-                        None => {
-                            let solution: Assignment = m
-                                .assigned
-                                .iter()
-                                // lb-lint: allow(no-panic, panic-reachability) -- invariant: a complete solution assigns every variable
-                                .map(|a| a.expect("all assigned"))
-                                .collect();
-                            debug_assert!(self.inst.eval(&solution));
-                            m.phase = Phase::Unwind;
-                            return Ok(Some(solution));
-                        }
-                        Some(var) => m.phase = Phase::NextValue { var, d: 0 },
+                Phase::Select => match self.pick_var(&m.assigned, &m.domain_count) {
+                    None => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "invariant: a complete solution assigns every variable"
+                        )]
+                        let solution: Assignment = m
+                            .assigned
+                            .iter()
+                            .map(|a| a.expect("all assigned"))
+                            .collect();
+                        debug_assert!(self.inst.eval(&solution));
+                        m.phase = Phase::Unwind;
+                        return Ok(Some(solution));
                     }
-                }
+                    Some(var) => m.phase = Phase::NextValue { var, d: 0 },
+                },
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "var < num_vars, and d < domain_size by the loop bound"
+                )]
                 Phase::NextValue { var, d } => {
                     let mut d = d;
                     let mut open = None;
                     // lb-lint: allow(unbudgeted-loop) -- scans at most domain_size values for the next open value; selection charges a node
                     while (d as usize) < self.inst.domain_size {
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- var < num_vars; d < domain_size by the loop bound
                         if m.domains[var][d as usize] {
                             open = Some(d);
                             break;
@@ -300,7 +316,7 @@ impl Resumable for CspSearch<'_> {
                                 trail: Vec::new(),
                             });
                             ticker.record_intermediate(m.frames.len() as u64);
-                            m.assigned[var] = Some(d); // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
+                            m.assigned[var] = Some(d);
                             m.phase = Phase::Consist;
                             ticker.node()?;
                         }
@@ -322,6 +338,10 @@ impl Resumable for CspSearch<'_> {
                         Phase::Select
                     };
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "var, u and scope variables are < num_vars (validated by CspInstance::add_constraint), by_var holds constraint indices from enumerate(), and d < domain_size by the loop bound"
+                )]
                 Phase::ForwardCheck { ci_idx, d } => {
                     let Some(frame) = m.frames.last() else {
                         m.phase = Phase::Unwind;
@@ -331,18 +351,16 @@ impl Resumable for CspSearch<'_> {
                     let mut ci_idx = ci_idx;
                     let mut d = d;
                     loop {
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
                         let Some(&ci) = self.by_var[var].get(ci_idx) else {
                             m.phase = Phase::Select;
                             break;
                         };
-                        let c = &self.inst.constraints[ci]; // lb-lint: allow(no-unchecked-index, panic-reachability) -- by_var holds constraint indices from enumerate()
-                                                            // Exactly one unassigned scope variable?
+                        let c = &self.inst.constraints[ci];
+                        // Exactly one unassigned scope variable?
                         let mut unassigned_var = None;
                         let mut multiple = false;
                         // lb-lint: allow(unbudgeted-loop) -- scans one constraint scope; bounded by arity
                         for &v in &c.scope {
-                            // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
                             if m.assigned[v].is_none() {
                                 match unassigned_var {
                                     None => unassigned_var = Some(v),
@@ -361,17 +379,15 @@ impl Resumable for CspSearch<'_> {
                         };
                         // Prune values of u not extendable to an allowed tuple.
                         while (d as usize) < self.inst.domain_size {
-                            // lb-lint: allow(no-unchecked-index, panic-reachability) -- u < num_vars; d ranges over 0..domain_size = the row length
                             if m.domains[u][d as usize] {
                                 let t: Vec<Value> = c
                                     .scope
                                     .iter()
-                                    .map(|&v| m.assigned[v].unwrap_or(d)) // lb-lint: allow(no-unchecked-index, panic-reachability) -- scope variables are < num_vars, validated by CspInstance::add_constraint
+                                    .map(|&v| m.assigned[v].unwrap_or(d))
                                     .collect();
                                 if !c.relation.allows(&t) {
-                                    // lb-lint: allow(no-unchecked-index, panic-reachability) -- u < num_vars; d < domain_size by the loop bound
                                     m.domains[u][d as usize] = false;
-                                    m.domain_count[u] -= 1; // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
+                                    m.domain_count[u] -= 1;
                                     if let Some(top) = m.frames.last_mut() {
                                         top.trail.push((u, d));
                                         ticker.record_intermediate(top.trail.len() as u64);
@@ -384,7 +400,6 @@ impl Resumable for CspSearch<'_> {
                             }
                             d += 1;
                         }
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
                         if m.domain_count[u] == 0 {
                             m.phase = Phase::Unwind;
                             break;
@@ -393,6 +408,10 @@ impl Resumable for CspSearch<'_> {
                         d = 0;
                     }
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "trail entries were in range when pushed and are bounds-checked on decode, and frame.var < num_vars"
+                )]
                 Phase::Unwind => match m.frames.pop() {
                     None => return Ok(None),
                     Some(frame) => {
@@ -400,13 +419,12 @@ impl Resumable for CspSearch<'_> {
                         for &(v, dv) in &frame.trail {
                             // Restore idempotently: a hostile (but
                             // checksummed) trail must not corrupt counts.
-                            // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
                             if !m.domains[v][dv as usize] {
-                                m.domains[v][dv as usize] = true; // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
-                                m.domain_count[v] += 1; // lb-lint: allow(no-unchecked-index, panic-reachability) -- trail entries were in range when pushed and are bounds-checked on decode
+                                m.domains[v][dv as usize] = true;
+                                m.domain_count[v] += 1;
                             }
                         }
-                        m.assigned[frame.var] = None; // lb-lint: allow(no-unchecked-index, panic-reachability) -- var/v index per-variable vectors sized num_vars
+                        m.assigned[frame.var] = None;
                         m.phase = Phase::NextValue {
                             var: frame.var,
                             d: frame.d + 1,

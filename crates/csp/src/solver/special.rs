@@ -134,6 +134,10 @@ fn induced_subinstance(inst: &CspInstance, vars: &[usize]) -> SubInstance {
 /// order: constraints are unary or between consecutive variables.
 /// Returns (count, one solution).
 #[allow(clippy::needless_range_loop)] // index used across several arrays
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: count > 0 here, so some frequency entry is positive, and the DP backtrace only visits reachable states, which record a parent"
+)]
 fn path_dp(
     inst: &CspInstance,
     ticker: &mut Ticker,
@@ -211,12 +215,10 @@ fn path_dp(
     }
     // Trace one solution backwards.
     let mut sol = vec![0 as Value; len];
-    // lb-lint: allow(no-panic, panic-reachability) -- invariant: count > 0 here, so some frequency entry is positive
     let last = f.iter().position(|&x| x > 0).expect("count > 0");
     sol[len - 1] = last as Value;
     // lb-lint: allow(unbudgeted-loop) -- path DP is a fixed O(len*d^2) pass, bounded by instance size
     for i in (1..len).rev() {
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: the DP backtrace only visits reachable states, which record a parent
         sol[i - 1] = choice[i][sol[i] as usize].expect("reachable state has a parent");
     }
     Ok((count, Some(sol)))

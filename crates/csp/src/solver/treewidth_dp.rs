@@ -38,6 +38,10 @@ pub struct TreewidthDpResult {
 ///
 /// # Panics
 /// Panics if the decomposition is invalid for the primal graph.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the decomposition was built from this instance's primal graph above"
+)]
 pub fn solve_with_decomposition(
     inst: &CspInstance,
     td: &TreeDecomposition,
@@ -45,7 +49,6 @@ pub fn solve_with_decomposition(
 ) -> (Outcome<TreewidthDpResult>, RunStats) {
     let primal = inst.primal_graph();
     td.validate(&primal)
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: the decomposition was built from this instance's primal graph above
         .expect("tree decomposition invalid for the instance's primal graph");
     let nice = td.to_nice(inst.num_vars);
     solve_with_nice(inst, &nice, budget)
@@ -79,6 +82,10 @@ pub fn solve_with_nice(
 
 /// The DP proper, with exhaustion propagated as `Err`.
 #[allow(clippy::needless_range_loop)] // index used across several arrays
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: niceness puts an introduced variable in its node's bag and a forgotten one in its child's bag"
+)]
 fn dp_inner(
     inst: &CspInstance,
     nice: &NiceDecomposition,
@@ -121,7 +128,6 @@ fn dp_inner(
             NiceNode::Introduce { child, var } => {
                 let pos = nice.bags[i]
                     .binary_search(&var)
-                    // lb-lint: allow(no-panic, panic-reachability) -- invariant: niceness puts the introduced variable in the node's bag
                     .expect("introduced var in bag");
                 let mut t = Table::new();
                 // Each (child assignment, value) pair yields a distinct
@@ -141,7 +147,6 @@ fn dp_inner(
             NiceNode::Forget { child, var } => {
                 let pos = nice.bags[child]
                     .binary_search(&var)
-                    // lb-lint: allow(no-panic, panic-reachability) -- invariant: niceness puts the forgotten variable in the child's bag
                     .expect("forgotten var in child bag");
                 let mut t = Table::new();
                 for (assign, &cnt) in &tables[child] {
@@ -191,7 +196,10 @@ fn constraints_ok(
             .scope
             .iter()
             .map(|v| {
-                // lb-lint: allow(no-panic, panic-reachability) -- invariant: constraint scopes are subsets of their assigned node's bag
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: constraint scopes are subsets of their assigned node's bag"
+                )]
                 let pos = bag.binary_search(v).expect("scope inside bag");
                 bag_assign[pos]
             })
@@ -204,6 +212,10 @@ fn constraints_ok(
 }
 
 /// Top-down extraction of one solution from the stored tables.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the decomposition is nice and covers every variable, so each bag search hits and a positive forget sum has a positive child entry"
+)]
 fn extract_solution(inst: &CspInstance, nice: &NiceDecomposition, tables: &[Table]) -> Assignment {
     let mut solution: Vec<Option<Value>> = vec![None; inst.num_vars];
     // Stack of (node, chosen bag assignment).
@@ -214,7 +226,6 @@ fn extract_solution(inst: &CspInstance, nice: &NiceDecomposition, tables: &[Tabl
         match nice.kinds[node] {
             NiceNode::Leaf => {}
             NiceNode::Introduce { child, var } => {
-                // lb-lint: allow(no-panic, panic-reachability) -- invariant: niceness puts the introduced variable in the node's bag
                 let pos = nice.bags[node].binary_search(&var).expect("var in bag");
                 let val = assign[pos];
                 match solution[var] {
@@ -231,7 +242,6 @@ fn extract_solution(inst: &CspInstance, nice: &NiceDecomposition, tables: &[Tabl
             NiceNode::Forget { child, var } => {
                 let pos = nice.bags[child]
                     .binary_search(&var)
-                    // lb-lint: allow(no-panic, panic-reachability) -- invariant: niceness puts the forgotten variable in the child's bag
                     .expect("var in child bag");
                 // Find any child value with a positive count.
                 let d = inst.domain_size as Value;
@@ -248,7 +258,6 @@ fn extract_solution(inst: &CspInstance, nice: &NiceDecomposition, tables: &[Tabl
                 // lb-lint: allow(unbounded-growth) -- solution-extraction stack: at most one entry per decomposition node
                 stack.push((
                     child,
-                    // lb-lint: allow(no-panic, panic-reachability) -- invariant: a positive forget sum implies some child entry is positive
                     found.expect("forget sum positive ⇒ some child entry positive"),
                 ));
             }
@@ -260,7 +269,6 @@ fn extract_solution(inst: &CspInstance, nice: &NiceDecomposition, tables: &[Tabl
     }
     let out: Assignment = solution
         .into_iter()
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: a tree decomposition covers every variable in some bag
         .map(|v| v.expect("every variable appears in some bag"))
         .collect();
     debug_assert!(

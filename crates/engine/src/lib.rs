@@ -71,6 +71,17 @@
 //!   versioned, checksummed [`Checkpoint`] and resumes exactly where it
 //!   stopped, with summed [`RunStats`] equal to an uninterrupted run.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod checkpoint;
 pub mod fault;
 pub mod parse;
@@ -214,13 +225,15 @@ impl<W> Outcome<W> {
     /// binaries running under [`Budget::unlimited`], where counting/join
     /// solvers always complete.
     #[track_caller]
+    #[expect(
+        clippy::panic,
+        reason = "documented panic: test/bench convenience accessor, the library paths use `sat()`/`decided()`"
+    )]
     pub fn unwrap_sat(self) -> W {
         match self {
             Outcome::Sat(w) => w,
-            // lb-lint: allow(no-panic) -- documented panic: test/bench convenience accessor, the library paths use `sat()`/`decided()`
             Outcome::Unsat => panic!("called unwrap_sat() on Outcome::Unsat"),
             Outcome::Exhausted(r) => {
-                // lb-lint: allow(no-panic) -- documented panic: test/bench convenience accessor, the library paths use `sat()`/`decided()`
                 panic!("called unwrap_sat() on Outcome::Exhausted ({r})")
             }
         }
@@ -232,12 +245,15 @@ impl<W> Outcome<W> {
     /// Panics on `Exhausted`. Intended for tests, benches, and binaries
     /// running under a budget known to suffice.
     #[track_caller]
+    #[expect(
+        clippy::panic,
+        reason = "documented panic: test/bench convenience accessor, the library paths use `sat()`/`decided()`"
+    )]
     pub fn unwrap_decided(self) -> Option<W> {
         match self {
             Outcome::Sat(w) => Some(w),
             Outcome::Unsat => None,
             Outcome::Exhausted(r) => {
-                // lb-lint: allow(no-panic) -- documented panic: test/bench convenience accessor, the library paths use `sat()`/`decided()`
                 panic!("called unwrap_decided() on Outcome::Exhausted ({r})")
             }
         }

@@ -96,7 +96,10 @@ impl DiGraph {
                     }
                     if lowlink[v] == index[v] {
                         loop {
-                            // lb-lint: allow(no-panic, panic-reachability) -- invariant: Tarjan pushes w before popping it, so the stack cannot underflow
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "invariant: Tarjan pushes w before popping it, so the stack cannot underflow"
+                            )]
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w] = false;
                             comp[w] = num_comps;

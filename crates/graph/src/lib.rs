@@ -20,6 +20,17 @@
 //! * [`special`] — the "special" graphs of Definition 4.3 (a k-clique plus a
 //!   path on 2^k vertices), the paper's candidate NP-intermediate family.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod digraph;
 pub mod generators;
 pub mod graph;

@@ -97,10 +97,13 @@ fn order_path(g: &Graph, comp: &[usize]) -> Vec<usize> {
     if comp.len() == 1 {
         return comp.to_vec();
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a nonempty path graph has an endpoint of degree <= 1"
+    )]
     let start = *comp
         .iter()
         .find(|&&v| g.degree(v) == 1)
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: a nonempty path graph has an endpoint of degree <= 1
         .expect("path has an endpoint");
     let mut order = Vec::with_capacity(comp.len());
     let mut prev = usize::MAX;

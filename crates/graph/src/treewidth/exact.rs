@@ -97,7 +97,10 @@ pub fn treewidth_exact_order(g: &Graph) -> (usize, Vec<usize>) {
                 break;
             }
         }
-        // lb-lint: allow(no-panic) -- invariant: the DP table records a witness for every reconstructed state
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the DP table records a witness for every reconstructed state"
+        )]
         let v = chosen.expect("DP reconstruction must find a witness");
         order_rev.push(v);
         s &= !(1 << v);

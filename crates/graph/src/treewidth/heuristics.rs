@@ -50,10 +50,13 @@ where
     }
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the elimination loop runs only while the alive set is nonempty"
+        )]
         let v = alive
             .iter()
             .min_by_key(|&v| (score(&nbr, &alive, v), v))
-            // lb-lint: allow(no-panic, panic-reachability) -- invariant: the elimination loop runs only while the alive set is nonempty
             .expect("alive set nonempty");
         // Connect remaining neighbors pairwise.
         let mut rem = nbr[v].clone();
@@ -96,6 +99,10 @@ pub fn treewidth_lower_bound(g: &Graph) -> usize {
     }
     let mut bound = 0usize;
     for _ in 0..n {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the elimination loop runs only while the alive set is nonempty"
+        )]
         let (v, deg) = alive
             .iter()
             .map(|v| {
@@ -104,7 +111,6 @@ pub fn treewidth_lower_bound(g: &Graph) -> usize {
                 (v, s.count())
             })
             .min_by_key(|&(v, d)| (d, v))
-            // lb-lint: allow(no-panic) -- invariant: the elimination loop runs only while the alive set is nonempty
             .expect("alive set nonempty");
         bound = bound.max(deg);
         alive.remove(v);

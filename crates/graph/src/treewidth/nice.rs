@@ -194,7 +194,10 @@ pub fn make_nice(td: &TreeDecomposition, _num_graph_vertices: usize) -> NiceDeco
             .filter(|v| to_bag.binary_search(v).is_err())
             .collect();
         for v in to_forget {
-            // lb-lint: allow(no-panic, panic-reachability) -- invariant: v was inserted into cur before this search
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: v was inserted into cur before this search"
+            )]
             let pos = cur.binary_search(&v).expect("var present");
             cur.remove(pos);
             node = {
@@ -213,6 +216,10 @@ pub fn make_nice(td: &TreeDecomposition, _num_graph_vertices: usize) -> NiceDeco
             .filter(|v| cur.binary_search(v).is_err())
             .collect();
         for v in to_introduce {
+            #[expect(
+                clippy::unwrap_used,
+                reason = "invariant: v was filtered to be absent from cur, so its search fails"
+            )]
             let pos = cur.binary_search(&v).unwrap_err();
             cur.insert(pos, v);
             node = {

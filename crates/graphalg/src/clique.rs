@@ -35,6 +35,8 @@
 //! [`count_slice`]: lb_engine::resumable::count_slice
 //! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::triangle::find_triangle_matmul;
 use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
 use lb_engine::resumable::{self, Countable, Resumable};
@@ -313,6 +315,10 @@ pub fn find_clique_neipol(g: &Graph, k: usize, budget: &Budget) -> (Outcome<Vec<
     ticker.finish(result)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "subgraph vertices index `map` by construction"
+)]
 fn neipol_inner(
     g: &Graph,
     k: usize,
@@ -332,7 +338,6 @@ fn neipol_inner(
                     let nbrs: Vec<usize> = g.neighbors(v).to_vec();
                     let (sub, map) = g.induced_subgraph(&nbrs);
                     if let Some(c) = neipol_inner(&sub, k - 1, ticker)? {
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- subgraph vertices index `map` by construction
                         let mut out: Vec<usize> = c.into_iter().map(|x| map[x]).collect();
                         out.push(v);
                         out.sort_unstable();
@@ -351,7 +356,6 @@ fn neipol_inner(
                     let verts: Vec<usize> = common.iter().collect();
                     let (sub, map) = g.induced_subgraph(&verts);
                     if let Some(c) = neipol_inner(&sub, k - 2, ticker)? {
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- subgraph vertices index `map` by construction
                         let mut out: Vec<usize> = c.into_iter().map(|x| map[x]).collect();
                         out.push(u);
                         out.push(v);
@@ -365,6 +369,10 @@ fn neipol_inner(
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i, j < na = t_cliques.len() by the loop bounds, and aux-graph vertices are t_cliques indices by construction"
+)]
 fn neipol_3t(
     g: &Graph,
     t: usize,
@@ -388,7 +396,6 @@ fn neipol_3t(
     for i in 0..na {
         for j in (i + 1)..na {
             ticker.propagation()?;
-            // lb-lint: allow(no-unchecked-index, panic-reachability) -- i, j < na = t_cliques.len() by the loop bounds
             if cliques_compatible(g, &t_cliques[i], &t_cliques[j]) {
                 aux.add_edge(i, j);
             }
@@ -403,7 +410,6 @@ fn neipol_3t(
     };
     let mut out: Vec<usize> = tri
         .iter()
-        // lb-lint: allow(no-unchecked-index, panic-reachability) -- aux-graph vertices are t_cliques indices by construction
         .flat_map(|&i| t_cliques[i].iter().copied())
         .collect();
     out.sort_unstable();

@@ -138,6 +138,10 @@ pub fn domination_number(g: &Graph, budget: &Budget) -> (Outcome<usize>, RunStat
     ticker.finish(result)
 }
 
+#[expect(
+    clippy::unreachable,
+    reason = "invariant: V(G) always dominates, so the subset search terminates before this"
+)]
 fn domination_inner(g: &Graph, ticker: &mut Ticker) -> Result<Option<usize>, ExhaustReason> {
     for k in 0..=g.num_vertices() {
         let (out, sub_stats) = find_dominating_set_branching(g, k, &ticker.remaining_budget());
@@ -148,7 +152,6 @@ fn domination_inner(g: &Graph, ticker: &mut Ticker) -> Result<Option<usize>, Exh
             Outcome::Unsat => {}
         }
     }
-    // lb-lint: allow(no-panic) -- invariant: V(G) always dominates, so the subset search terminates before this
     unreachable!("V(G) always dominates")
 }
 

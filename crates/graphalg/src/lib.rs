@@ -29,6 +29,17 @@
 //! about can be measured machine-independently. Only [`matmul`] stays an
 //! unbudgeted primitive; its callers tick before invoking it.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod clique;
 pub mod domset;
 pub mod editdist;

@@ -50,6 +50,10 @@ pub fn partitioned_subgraph_iso(
 }
 
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: reaching full depth means every pattern vertex was assigned"
+)]
 fn backtrack(
     h: &Graph,
     g: &Graph,
@@ -61,11 +65,7 @@ fn backtrack(
 ) -> Result<Option<Vec<usize>>, ExhaustReason> {
     if pos == order.len() {
         return Ok(Some(
-            assignment
-                .iter()
-                // lb-lint: allow(no-panic) -- invariant: reaching full depth means every pattern vertex was assigned
-                .map(|a| a.expect("complete"))
-                .collect(),
+            assignment.iter().map(|a| a.expect("complete")).collect(),
         ));
     }
     let hv = order[pos];

@@ -41,6 +41,8 @@
 //! [`count_slice`]: lb_engine::resumable::count_slice
 //! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::matmul::BoolMatrix;
 use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
 use lb_engine::resumable::{self, Countable, Resumable};
@@ -232,11 +234,14 @@ fn matmul_inner(g: &Graph, ticker: &mut Ticker) -> Result<Option<[usize; 3]>, Ex
         return Ok(None);
     };
     // Find the middle vertex.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: A^2[i][j] > 0 certifies a common neighbor exists"
+    )]
     let w = g
         .neighbor_set(i)
         .iter()
         .find(|&w| g.has_edge(w, j))
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: A^2[i][j] > 0 certifies a common neighbor exists
         .expect("A²[i][j] set ⇒ a common neighbor exists");
     Ok(Some(sorted3(i, j, w)))
 }
@@ -256,6 +261,10 @@ pub fn find_triangle_ayz_with_omega(
     ticker.finish(result)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < nbrs.len() by enumerate, and induced-subgraph vertices index `map` by construction"
+)]
 fn ayz_inner(
     g: &Graph,
     omega: f64,
@@ -298,7 +307,6 @@ fn ayz_inner(
     match out {
         Outcome::Exhausted(r) => Err(r),
         Outcome::Unsat => Ok(None),
-        // lb-lint: allow(no-unchecked-index, panic-reachability) -- induced-subgraph vertices index `map` by construction
         Outcome::Sat(t) => Ok(Some(sorted3(map[t[0]], map[t[1]], map[t[2]]))),
     }
 }

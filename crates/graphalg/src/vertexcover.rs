@@ -146,6 +146,10 @@ pub fn min_vertex_cover_brute(g: &Graph, budget: &Budget) -> (Outcome<Vec<usize>
     ticker.finish(result)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: V(G) is always a vertex cover, so best is set"
+)]
 fn brute_inner(g: &Graph, ticker: &mut Ticker) -> Result<Vec<usize>, ExhaustReason> {
     let n = g.num_vertices();
     assert!(n <= 20, "brute force limited to 20 vertices");
@@ -166,7 +170,6 @@ fn brute_inner(g: &Graph, ticker: &mut Ticker) -> Result<Vec<usize>, ExhaustReas
             best = Some(set);
         }
     }
-    // lb-lint: allow(no-panic) -- invariant: V(G) is always a vertex cover, so best is set
     Ok(best.expect("V(G) is always a cover"))
 }
 

@@ -202,10 +202,13 @@ fn join_pair(left: &Ann, right: &Ann, ticker: &mut Ticker) -> Result<Ann, Exhaus
 }
 
 /// Loads annotated relations, normalizing repeated attributes.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: validate_for checked every atom's relation before the join ran, and each a is drawn from atom.attrs"
+)]
 fn load_anns(q: &JoinQuery, db: &Database) -> Vec<Ann> {
     let mut anns: Vec<Ann> = Vec::with_capacity(q.atoms.len());
     for atom in &q.atoms {
-        // lb-lint: allow(no-panic) -- invariant: validate_for checked every atom's relation before the join ran
         let table: &Table = db.table(&atom.relation).expect("validated");
         let mut attrs: Vec<String> = Vec::new();
         let mut cols: Vec<usize> = Vec::new();
@@ -219,7 +222,6 @@ fn load_anns(q: &JoinQuery, db: &Database) -> Vec<Ann> {
             .rows()
             .filter(|row| {
                 atom.attrs.iter().enumerate().all(|(c, a)| {
-                    // lb-lint: allow(no-panic) -- invariant: a is drawn from atom.attrs
                     let first = atom.attrs.iter().position(|x| x == a).expect("present");
                     row[c] == row[first]
                 })
@@ -253,6 +255,11 @@ pub fn yannakakis(
     Ok(ticker.finish(result.map(Some)))
 }
 
+#[expect(
+    clippy::expect_used,
+    clippy::unreachable,
+    reason = "invariant: a join tree covers every attribute of the query, and tree.order always ends at the root"
+)]
 fn yannakakis_inner(
     q: &JoinQuery,
     db: &Database,
@@ -297,7 +304,6 @@ fn yannakakis_inner(
                         .attrs
                         .iter()
                         .position(|x| x == a)
-                        // lb-lint: allow(no-panic) -- invariant: a join tree covers every attribute of the query
                         .expect("join tree covers all attributes")
                 })
                 .collect();
@@ -319,7 +325,6 @@ fn yannakakis_inner(
             }
         }
     }
-    // lb-lint: allow(no-panic) -- invariant: tree.order always ends at the root
     unreachable!("tree.order always ends at the root");
 }
 
@@ -341,6 +346,11 @@ pub fn is_empty_acyclic(
     Ok(ticker.finish(result.map(Some)))
 }
 
+#[expect(
+    clippy::expect_used,
+    clippy::unreachable,
+    reason = "invariant: validate_for checked every atom's relation before the join ran, and tree.order always ends at the root"
+)]
 fn is_empty_inner(
     q: &JoinQuery,
     db: &Database,
@@ -351,7 +361,6 @@ fn is_empty_inner(
         .atoms
         .iter()
         .map(|atom| {
-            // lb-lint: allow(no-panic) -- invariant: validate_for checked every atom's relation before the join ran
             let table = db.table(&atom.relation).expect("validated");
             Ann {
                 attrs: atom.attrs.clone(),
@@ -368,7 +377,6 @@ fn is_empty_inner(
             return Ok(anns[e].rows.is_empty());
         }
     }
-    // lb-lint: allow(no-panic) -- invariant: tree.order always ends at the root
     unreachable!("order ends at the root");
 }
 

@@ -147,7 +147,10 @@ pub fn worst_case_database(q: &JoinQuery, n: u64) -> Result<(Database, u128), Ag
                 .attrs
                 .iter()
                 .map(|a| {
-                    // lb-lint: allow(no-panic) -- invariant: `distinct` was built from `atom.attrs` just above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: `distinct` was built from `atom.attrs` just above"
+                    )]
                     let di = distinct.iter().position(|d| d == a).expect("distinct");
                     counter[di]
                 })
@@ -181,10 +184,13 @@ pub fn worst_case_database(q: &JoinQuery, n: u64) -> Result<(Database, u128), Ag
     Ok((db, answer))
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: callers pass attribute names drawn from the same hypergraph"
+)]
 fn attr_index(attrs: &[String], name: &str) -> usize {
     attrs
         .binary_search_by(|a| a.as_str().cmp(name))
-        // lb-lint: allow(no-panic) -- invariant: callers pass attribute names drawn from the same hypergraph
         .expect("attribute present")
 }
 

@@ -45,6 +45,10 @@ pub fn left_deep_join(
     Ok(ticker.finish(result.map(Some)))
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: validate_for checked every atom's relation before the join ran, a validated query has at least one atom, and the accumulator's schema covers every joined attribute"
+)]
 fn left_deep_inner(
     q: &JoinQuery,
     db: &Database,
@@ -52,7 +56,6 @@ fn left_deep_inner(
 ) -> Result<Vec<AnswerTuple>, ExhaustReason> {
     let mut acc: Option<Intermediate> = None;
     for atom in &q.atoms {
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: validate_for checked every atom's relation before the join ran
         let table = db.table(&atom.relation).expect("validated");
         // Normalize the atom to distinct attributes (diagonal filter).
         let mut attrs: Vec<String> = Vec::new();
@@ -68,7 +71,6 @@ fn left_deep_inner(
             .rows()
             .filter(|row| {
                 atom.attrs.iter().enumerate().all(|(c, a)| {
-                    // lb-lint: allow(no-panic, panic-reachability) -- invariant: a is drawn from atom.attrs
                     let first = atom.attrs.iter().position(|x| x == a).expect("present");
                     row[c] == row[first]
                 })
@@ -87,7 +89,6 @@ fn left_deep_inner(
         });
     }
 
-    // lb-lint: allow(no-panic, panic-reachability) -- invariant: validated queries have at least one atom
     let acc = acc.expect("query has atoms");
     // Re-order columns to sorted attribute order and sort rows.
     let attrs = q.attributes();
@@ -97,7 +98,6 @@ fn left_deep_inner(
             acc.attrs
                 .iter()
                 .position(|x| x == a)
-                // lb-lint: allow(no-panic, panic-reachability) -- invariant: the accumulator's schema contains every joined attribute
                 .expect("all attrs joined")
         })
         .collect();

@@ -34,6 +34,10 @@ pub fn is_answer_empty(
 ///
 /// Returns the graph and, for reference, the number of vertices per class.
 #[must_use = "dropping the result discards the extracted graph or the failure"]
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: validate_for checked every atom's relation and attribute name up front"
+)]
 pub fn triangle_database_to_graph(
     q: &JoinQuery,
     db: &Database,
@@ -47,11 +51,8 @@ pub fn triangle_database_to_graph(
     }
     // Dense value remapping per attribute.
     let mut value_ids: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); 3];
-    let attr_idx =
-        // lb-lint: allow(no-panic) -- invariant: validate_for checked every attribute name up front
-        |name: &str| attrs.iter().position(|a| a == name).expect("validated");
+    let attr_idx = |name: &str| attrs.iter().position(|a| a == name).expect("validated");
     for atom in &q.atoms {
-        // lb-lint: allow(no-panic) -- invariant: validate_for checked every atom's relation up front
         let table = db.table(&atom.relation).expect("validated");
         let cols: Vec<usize> = atom.attrs.iter().map(|a| attr_idx(a)).collect();
         for row in table.rows() {
@@ -66,7 +67,6 @@ pub fn triangle_database_to_graph(
     let n = sizes.iter().sum();
     let mut g = Graph::new(n);
     for atom in &q.atoms {
-        // lb-lint: allow(no-panic) -- invariant: validate_for checked every atom's relation up front
         let table = db.table(&atom.relation).expect("validated");
         let cols: Vec<usize> = atom.attrs.iter().map(|a| attr_idx(a)).collect();
         for row in table.rows() {

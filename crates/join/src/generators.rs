@@ -107,7 +107,10 @@ pub fn planted_triangle_database(rows_per_relation: usize, domain: u64, seed: u6
     let q = JoinQuery::triangle();
     let mut db = random_binary_database(&q, rows_per_relation.saturating_sub(1), domain, seed);
     for name in ["R", "S", "T"] {
-        // lb-lint: allow(no-panic) -- invariant: the table named name was inserted into db just above
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the table named name was inserted into db just above"
+        )]
         let mut t = db.table(name).expect("present").clone();
         t.push(&[0, 0]);
         t.normalize();

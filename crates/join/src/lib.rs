@@ -25,6 +25,17 @@
 //! [`lb_engine::Outcome`] paired with [`lb_engine::RunStats`] counters
 //! (nodes tried, trie advances, tuples materialized, largest intermediate).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod acyclic;
 pub mod agm;
 pub mod binary;

@@ -67,10 +67,13 @@ impl JoinQuery {
     /// hypergraph and the attribute order used.
     pub fn hypergraph(&self) -> (Hypergraph, Vec<String>) {
         let attrs = self.attributes();
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: attrs collects every attribute of every atom by construction"
+        )]
         let index = |name: &str| {
             attrs
                 .binary_search_by(|a| a.as_str().cmp(name))
-                // lb-lint: allow(no-panic, panic-reachability) -- invariant: attrs collects every attribute of every atom by construction
                 .expect("known attr")
         };
         let mut h = Hypergraph::new(attrs.len());

@@ -13,6 +13,8 @@
 //! tick, each answer tuple a `tuples` tick, and the frame-stack depth is
 //! recorded in `max_intermediate`.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::database::Database;
 use crate::query::{AnswerTuple, JoinQuery};
 use crate::wcoj::JoinError;
@@ -33,6 +35,11 @@ struct Prepared {
     num_vars: usize,
 }
 
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "invariant: validate_for checked every atom's relation and row arity, and the order was verified to cover every query attribute, so every rank is in distinct and every column is within its row"
+)]
 fn prepare(q: &JoinQuery, db: &Database, order: Option<&[String]>) -> Result<Prepared, JoinError> {
     db.validate_for(q).map_err(JoinError::BadDatabase)?;
     let attrs = q.attributes();
@@ -49,13 +56,11 @@ fn prepare(q: &JoinQuery, db: &Database, order: Option<&[String]>) -> Result<Pre
         }
         None => attrs.clone(),
     };
-    // lb-lint: allow(no-panic, panic-reachability) -- invariant: the order was just verified to cover every query attribute
     let rank_of = |name: &str| order.iter().position(|a| a == name).expect("validated");
 
     let mut atoms = Vec::with_capacity(q.atoms.len());
     // lb-lint: allow(unbudgeted-loop) -- plan construction, linear in database size; runs once before search
     for atom in &q.atoms {
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: validate_for checked every atom's relation before the join ran
         let table = db.table(&atom.relation).expect("validated");
         let mut distinct: Vec<(usize, usize)> = Vec::new(); // (rank, column)
                                                             // lb-lint: allow(unbudgeted-loop) -- plan construction, linear in database size; runs once before search
@@ -76,15 +81,12 @@ fn prepare(q: &JoinQuery, db: &Database, order: Option<&[String]>) -> Result<Pre
                 let first_col = distinct
                     .iter()
                     .find(|&&(dr, _)| dr == r)
-                    // lb-lint: allow(no-panic, panic-reachability) -- invariant: every attribute rank was entered into distinct above
                     .expect("present")
                     .1;
-                // lb-lint: allow(no-unchecked-index, panic-reachability) -- col < arity = row.len(), checked by validate_for
                 if row[col] != row[first_col] {
                     continue 'rows;
                 }
             }
-            // lb-lint: allow(no-unchecked-index, panic-reachability) -- distinct columns are positions within this atom's row
             rows.push(distinct.iter().map(|&(_, col)| row[col]).collect()); // lb-lint: allow(unbounded-growth) -- projected copy of one input table, linear in database size
         }
         rows.sort_unstable();
@@ -165,6 +167,10 @@ impl Machine {
     ) -> Result<Option<Vec<Value>>, ExhaustReason> {
         loop {
             match self.phase {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "participants, and so driver, are atom indices < ranges.len()"
+                )]
                 Phase::Enter => {
                     let level = self.frames.len();
                     if level == p.num_vars {
@@ -182,13 +188,12 @@ impl Machine {
                         .collect();
                     let Some(&driver) = participants
                         .iter()
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- participants hold atom indices < ranges.len()
                         .min_by_key(|&&i| self.ranges[i].hi - self.ranges[i].lo)
                     else {
                         return Ok(None);
                     };
-                    let r = self.ranges[driver]; // lb-lint: allow(no-unchecked-index, panic-reachability) -- driver is a participant index < ranges.len()
-                    let saved: Vec<Range> = participants.iter().map(|&i| self.ranges[i]).collect(); // lb-lint: allow(no-unchecked-index, panic-reachability) -- participants hold atom indices < ranges.len()
+                    let r = self.ranges[driver];
+                    let saved: Vec<Range> = participants.iter().map(|&i| self.ranges[i]).collect();
                     self.frames.push(Frame {
                         participants,
                         driver,
@@ -201,6 +206,10 @@ impl Machine {
                     ticker.record_intermediate(self.frames.len() as u64);
                     self.phase = Phase::Step;
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "driver is a participant index < ranges.len() = p.atoms.len(); lo < hi <= rows.len(); depth < var_ranks.len() = projected row arity"
+                )]
                 Phase::Step => {
                     let Some(frame) = self.frames.last_mut() else {
                         return Ok(None);
@@ -216,16 +225,18 @@ impl Machine {
                         continue;
                     }
                     let driver = frame.driver;
-                    let depth = self.ranges[driver].depth; // lb-lint: allow(no-unchecked-index, panic-reachability) -- driver is a participant index < ranges.len()
-                                                           // lb-lint: allow(no-unchecked-index, panic-reachability) -- lo < hi <= rows.len(); depth < var_ranks.len() = projected row arity
+                    let depth = self.ranges[driver].depth;
                     let v = p.atoms[driver].rows[frame.lo][depth];
-                    // lb-lint: allow(no-unchecked-index, panic-reachability) -- driver is a participant index < p.atoms.len()
                     let lo_end = upper_bound(&p.atoms[driver].rows, frame.lo, frame.hi, depth, v);
                     frame.v = v;
                     frame.lo_end = lo_end;
                     self.phase = Phase::Narrow { idx: 0 };
                     ticker.node()?;
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i is a participant index < ranges.len() = p.atoms.len()"
+                )]
                 Phase::Narrow { idx } => {
                     let Some(frame) = self.frames.last_mut() else {
                         return Ok(None);
@@ -239,11 +250,10 @@ impl Machine {
                         self.phase = Phase::Enter;
                         continue;
                     };
-                    let r = self.ranges[i]; // lb-lint: allow(no-unchecked-index, panic-reachability) -- i is a participant index < ranges.len()
+                    let r = self.ranges[i];
                     let (nl, nh) = if i == frame.driver {
                         (frame.lo, frame.lo_end)
                     } else {
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- i is a participant index < p.atoms.len()
                         equal_range(&p.atoms[i].rows, r.lo, r.hi, r.depth, frame.v)
                     };
                     if nl == nh {
@@ -251,7 +261,6 @@ impl Machine {
                         self.phase = Phase::Step;
                         ticker.trie_advance()?;
                     } else {
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- i is a participant index < ranges.len()
                         self.ranges[i] = Range {
                             lo: nl,
                             hi: nh,
@@ -279,13 +288,21 @@ impl Machine {
 
 /// First index in [lo, hi) where `rows[idx][col] > v` (rows sorted, columns
 /// before `col` constant on the range).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lo <= hi <= rows.len(), and col < the uniform projected row arity"
+)]
 fn upper_bound(rows: &[Vec<Value>], lo: usize, hi: usize, col: usize, v: Value) -> usize {
-    lo + rows[lo..hi].partition_point(|r| r[col] <= v) // lb-lint: allow(no-unchecked-index, panic-reachability) -- col < the uniform projected row arity
+    lo + rows[lo..hi].partition_point(|r| r[col] <= v)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lo <= hi <= rows.len(), and col < the uniform projected row arity"
+)]
 fn equal_range(rows: &[Vec<Value>], lo: usize, hi: usize, col: usize, v: Value) -> (usize, usize) {
-    let start = lo + rows[lo..hi].partition_point(|r| r[col] < v); // lb-lint: allow(no-unchecked-index, panic-reachability) -- col < the uniform projected row arity
-    let end = start + rows[start..hi].partition_point(|r| r[col] == v); // lb-lint: allow(no-unchecked-index, panic-reachability) -- col < the uniform projected row arity
+    let start = lo + rows[lo..hi].partition_point(|r| r[col] < v);
+    let end = start + rows[start..hi].partition_point(|r| r[col] == v);
     (start, end)
 }
 
@@ -300,9 +317,12 @@ pub fn join(
     let attrs = q.attributes();
     let ord: Vec<String> = order.map(|o| o.to_vec()).unwrap_or_else(|| attrs.clone());
     let p = prepare(q, db, order)?;
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the chosen order covers every atom attribute"
+    )]
     let pos_of: Vec<usize> = attrs
         .iter()
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: the chosen order covers every atom attribute
         .map(|a| ord.iter().position(|x| x == a).expect("validated"))
         .collect();
     let mut ticker = Ticker::new(budget);

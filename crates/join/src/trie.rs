@@ -23,6 +23,8 @@
 //!
 //! [`Table`]: crate::Table
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::Value;
 
 /// One trie level: the distinct prefix-extension values (grouped by

@@ -86,6 +86,8 @@
 //! [`count_slice`]: lb_engine::resumable::count_slice
 //! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::database::{sort_dedup_rows, Database};
 use crate::query::{AnswerTuple, JoinQuery};
 use crate::trie::Trie;
@@ -776,10 +778,13 @@ impl Machine {
 }
 
 /// Positions of the sorted attributes within the chosen variable order.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the chosen order covers every atom attribute"
+)]
 fn attr_positions(attrs: &[String], ord: &[String]) -> Vec<usize> {
     attrs
         .iter()
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: the chosen order covers every atom attribute
         .map(|a| ord.iter().position(|x| x == a).expect("validated"))
         .collect()
 }
@@ -1312,6 +1317,11 @@ pub fn nested_loop_join(
     Ok(ticker.finish(result.map(Some)))
 }
 
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "invariant: validate_for checked every atom's relation before the join ran, so every atom attribute is in attrs (ai < attrs.len() = cand.len()) and a full pass assigns every attribute"
+)]
 fn nested_loop_inner(
     q: &JoinQuery,
     db: &Database,
@@ -1321,12 +1331,10 @@ fn nested_loop_inner(
     // Partial tuples: map attr index → value, grown atom by atom.
     let mut partial: Vec<Vec<Option<Value>>> = vec![vec![None; attrs.len()]];
     for atom in &q.atoms {
-        // lb-lint: allow(no-panic, panic-reachability) -- invariant: validate_for checked every atom's relation before the join ran
         let table = db.table(&atom.relation).expect("validated");
         let cols: Vec<usize> = atom
             .attrs
             .iter()
-            // lb-lint: allow(no-panic, panic-reachability) -- invariant: atom attributes are drawn from the sorted attribute set
             .map(|a| attrs.binary_search(a).expect("known"))
             .collect();
         let mut next = Vec::new();
@@ -1336,9 +1344,7 @@ fn nested_loop_inner(
                 let mut cand = pt.clone();
                 // lb-lint: allow(unbudgeted-loop) -- binds one row's attributes; bounded by arity, one pass per charged tuple
                 for (&ai, &v) in cols.iter().zip(row) {
-                    // lb-lint: allow(no-unchecked-index, panic-reachability) -- ai is a binary_search hit in attrs; cand.len() = attrs.len()
                     match cand[ai] {
-                        // lb-lint: allow(no-unchecked-index, panic-reachability) -- same bound as the match scrutinee above
                         None => cand[ai] = Some(v),
                         Some(existing) if existing == v => {}
                         Some(_) => continue 'rows,
@@ -1355,7 +1361,6 @@ fn nested_loop_inner(
         .into_iter()
         .map(|pt| {
             pt.into_iter()
-                // lb-lint: allow(no-panic, panic-reachability) -- invariant: a full variable order assigns every attribute
                 .map(|o| o.expect("all attrs covered"))
                 .collect()
         })

@@ -2,12 +2,16 @@
 //! justification, or naming an unknown rule. Both are themselves violations,
 //! and a reasonless allow does NOT suppress the underlying finding.
 
-pub fn head(xs: &[u32]) -> u32 {
-    // lb-lint: allow(no-panic)
-    *xs.first().unwrap()
+pub fn save() -> Result<(), String> {
+    Ok(())
 }
 
-pub fn second(xs: &[u32]) -> u32 {
+pub fn flush() {
+    // lb-lint: allow(swallowed-result)
+    let _ = save();
+}
+
+pub fn retry() {
     // lb-lint: allow(not-a-rule) -- the rule name is wrong
-    xs[1]
+    let _ = save();
 }

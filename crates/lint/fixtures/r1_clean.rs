@@ -1,5 +1,6 @@
-//! R1 fixture: every panicking call is test-only, allowlisted with a
-//! justification, or inside a string/comment (which the lexer must mask).
+//! R1 fixture: every panicking call is test-only, carries an `#[expect]`
+//! naming its invariant, or sits inside a string or comment. Checked by
+//! clippy under the panic-lint deny of the library crate roots.
 
 pub fn head(xs: &[u32]) -> Option<u32> {
     xs.first().copied()
@@ -8,12 +9,20 @@ pub fn head(xs: &[u32]) -> Option<u32> {
 pub fn always_first(xs: &[u32]) -> u32 {
     // The string below mentions unwrap() but is data, not code.
     let _doc = "never call unwrap() on user input";
-    // lb-lint: allow(no-panic) -- invariant: callers guarantee xs is nonempty
-    *xs.first().unwrap()
+    #[expect(
+        clippy::unwrap_used,
+        reason = "invariant: callers guarantee xs is nonempty"
+    )]
+    let first = *xs.first().unwrap();
+    first.saturating_add(1)
 }
 
-pub fn trailing_form(xs: &[u32]) -> u32 {
-    *xs.first().expect("nonempty") // lb-lint: allow(no-panic) -- invariant: callers guarantee xs is nonempty
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: callers guarantee xs is nonempty"
+)]
+pub fn item_form(xs: &[u32]) -> u32 {
+    *xs.first().expect("nonempty")
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-// R7 fixture: unchecked `[i]` indexing in a solver hot path.
-// (Linted as if it lived at crates/sat/src/dpll.rs.)
+//! R7 fixture: unchecked `[i]` indexing and range slicing in a solver hot
+//! path.
 
 pub struct Assignment {
     values: Vec<bool>,
@@ -11,4 +11,8 @@ pub fn value_of(a: &Assignment, var: usize) -> bool {
 
 pub fn cell(m: &[Vec<u32>], i: usize, j: usize) -> u32 {
     m[i][j]
+}
+
+pub fn tail(xs: &[u32], i: usize) -> &[u32] {
+    &xs[i..]
 }

@@ -14,7 +14,7 @@
 //! * `name(...)` resolves to the free functions named `name`, falling back
 //!   to any function of that name.
 //!
-//! Extra edges only make the reachability rules (R8/R9) stricter, so the
+//! Extra edges only make the reachability rules (R8, R11, R16) stricter, so the
 //! over-approximations are on the sound side for a gate; the one known
 //! under-approximation (bare identifiers passed as function pointers) is
 //! called out in the design notes.
@@ -162,14 +162,10 @@ impl CallGraph {
         CallGraph { nodes, edges }
     }
 
-    /// BFS from `roots`, skipping edges for which `cut` returns true.
-    /// Returns, per node, how it was first reached (`None` = unreachable).
-    /// Roots are visited in id order, so parent chains are deterministic.
-    pub fn reachable<F: Fn(&FnNode, usize) -> bool>(
-        &self,
-        roots: &[usize],
-        cut: F,
-    ) -> Vec<Option<Parent>> {
+    /// BFS from `roots`. Returns, per node, how it was first reached
+    /// (`None` = unreachable). Roots are visited in id order, so parent
+    /// chains are deterministic.
+    pub fn reachable(&self, roots: &[usize]) -> Vec<Option<Parent>> {
         let mut parent: Vec<Option<Parent>> = vec![None; self.nodes.len()];
         let mut queue = VecDeque::new();
         for &r in roots {
@@ -180,7 +176,7 @@ impl CallGraph {
         }
         while let Some(id) = queue.pop_front() {
             for e in &self.edges[id] {
-                if parent[e.to].is_some() || cut(&self.nodes[id], e.line) {
+                if parent[e.to].is_some() {
                     continue;
                 }
                 parent[e.to] = Some(Parent::Via {
@@ -369,27 +365,10 @@ fn island() {}
         let root = id_of(&g, "root");
         let leaf = id_of(&g, "leaf");
         let island = id_of(&g, "island");
-        let parents = g.reachable(&[root], |_, _| false);
+        let parents = g.reachable(&[root]);
         assert!(parents[leaf].is_some());
         assert!(parents[island].is_none());
         assert_eq!(g.chain_to(&parents, leaf), "root -> mid -> leaf");
-    }
-
-    #[test]
-    fn cut_edges_stop_reachability() {
-        let g = graph_of(&[(
-            "a.rs",
-            "\
-pub fn root() { mid(); }
-fn mid() { leaf(); }
-fn leaf() {}
-",
-        )]);
-        let root = id_of(&g, "root");
-        let leaf = id_of(&g, "leaf");
-        // Cut the call on line 2 (mid -> leaf).
-        let parents = g.reachable(&[root], |n, line| n.name == "mid" && line == 2);
-        assert!(parents[leaf].is_none());
     }
 
     #[test]

@@ -374,12 +374,12 @@ mod tests {
 
     #[test]
     fn comments_are_captured_and_masked() {
-        let f = scan("x(); // lb-lint: allow(no-panic) -- reason\ny();");
+        let f = scan("x(); // lb-lint: allow(unbudgeted-loop) -- reason\ny();");
         assert!(f.lines[0].code.contains("x();"));
         assert!(!f.lines[0].code.contains("lb-lint"));
         assert!(f.lines[0]
             .comment
-            .contains("lb-lint: allow(no-panic) -- reason"));
+            .contains("lb-lint: allow(unbudgeted-loop) -- reason"));
         assert!(f.lines[1].code.contains("y();"));
     }
 

@@ -9,33 +9,26 @@
 //! lightweight lexer (string-, comment-, and `#[cfg(test)]`-aware; no `syn`,
 //! because the build environment is offline).
 //!
-//! Conventions the toolchain can check are not re-implemented here: the
-//! workspace `[lints]` table in the root `Cargo.toml` forbids `unsafe`
-//! (formerly R3), denies dropped `Result`s (R4), `process::exit` (R5) and,
-//! through `clippy.toml`, ad-hoc `Instant::now` (R6); `crates/lp/src/lib.rs`
-//! and `crates/join/src/agm.rs` deny clippy's lossy-cast lints (R2). Those
-//! codes are retired, not reused. `lb-lint` enforces the rest:
+//! Conventions the toolchain can check are not re-implemented here. Every
+//! library crate root denies clippy's `unwrap_used`, `expect_used`,
+//! `panic`, `todo` and `unreachable` outside `cfg(test)` (formerly R1), and
+//! the solver hot-path files deny `indexing_slicing` (R7); each justified
+//! site carries an `#[expect(clippy::…, reason = "…")]`, which fails the
+//! build once the site is gone. The workspace `[lints]` table in the root
+//! `Cargo.toml` forbids `unsafe` (R3), denies dropped `Result`s (R4),
+//! `process::exit` (R5) and, through `clippy.toml`, ad-hoc `Instant::now`
+//! (R6); `crates/lp/src/lib.rs` and `crates/join/src/agm.rs` deny clippy's
+//! lossy-cast lints (R2). R9 (`panic-reachability`) flagged only R1 and R7
+//! sites and went with them. Those codes are retired, not reused.
 //!
-//! * **R1 `no-panic`** — no `unwrap()`/`expect()`/`panic!`/`todo!`/
-//!   `unreachable!` in non-test library code;
-//! * **R7 `no-unchecked-index`** — no unchecked `[i]` indexing in solver hot
-//!   paths (DPLL, 2SAT, CSP backtracking, WCOJ, clique, triangle): on
-//!   adversarial input a stray index is a panic where the contract demands
-//!   `Exhausted` or a typed error — use `get`/iterators, or an allow naming
-//!   the bounds invariant.
-//!
-//! On top of the token-level rules, a **semantic layer** ([`items`],
-//! [`graph`], [`semantic`]) parses `fn`/`impl` items, builds a
-//! workspace-wide call graph, and proves two invariants that lb-chaos
-//! previously only spot-checked dynamically:
+//! `lb-lint` enforces what the toolchain cannot express. A **semantic
+//! layer** ([`items`], [`graph`], [`semantic`]) parses `fn`/`impl` items,
+//! builds a workspace-wide call graph, and proves an invariant that
+//! lb-chaos previously only spot-checked dynamically:
 //!
 //! * **R8 `unbudgeted-loop`** — every loop transitively reachable from a
 //!   public solver entry point charges the `Budget` (directly or through a
-//!   callee), so exhaustion can always cancel and checkpoint;
-//! * **R9 `panic-reachability`** — no panic site is transitively reachable
-//!   from the panic-free public API surface without an explicit
-//!   `allow(panic-reachability)` stating the invariant (an R1 allow is a
-//!   local justification and does not discharge the reachability proof).
+//!   callee), so exhaustion can always cancel and checkpoint.
 //!
 //! R10 is retired too: checkpoint-format drift is caught by executing the
 //! formats, not by fingerprinting their source (the replay pins and the
@@ -96,6 +89,17 @@
 //! the workspace test `tests/lint_gate.rs` (so plain `cargo test` enforces
 //! it), and CI (`.github/workflows/ci.yml`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod dataflow;
 pub mod effects;
 pub mod graph;
@@ -114,7 +118,7 @@ pub use semantic::{CrateDataflow, SemanticStats};
 use std::io;
 use std::path::Path;
 
-/// The result of a full workspace analysis: all violations (token-level and
+/// The result of a full workspace analysis: all violations (directive and
 /// semantic), the file count, the allow directives in force, and semantic
 /// coverage statistics.
 #[derive(Debug, Clone)]
@@ -125,7 +129,7 @@ pub struct Analysis {
     pub files_checked: usize,
     /// The well-formed `lb-lint: allow` directives across those files.
     pub allows: AllowCounts,
-    /// Semantic-layer coverage statistics (roots, loops, panic sites…).
+    /// Semantic-layer coverage statistics (roots, loops, dataflow…).
     pub stats: SemanticStats,
 }
 
@@ -142,14 +146,14 @@ fn read_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Runs the full analysis (token rules R1/R7 per file, then the semantic
-/// rules R8–R16 over the workspace call graph).
+/// Runs the full analysis (the directive check per file, then the semantic
+/// rules R8 and R11–R16 over the workspace call graph).
 pub fn analyze_workspace(root: &Path, config: &Config) -> io::Result<Analysis> {
     let files = read_workspace(root)?;
     let mut violations = Vec::new();
     let mut allows = AllowCounts::default();
     for (rel, source) in &files {
-        violations.extend(rules::lint_source(rel, source, config));
+        violations.extend(rules::lint_source(rel, source));
         allows.absorb(&rules::count_allows(source));
     }
     let (semantic_violations, stats) = semantic::check(&files, config);

@@ -115,13 +115,12 @@ pub fn clean_summary(files_checked: usize, allows: &AllowCounts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{count_allows, lint_source, Config};
+    use crate::rules::{count_allows, lint_source};
 
     fn sample() -> Vec<Violation> {
         lint_source(
             "crates/x/src/foo.rs",
-            "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n",
-            &Config::default(),
+            "pub fn f() {} // lb-lint: allow(swallowed-result)\n",
         )
     }
 
@@ -136,8 +135,8 @@ mod tests {
     fn text_mentions_path_line_rule() {
         let text = render_text(&sample());
         assert!(text.contains("crates/x/src/foo.rs:1"));
-        assert!(text.contains("R1"));
-        assert!(text.contains("no-panic"));
+        assert!(text.contains("D0"));
+        assert!(text.contains("bad-directive"));
         assert!(text.contains("1 violation"));
     }
 
@@ -148,7 +147,7 @@ mod tests {
         assert!(json.contains("\"version\": 2"));
         assert!(json.contains("\"files_checked\": 3"));
         assert!(json.contains("\"allows\": {\"total\": 0, \"by_rule\": {}}"));
-        assert!(json.contains("\"rule\": \"no-panic\""));
+        assert!(json.contains("\"rule\": \"bad-directive\""));
         assert!(json.contains("\"line\": 1"));
         let empty = render_json(&[], 0, &AllowCounts::default());
         assert!(empty.contains("\"violations\": []"));
@@ -157,16 +156,17 @@ mod tests {
     #[test]
     fn allow_counts_are_reported() {
         let allows = count_allows(
-            "fn f(o: Option<u32>) -> u32 { o.unwrap() } // lb-lint: allow(no-panic, panic-reachability) -- checked\n",
+            "fn f() { loop {} } // lb-lint: allow(unbudgeted-loop, unbounded-growth) -- checked\n",
         );
         let json = render_json(&[], 1, &allows);
         assert!(
-            json.contains("\"allows\": {\"total\": 1, \"by_rule\": {\"no-panic\": 1, \"panic-reachability\": 1}}"),
+            json.contains("\"allows\": {\"total\": 1, \"by_rule\": {\"unbudgeted-loop\": 1, \"unbounded-growth\": 1}}"),
             "{json}"
         );
         let summary = clean_summary(1, &allows);
         assert!(
-            summary.contains("1 allow directives: R1 (no-panic) 1, R9 (panic-reachability) 1"),
+            summary
+                .contains("1 allow directives: R8 (unbudgeted-loop) 1, R11 (unbounded-growth) 1"),
             "{summary}"
         );
     }

@@ -1,40 +1,31 @@
 //! The repo-specific lint rules and the per-file checking engine.
 //!
-//! Conventions rustc and clippy can check (no `unsafe`, no dropped
+//! Conventions rustc and clippy can check (no panics in library code, no
+//! unchecked indexing in solver hot paths, no `unsafe`, no dropped
 //! `Result`, no `process::exit` in libraries, no ad-hoc `Instant::now`, no
-//! lossy casts in bound arithmetic) live in the workspace `[lints]` table
-//! and `clippy.toml`; the rules here are the ones the toolchain cannot
-//! express.
+//! lossy casts in bound arithmetic) live in the workspace `[lints]` table,
+//! `clippy.toml` and crate- or file-level `deny` attributes; the rules here
+//! are the ones the toolchain cannot express.
 //!
-//! Rules operate on the masked lines produced by [`crate::lexer::scan`], so
-//! they never fire inside strings or comments, and they respect the
-//! `// lb-lint: allow(rule) -- reason` escape hatch (a justification after
-//! `--` is mandatory; an allow without one is itself a violation).
+//! The per-file pass checks the `// lb-lint: allow(rule) -- reason` escape
+//! hatch itself, on the masked lines produced by [`crate::lexer::scan`] (so
+//! prose in strings is never a directive): a justification after `--` is
+//! mandatory, and an allow without one, or naming an unknown rule, is
+//! itself a violation.
 
 use crate::lexer::{scan, ScannedFile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-/// The enforced rules. Codes are stable: R2–R6 moved to rustc/clippy, R10
-/// gave way to the executed checkpoint goldens, and their codes are not
-/// reused.
+/// The enforced rules. Codes are stable: R1–R7 moved to rustc/clippy, R9
+/// repeated R1 and R7, R10 gave way to the executed checkpoint goldens, and
+/// their codes are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// R1: no `unwrap()`/`expect()`/`panic!`/`todo!`/`unreachable!` in
-    /// non-test library code.
-    NoPanic,
-    /// R7: no unchecked `[i]` indexing in solver hot paths — a stray index
-    /// panics instead of returning `Exhausted`/an error; use `get`,
-    /// iterators, or a justified allow.
-    NoUncheckedIndex,
     /// R8: every loop transitively reachable from a public solver entry
     /// point must charge the budget (directly or through a callee), so no
     /// reachable loop can spin uncancellable and uncheckpointable.
     UnbudgetedLoop,
-    /// R9: no panic site (`panic!`/`unwrap`/`expect`/`unreachable!`/
-    /// unchecked index) may be transitively reachable from the panic-free
-    /// public API surface without an explicit `allow(panic-reachability)`.
-    PanicReachability,
     /// R11: a loop-carried collection mutation (`push`/`insert`/`extend`/
     /// `push_back` on state that outlives the loop iteration) inside a
     /// budget-reachable loop must be charged to `RunStats.max_intermediate`
@@ -72,11 +63,8 @@ pub enum Rule {
 
 impl Rule {
     /// All real rules (excludes the directive pseudo-rule).
-    pub const ALL: [Rule; 10] = [
-        Rule::NoPanic,
-        Rule::NoUncheckedIndex,
+    pub const ALL: [Rule; 7] = [
         Rule::UnbudgetedLoop,
-        Rule::PanicReachability,
         Rule::UnboundedGrowth,
         Rule::SwallowedResult,
         Rule::SendHostileState,
@@ -88,10 +76,7 @@ impl Rule {
     /// The stable kebab-case name used in `allow(...)` directives.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoPanic => "no-panic",
-            Rule::NoUncheckedIndex => "no-unchecked-index",
             Rule::UnbudgetedLoop => "unbudgeted-loop",
-            Rule::PanicReachability => "panic-reachability",
             Rule::UnboundedGrowth => "unbounded-growth",
             Rule::SwallowedResult => "swallowed-result",
             Rule::SendHostileState => "send-hostile-state",
@@ -102,13 +87,10 @@ impl Rule {
         }
     }
 
-    /// The short code (R1, R7–R9, R11–R16, D0 for directives).
+    /// The short code (R8, R11–R16, D0 for directives).
     pub fn code(self) -> &'static str {
         match self {
-            Rule::NoPanic => "R1",
-            Rule::NoUncheckedIndex => "R7",
             Rule::UnbudgetedLoop => "R8",
-            Rule::PanicReachability => "R9",
             Rule::UnboundedGrowth => "R11",
             Rule::SwallowedResult => "R12",
             Rule::SendHostileState => "R13",
@@ -132,8 +114,8 @@ impl fmt::Display for Rule {
 }
 
 /// Whether a workspace-relative path (forward slashes) is library code.
-/// Tests, benches, examples, and binaries are not: a panic is their failure
-/// mechanism, so the panic rules (R1, R7, R9) skip them.
+/// Tests, benches, examples, and binaries are not, and the semantic rules
+/// skip them.
 pub(crate) fn is_library(rel_path: &str) -> bool {
     let p = rel_path.replace('\\', "/");
     !(p.contains("/tests/")
@@ -161,15 +143,10 @@ pub struct Violation {
     pub snippet: String,
 }
 
-/// Linter configuration: the hot-path scope of R7 plus the
-/// semantic-analysis scopes (R8, R9, R11–R16).
+/// Linter configuration: the semantic-analysis scopes (R8, R11–R16).
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path substrings whose files carry the `no-unchecked-index` rule:
-    /// solver hot paths, where a stray `[i]` is a panic on adversarial
-    /// input rather than an `Exhausted`/error verdict.
-    pub index_checked_paths: Vec<String>,
-    /// Path substrings whose public entry-point fns are the roots of R8/R9
+    /// Path substrings whose public entry-point fns are the roots of R8
     /// reachability (the surface lb-chaos guarantees panic-free).
     pub api_root_paths: Vec<String>,
     /// Path substrings whose reachable loops must charge the budget (R8).
@@ -240,17 +217,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            index_checked_paths: vec![
-                "crates/serve/src/protocol.rs".into(),
-                "crates/sat/src/dpll.rs".into(),
-                "crates/sat/src/twosat.rs".into(),
-                "crates/csp/src/solver/backtracking.rs".into(),
-                "crates/join/src/wcoj.rs".into(),
-                "crates/join/src/trie.rs".into(),
-                "crates/join/src/reference.rs".into(),
-                "crates/graphalg/src/clique.rs".into(),
-                "crates/graphalg/src/triangle.rs".into(),
-            ],
             api_root_paths: vec![
                 "crates/sat/src/".into(),
                 "crates/csp/src/".into(),
@@ -481,164 +447,20 @@ pub(crate) fn parse_allows(file: &ScannedFile) -> Allows {
     }
 }
 
-/// Lints one file's source text. `rel_path` is the workspace-relative path
-/// used for classification and reporting.
-pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
-    let library = is_library(rel_path);
-    let file = scan(source);
-    let allows = parse_allows(&file);
-    let mut out = Vec::new();
-
-    for (lineno, msg) in &allows.errors {
-        out.push(Violation {
+/// Checks one file's `lb-lint:` directives, reporting each malformed one
+/// (D0). `rel_path` is the workspace-relative path used for reporting.
+pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
+    parse_allows(&scan(source))
+        .errors
+        .into_iter()
+        .map(|(line, message)| Violation {
             rule: Rule::BadDirective,
             path: rel_path.to_string(),
-            line: *lineno,
-            message: msg.clone(),
-            snippet: snippet_at(source, *lineno),
-        });
-    }
-
-    let allowed = |lineno: usize, rule: Rule| allows.allowed(lineno, rule);
-
-    // R1 — no panics in non-test library code.
-    if library {
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let lineno = idx + 1;
-            for (needle, what) in [
-                (".unwrap()", "`unwrap()`"),
-                (".expect(", "`expect()`"),
-                ("panic!", "`panic!`"),
-                ("todo!", "`todo!`"),
-                ("unreachable!", "`unreachable!`"),
-            ] {
-                if contains_token(&line.code, needle) && !allowed(lineno, Rule::NoPanic) {
-                    out.push(Violation {
-                        rule: Rule::NoPanic,
-                        path: rel_path.to_string(),
-                        line: lineno,
-                        message: format!(
-                            "{what} in library code can panic on malformed input; return a typed error or add `// lb-lint: allow(no-panic) -- reason`"
-                        ),
-                        snippet: snippet_at(source, lineno),
-                    });
-                }
-            }
-        }
-    }
-
-    // R7 — no unchecked `[i]` indexing in solver hot paths.
-    let is_index_checked = config
-        .index_checked_paths
-        .iter()
-        .any(|p| rel_path.contains(p.as_str()));
-    if is_index_checked && library {
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let lineno = idx + 1;
-            if unchecked_index_in(&line.code).is_some() && !allowed(lineno, Rule::NoUncheckedIndex)
-            {
-                out.push(Violation {
-                    rule: Rule::NoUncheckedIndex,
-                    path: rel_path.to_string(),
-                    line: lineno,
-                    message: "unchecked `[i]` indexing in a solver hot path panics on an out-of-range index; use `get`/iterators, or add `// lb-lint: allow(no-unchecked-index) -- reason` stating the bounds invariant".into(),
-                    snippet: snippet_at(source, lineno),
-                });
-            }
-        }
-    }
-
-    out.sort_by_key(|v| (v.line, v.rule));
-    out
-}
-
-/// True when `needle` occurs in `code` on an identifier boundary: when the
-/// needle starts with an identifier character, the preceding character must
-/// not be one (so `my_panic!` does not match `panic!`). Needles starting
-/// with punctuation (`.unwrap()`) match anywhere.
-pub(crate) fn contains_token(code: &str, needle: &str) -> bool {
-    let needs_boundary = needle
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_alphanumeric() || c == '_');
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(needle) {
-        let abs = start + pos;
-        let prev = code[..abs].chars().next_back();
-        let boundary = !needs_boundary || !prev.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if boundary {
-            return true;
-        }
-        start = abs + needle.len();
-    }
-    false
-}
-
-/// Detects a `container[index]` expression on a masked code line, returning
-/// the byte offset of the `[` if found. A `[` indexes when the preceding
-/// non-whitespace character ends an expression: an identifier character,
-/// `)`, or `]`. Not flagged: attribute brackets (`#[...]`), macro brackets
-/// (`vec![...]`, preceded by `!`), array types/literals (preceded by
-/// punctuation), and range slicing (`&xs[a..b]` — a slice-length bug, not
-/// the per-element access this rule targets).
-pub(crate) fn unchecked_index_in(code: &str) -> Option<usize> {
-    let bytes = code.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' {
-            continue;
-        }
-        let before = code[..i].trim_end();
-        let Some(prev) = before.chars().next_back() else {
-            continue;
-        };
-        if !(prev.is_alphanumeric() || prev == '_' || prev == ')' || prev == ']') {
-            continue;
-        }
-        // A keyword before `[` introduces a pattern or an array literal
-        // (`let [a, b] = ..`, `return [x; 3]`), not an indexing expression.
-        if prev.is_alphanumeric() || prev == '_' {
-            let word_start = before
-                .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .map_or(0, |p| p + 1);
-            const KEYWORDS: [&str; 10] = [
-                "let", "mut", "ref", "return", "in", "match", "if", "while", "else", "box",
-            ];
-            if KEYWORDS.contains(&&before[word_start..]) {
-                continue;
-            }
-        }
-        // Find the matching `]` (nesting-aware) and skip range indexing.
-        let mut depth = 0usize;
-        let mut close = None;
-        for (j, &c) in bytes[i..].iter().enumerate() {
-            match c {
-                b'[' => depth += 1,
-                b']' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(i + j);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let inner = match close {
-            Some(c) => &code[i + 1..c],
-            None => &code[i + 1..],
-        };
-        if inner.contains("..") || inner.trim().is_empty() {
-            continue;
-        }
-        return Some(i);
-    }
-    None
+            line,
+            message,
+            snippet: snippet_at(source, line),
+        })
+        .collect()
 }
 
 pub(crate) fn snippet_at(source: &str, lineno: usize) -> String {
@@ -657,109 +479,32 @@ mod tests {
     use super::*;
 
     fn lint_lib(src: &str) -> Vec<Violation> {
-        lint_source("crates/x/src/foo.rs", src, &Config::default())
+        lint_source("crates/x/src/foo.rs", src)
     }
 
     #[test]
-    fn r1_flags_unwrap_in_library() {
-        let v = lint_lib("pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::NoPanic);
+    fn allow_without_reason_is_an_error() {
+        let src = "fn f() {} // lb-lint: allow(swallowed-result)\n";
+        let v = lint_lib(src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::BadDirective);
         assert_eq!(v[0].line, 1);
     }
 
     #[test]
-    fn r1_respects_test_code_and_allows() {
+    fn well_formed_allows_are_silent() {
         let src = "\
-fn g(o: Option<u32>) -> u32 {
-    o.expect(\"validated\") // lb-lint: allow(no-panic) -- invariant: validated upstream
-}
-#[cfg(test)]
-mod tests {
-    fn t() { None::<u32>.unwrap(); }
-}
+// lb-lint: allow(unbudgeted-loop) -- demonstration of line targeting
+fn f() { loop {} }
+fn g() { let _ = h(); } // lb-lint: allow(swallowed-result, unbounded-growth) -- best effort
 ";
         assert!(lint_lib(src).is_empty());
     }
 
     #[test]
-    fn r1_allow_without_reason_is_an_error() {
-        let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() } // lb-lint: allow(no-panic)\n";
-        let v = lint_lib(src);
-        assert!(v.iter().any(|v| v.rule == Rule::BadDirective));
-        // The un-justified allow does not suppress the violation.
-        assert!(v.iter().any(|v| v.rule == Rule::NoPanic));
-    }
-
-    #[test]
-    fn r1_standalone_allow_targets_next_line() {
-        let src = "\
-// lb-lint: allow(no-panic) -- demonstration of line targeting
-fn f(o: Option<u32>) -> u32 { o.unwrap() }
-";
+    fn directives_in_strings_are_not_directives() {
+        let src = "fn f() { let s = \"// lb-lint: allow(nothing)\"; }\n";
         assert!(lint_lib(src).is_empty());
-    }
-
-    #[test]
-    fn r1_skips_strings_and_comments() {
-        let src = "fn f() { let s = \".unwrap()\"; } // .unwrap() in a comment\n";
-        assert!(lint_lib(src).is_empty());
-    }
-
-    #[test]
-    fn r7_flags_indexing_in_hot_paths_only() {
-        let src = "fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(v.iter().any(|v| v.rule == Rule::NoUncheckedIndex));
-        // The same source outside the hot-path list: no R7.
-        let v = lint_source("crates/sat/src/cnf.rs", src, &Config::default());
-        assert!(!v.iter().any(|v| v.rule == Rule::NoUncheckedIndex));
-    }
-
-    #[test]
-    fn r7_permits_ranges_attributes_macros_and_types() {
-        let src = "\
-#[derive(Clone)]
-pub struct S { xs: Vec<u32> }
-fn f(xs: &[u32]) -> &[u32] { &xs[1..3] }
-fn g() -> [u8; 4] { [0; 4] }
-fn h() -> Vec<u32> { vec![1, 2] }
-fn k(xs: &[u32], i: usize) -> Option<&u32> { xs.get(i) }
-";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(
-            !v.iter().any(|v| v.rule == Rule::NoUncheckedIndex),
-            "false positive: {v:?}"
-        );
-    }
-
-    #[test]
-    fn r7_flags_nested_and_call_result_indexing() {
-        for src in [
-            "fn f(m: &[Vec<u32>], i: usize, j: usize) -> u32 { m[i][j] }\n",
-            "fn f(xs: &[u32]) -> u32 { make()[0] }\n",
-        ] {
-            let v = lint_source("crates/join/src/wcoj.rs", src, &Config::default());
-            assert!(
-                v.iter().any(|v| v.rule == Rule::NoUncheckedIndex),
-                "missed: {src}"
-            );
-        }
-    }
-
-    #[test]
-    fn r7_respects_allow_and_test_code() {
-        let src = "\
-fn f(xs: &[u32], i: usize) -> u32 {
-    xs[i] // lb-lint: allow(no-unchecked-index) -- i < xs.len() by construction
-}
-#[cfg(test)]
-mod tests {
-    fn t(xs: &[u32]) -> u32 { xs[0] }
-}
-";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
@@ -770,32 +515,32 @@ mod tests {
     }
 
     #[test]
-    fn multi_rule_allow() {
-        let src = "fn f(xs: &[u32]) -> u32 { xs[0].max(*xs.first().unwrap()) } // lb-lint: allow(no-unchecked-index, no-panic) -- xs is nonempty\n";
-        let v = lint_source("crates/sat/src/dpll.rs", src, &Config::default());
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
     fn allows_are_counted_per_directive_and_per_rule() {
         let src = "\
-fn f(xs: &[u32]) -> u32 { xs[0] } // lb-lint: allow(no-unchecked-index, panic-reachability) -- nonempty
-// lb-lint: allow(no-panic) -- validated upstream
-fn g(o: Option<u32>) -> u32 { o.unwrap() }
-fn h() {} // lb-lint: allow(no-panic)
+fn f() { loop {} } // lb-lint: allow(unbudgeted-loop, unbounded-growth) -- bounded
+// lb-lint: allow(swallowed-result) -- best effort
+fn g() { let _ = h(); }
+fn k() {} // lb-lint: allow(swallowed-result)
 ";
         let counts = count_allows(src);
         assert_eq!(counts.directives, 2, "the reasonless allow is not counted");
-        assert_eq!(counts.by_rule.get(&Rule::NoPanic), Some(&1));
-        assert_eq!(counts.by_rule.get(&Rule::NoUncheckedIndex), Some(&1));
-        assert_eq!(counts.by_rule.get(&Rule::PanicReachability), Some(&1));
+        assert_eq!(counts.by_rule.get(&Rule::UnbudgetedLoop), Some(&1));
+        assert_eq!(counts.by_rule.get(&Rule::UnboundedGrowth), Some(&1));
+        assert_eq!(counts.by_rule.get(&Rule::SwallowedResult), Some(&1));
     }
 
     #[test]
     fn removed_rule_names_are_bad_directives() {
-        // R2–R6 moved to rustc/clippy and R10 to the checkpoint goldens; a
-        // leftover allow naming one is stale.
-        for name in ["no-lossy-cast", "checkpoint-schema-drift"] {
+        // R1–R7 moved to rustc/clippy, R9 repeated R1 and R7, and R10 gave
+        // way to the checkpoint goldens; a leftover allow naming one is
+        // stale.
+        for name in [
+            "no-panic",
+            "no-unchecked-index",
+            "panic-reachability",
+            "no-lossy-cast",
+            "checkpoint-schema-drift",
+        ] {
             let v = lint_lib(&format!("fn f() {{}} // lb-lint: allow({name}) -- stale\n"));
             assert!(
                 v.iter().any(|v| v.rule == Rule::BadDirective),

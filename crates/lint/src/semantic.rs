@@ -1,21 +1,15 @@
-//! The call-graph semantic rules R8, R9 and R11–R16.
+//! The call-graph semantic rules R8 and R11–R16.
 //!
-//! Unlike the token-level rules in [`crate::rules`], these passes see the
-//! whole workspace at once: they parse every library file into `fn` items
-//! ([`crate::items`]), build a name-resolved call graph ([`crate::graph`]),
-//! and check two invariants that were previously enforced only
-//! dynamically (via lb-chaos fuzzing and property tests):
+//! Unlike the per-file directive check in [`crate::rules`], these passes
+//! see the whole workspace at once: they parse every library file into
+//! `fn` items ([`crate::items`]), build a name-resolved call graph
+//! ([`crate::graph`]), and check an invariant that was previously enforced
+//! only dynamically (via lb-chaos fuzzing and property tests):
 //!
 //! * **R8 `unbudgeted-loop`** — every `loop`/`while`/`for` in the solver
 //!   crates that is transitively reachable from a public entry point must
 //!   charge the `Budget`, either by a direct `Ticker` charge call in its
 //!   body or by calling (transitively) a function that charges.
-//! * **R9 `panic-reachability`** — no panic site may be transitively
-//!   reachable from the panic-free public API surface; every justified site
-//!   must carry `allow(panic-reachability)` (an R1 `allow(no-panic)` is a
-//!   *local* justification and deliberately does not satisfy R9 — the
-//!   reachability proof is a separate, stronger obligation). An allow on a
-//!   call line cuts that line's edges instead (per-edge suppression).
 //!
 //! The dataflow rules sit on top of the same graph, fed by the
 //! per-function summaries from [`crate::dataflow`]:
@@ -34,12 +28,9 @@
 use crate::dataflow::{self, FileFlow};
 use crate::effects::{self, CrateEffects, FileEffects};
 use crate::graph::CallGraph;
-use crate::items::{self, ParsedFile, Span};
+use crate::items::{self, ParsedFile};
 use crate::lexer::{scan, ScannedFile};
-use crate::rules::{
-    contains_token, is_library, parse_allows, snippet_at, unchecked_index_in, Allows, Config, Rule,
-    Violation,
-};
+use crate::rules::{is_library, parse_allows, snippet_at, Allows, Config, Rule, Violation};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Coverage statistics from a semantic run, for the dogfood self-tests and
@@ -48,12 +39,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 pub struct SemanticStats {
     /// Display names of the reachability roots, sorted and deduplicated.
     pub root_names: Vec<String>,
-    /// Functions reachable from the roots (before R9 edge cuts).
+    /// Functions reachable from the roots.
     pub reachable_fns: usize,
     /// Loops examined by R8 (reachable, in solver paths).
     pub loops_checked: usize,
-    /// Panic sites considered by R9 (before reachability filtering).
-    pub panic_sites: usize,
     /// Per-crate dataflow coverage (R11–R13), keyed by crate name.
     pub dataflow: BTreeMap<String, CrateDataflow>,
     /// Per-crate effect coverage (R14–R16), keyed by crate name.
@@ -93,7 +82,7 @@ fn path_matches(rel: &str, pats: &[String]) -> bool {
     pats.iter().any(|p| rel.contains(p.as_str()))
 }
 
-/// Runs R8, R9 and R11–R16 over the walked workspace files. `files` holds
+/// Runs R8 and R11–R16 over the walked workspace files. `files` holds
 /// `(workspace-relative path, source)` pairs in sorted path order.
 pub fn check(files: &[(String, String)], config: &Config) -> (Vec<Violation>, SemanticStats) {
     let sem_files = prepare(files, config);
@@ -167,7 +156,7 @@ pub fn check(files: &[(String, String)], config: &Config) -> (Vec<Violation>, Se
         graph.charging_set(|file, line| charge_lines.get(file).is_some_and(|s| s.contains(&line)));
 
     // ---- R8: reachable loops in solver paths must charge the budget. ----
-    let parents_all = graph.reachable(&roots, |_, _| false);
+    let parents_all = graph.reachable(&roots);
     stats.reachable_fns = parents_all.iter().filter(|p| p.is_some()).count();
     for (id, node) in graph.nodes.iter().enumerate() {
         if parents_all[id].is_none() || !path_matches(&node.file, &config.solver_loop_paths) {
@@ -202,79 +191,6 @@ pub fn check(files: &[(String, String)], config: &Config) -> (Vec<Violation>, Se
                 });
             }
         }
-    }
-
-    // ---- R9: panic sites reachable from the panic-free API surface. ----
-    // Sites: the R1 panic tokens everywhere in library code, plus unchecked
-    // indexing in the R7 hot-path files. An `allow(panic-reachability)` on
-    // the site line discharges the site; on a call line it cuts the edges.
-    let mut sites: Vec<(usize, usize, &'static str)> = Vec::new(); // (file idx, line, what)
-    for (fi, f) in sem_files.iter().enumerate() {
-        let indexed = path_matches(&f.rel, &config.index_checked_paths);
-        for (idx, line) in f.scanned.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let lineno = idx + 1;
-            for (needle, what) in [
-                (".unwrap()", "`unwrap()`"),
-                (".expect(", "`expect()`"),
-                ("panic!", "`panic!`"),
-                ("todo!", "`todo!`"),
-                ("unreachable!", "`unreachable!`"),
-            ] {
-                if contains_token(&line.code, needle) {
-                    sites.push((fi, lineno, what));
-                }
-            }
-            if indexed && unchecked_index_in(&line.code).is_some() {
-                sites.push((fi, lineno, "unchecked `[i]` indexing"));
-            }
-        }
-    }
-    stats.panic_sites = sites.len();
-    let parents_cut = graph.reachable(&roots, |caller, line| {
-        allowed(&caller.file, line, Rule::PanicReachability)
-    });
-    // Innermost-fn attribution: per file, the node ids with bodies.
-    let mut file_nodes: HashMap<&str, Vec<(Span, usize)>> = HashMap::new();
-    for (id, n) in graph.nodes.iter().enumerate() {
-        if let Some(body) = n.body {
-            file_nodes
-                .entry(n.file.as_str())
-                .or_default()
-                .push((body, id));
-        }
-    }
-    for (fi, lineno, what) in sites {
-        let f = &sem_files[fi];
-        if allowed(&f.rel, lineno, Rule::PanicReachability) {
-            continue;
-        }
-        let Some(&(_, id)) = file_nodes.get(f.rel.as_str()).and_then(|spans| {
-            spans
-                .iter()
-                .filter(|(s, _)| s.contains(lineno))
-                .min_by_key(|(s, _)| s.len())
-        }) else {
-            continue; // Site outside any fn body (const/static init).
-        };
-        if parents_cut[id].is_none() {
-            continue;
-        }
-        let chain = graph.chain_to(&parents_cut, id);
-        out.push(Violation {
-            rule: Rule::PanicReachability,
-            path: f.rel.clone(),
-            line: lineno,
-            message: format!(
-                "{what} is reachable from the panic-free public API (via {chain}); \
-                 refactor to a typed error, or state the invariant with \
-                 `// lb-lint: allow(panic-reachability) -- reason` on this line \
-                 (or on a call line along the chain to cut that edge)"
-            ),
-            snippet: snippet(&f.rel, lineno),
-        });
     }
 
     // ---- R11–R13: per-function dataflow + summary propagation. ----
@@ -751,7 +667,6 @@ mod tests {
         Config {
             api_root_paths: vec!["crates/s/src/".into()],
             solver_loop_paths: vec!["crates/s/src/".into()],
-            index_checked_paths: vec!["crates/s/src/hot.rs".into()],
             ..Config::default()
         }
     }
@@ -828,72 +743,6 @@ pub fn solve(n: u32) -> u32 {
 ";
         let (v, _) = run(&[("crates/s/src/lib.rs", src)], &mini_config());
         assert!(v.iter().all(|v| v.rule != Rule::UnbudgetedLoop));
-    }
-
-    #[test]
-    fn r9_flags_reachable_panic_with_chain() {
-        let src = "\
-pub fn solve(o: Option<u32>) -> u32 {
-    helper(o)
-}
-fn helper(o: Option<u32>) -> u32 {
-    o.unwrap()
-}
-";
-        let (v, _) = run(&[("crates/s/src/lib.rs", src)], &mini_config());
-        let hit = v
-            .iter()
-            .find(|v| v.rule == Rule::PanicReachability)
-            .expect("R9 must fire");
-        assert_eq!(hit.line, 5);
-        assert!(hit.message.contains("solve -> helper"), "{}", hit.message);
-    }
-
-    #[test]
-    fn r9_site_allow_and_edge_cut() {
-        let site_allowed = "\
-pub fn solve(o: Option<u32>) -> u32 {
-    o.unwrap() // lb-lint: allow(panic-reachability) -- input validated by caller
-}
-";
-        let (v, _) = run(&[("crates/s/src/lib.rs", site_allowed)], &mini_config());
-        assert!(v.iter().all(|v| v.rule != Rule::PanicReachability));
-
-        let edge_cut = "\
-pub fn solve(o: Option<u32>) -> u32 {
-    helper(o) // lb-lint: allow(panic-reachability) -- helper only sees Some here
-}
-fn helper(o: Option<u32>) -> u32 {
-    o.unwrap()
-}
-";
-        let (v, _) = run(&[("crates/s/src/lib.rs", edge_cut)], &mini_config());
-        assert!(v.iter().all(|v| v.rule != Rule::PanicReachability));
-    }
-
-    #[test]
-    fn r9_unreachable_panic_is_exempt_but_r1_still_applies() {
-        let src = "\
-fn never_called() -> u32 {
-    panic!(\"not on any public path\")
-}
-";
-        let (v, _) = run(&[("crates/s/src/lib.rs", src)], &mini_config());
-        assert!(v.iter().all(|v| v.rule != Rule::PanicReachability));
-    }
-
-    #[test]
-    fn r9_counts_unchecked_index_in_hot_paths() {
-        let src = "\
-pub fn solve(xs: &[u32], i: usize) -> u32 {
-    xs[i]
-}
-";
-        let (v, _) = run(&[("crates/s/src/hot.rs", src)], &mini_config());
-        assert!(v.iter().any(|v| v.rule == Rule::PanicReachability));
-        // The same file outside the hot-path list carries no index sites.
-        let (v, _) = run(&[("crates/s/src/cold.rs", src)], &mini_config());
-        assert!(v.iter().all(|v| v.rule != Rule::PanicReachability));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! Fixtures live in `crates/lint/fixtures/`, which the workspace walker
 //! skips — they are linted here explicitly, each under a synthetic
 //! workspace-relative path that exercises the intended path classification
-//! (hot-path module, solver crate, serve crate, …). The `r2`–`r6` fixtures
-//! belong to the rules that moved to rustc/clippy; `tests/lint_gate.rs` runs
-//! the toolchain on them.
+//! (solver crate, serve crate, …). The `r1`–`r7` fixtures and
+//! `stale_expect.rs` belong to the rules that moved to rustc/clippy;
+//! `tests/lint_gate.rs` runs the toolchain on them.
 
 use lb_lint::{lint_source, semantic, Config, Rule, Violation};
 use std::path::{Path, PathBuf};
@@ -21,103 +21,48 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read fixture {name}: {e}"))
 }
 
-/// Lints a fixture under `rel_path` and returns the sorted, deduplicated set
-/// of rules that fired.
-fn rules_fired(name: &str, rel_path: &str) -> Vec<Rule> {
-    let source = fixture(name);
-    let mut rules: Vec<Rule> = lint_source(rel_path, &source, &Config::default())
-        .into_iter()
-        .map(|v| v.rule)
-        .collect();
-    rules.sort();
-    rules.dedup();
-    rules
-}
-
-#[test]
-fn r1_violating_fixture_is_flagged() {
-    let v = lint_source(
-        "crates/x/src/foo.rs",
-        &fixture("r1_violating.rs"),
-        &Config::default(),
-    );
-    let r1 = v.iter().filter(|v| v.rule == Rule::NoPanic).count();
-    assert!(r1 >= 3, "expected unwrap+expect+todo to fire, got {v:?}");
-    assert!(v.iter().all(|v| v.rule == Rule::NoPanic));
-}
-
-#[test]
-fn r1_clean_fixture_is_silent() {
-    assert_eq!(rules_fired("r1_clean.rs", "crates/x/src/foo.rs"), vec![]);
-}
-
-#[test]
-fn r7_violating_fixture_is_flagged_in_hot_paths() {
-    let v = lint_source(
-        "crates/sat/src/dpll.rs",
-        &fixture("r7_violating.rs"),
-        &Config::default(),
-    );
-    let r7 = v
-        .iter()
-        .filter(|v| v.rule == Rule::NoUncheckedIndex)
-        .count();
-    assert_eq!(r7, 2, "both indexing sites must fire: {v:?}");
-}
-
-#[test]
-fn r7_violating_fixture_is_ignored_outside_hot_paths() {
-    // The same source in a non-hot-path module: R7 is scoped by path.
-    assert_eq!(
-        rules_fired("r7_violating.rs", "crates/sat/src/cnf.rs"),
-        vec![]
-    );
-}
-
-#[test]
-fn r7_clean_fixture_is_silent() {
-    assert_eq!(rules_fired("r7_clean.rs", "crates/sat/src/dpll.rs"), vec![]);
-}
-
 #[test]
 fn bad_directives_are_reported_and_do_not_suppress() {
-    let v = lint_source(
-        "crates/x/src/foo.rs",
-        &fixture("d0_bad_directive.rs"),
-        &Config::default(),
-    );
-    let d0 = v.iter().filter(|v| v.rule == Rule::BadDirective).count();
-    let r1 = v.iter().filter(|v| v.rule == Rule::NoPanic).count();
+    let source = fixture("d0_bad_directive.rs");
+    let v = lint_source("crates/x/src/foo.rs", &source);
+    let d0: Vec<usize> = v
+        .iter()
+        .filter(|v| v.rule == Rule::BadDirective)
+        .map(|v| v.line)
+        .collect();
     assert_eq!(
-        d0, 2,
+        d0,
+        vec![10, 15],
         "missing-reason and unknown-rule must both fire: {v:?}"
     );
-    assert_eq!(
-        r1, 1,
-        "a reasonless allow must not suppress the unwrap: {v:?}"
+    let v = semantic_violations_src(source, "crates/x/src/foo.rs", &Config::default());
+    assert!(
+        v.iter()
+            .any(|v| v.rule == Rule::SwallowedResult && v.line == 11),
+        "a reasonless allow must not suppress the discard: {v:?}"
     );
 }
 
 #[test]
 fn good_directives_suppress_cleanly() {
-    assert_eq!(
-        rules_fired("d0_good_directive.rs", "crates/x/src/foo.rs"),
-        vec![]
-    );
+    let source = fixture("d0_good_directive.rs");
+    let v = lint_source("crates/x/src/foo.rs", &source);
+    assert!(v.is_empty(), "{v:?}");
+    let v = semantic_violations_src(source, "crates/x/src/foo.rs", &Config::default());
+    assert!(v.is_empty(), "{v:?}");
 }
 
 // ---------------------------------------------------------------------------
-// Semantic rules (R8, R9): fixtures are linted as one-file workspaces through
+// Semantic rules (R8): fixtures are linted as one-file workspaces through
 // `semantic::check`, under a config that points the path-scoped knobs at the
 // synthetic `crates/s/src/` crate.
 // ---------------------------------------------------------------------------
 
-/// A config whose R8/R9 scopes cover the synthetic fixture crate.
+/// A config whose R8 scopes cover the synthetic fixture crate.
 fn sem_config() -> Config {
     Config {
         api_root_paths: vec!["crates/s/src/".into()],
         solver_loop_paths: vec!["crates/s/src/".into()],
-        index_checked_paths: vec!["crates/s/src/hot.rs".into()],
         ..Config::default()
     }
 }
@@ -174,55 +119,6 @@ fn r8_clean_fixture_is_silent() {
 fn r8_allowed_fixture_is_suppressed() {
     let v = semantic_violations("r8_allowed.rs", "crates/s/src/solver.rs", &sem_config());
     assert!(v.is_empty(), "allow(unbudgeted-loop) must suppress: {v:?}");
-}
-
-#[test]
-fn r9_violating_fixture_flags_reachable_panic_sites() {
-    // Outside the hot-path location only the unwrap fires; the `[i]` site is
-    // R7-scoped.
-    let v = semantic_violations("r9_violating.rs", "crates/s/src/solver.rs", &sem_config());
-    let r9: Vec<&Violation> = v
-        .iter()
-        .filter(|v| v.rule == Rule::PanicReachability)
-        .collect();
-    assert_eq!(r9.len(), 1, "exactly the unwrap must fire: {v:?}");
-    assert_eq!(r9[0].line, 10);
-    assert!(
-        r9[0].message.contains("solve -> helper"),
-        "diagnostic must name the reachability chain: {}",
-        r9[0].message
-    );
-
-    // Mounted as a hot-path file, the unchecked index is a site too.
-    let v = semantic_violations("r9_violating.rs", "crates/s/src/hot.rs", &sem_config());
-    let lines: Vec<usize> = v
-        .iter()
-        .filter(|v| v.rule == Rule::PanicReachability)
-        .map(|v| v.line)
-        .collect();
-    assert_eq!(
-        lines,
-        vec![10, 14],
-        "unwrap and `[i]` must both fire: {v:?}"
-    );
-}
-
-#[test]
-fn r9_clean_fixture_ignores_unreachable_panic_sites() {
-    let v = semantic_violations("r9_clean.rs", "crates/s/src/solver.rs", &sem_config());
-    assert!(
-        v.is_empty(),
-        "an unreachable unwrap must not fire R9: {v:?}"
-    );
-}
-
-#[test]
-fn r9_allowed_fixture_accepts_site_and_edge_directives() {
-    let v = semantic_violations("r9_allowed.rs", "crates/s/src/solver.rs", &sem_config());
-    assert!(
-        v.is_empty(),
-        "site allows and edge cuts must both suppress: {v:?}"
-    );
 }
 
 #[test]
@@ -578,12 +474,11 @@ fn r16_gate_flips_when_the_timeout_call_is_dropped() {
 
 #[test]
 fn every_rule_has_a_violating_and_a_clean_fixture() {
-    // Meta-check: the fixture corpus stays complete as rules evolve. R2–R6
+    // Meta-check: the fixture corpus stays complete as rules evolve. R1–R7
     // are the toolchain-checked rules of `tests/lint_gate.rs`.
     let dir = fixtures_root();
     for code in [
-        "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r11", "r12", "r13", "r14", "r15",
-        "r16",
+        "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r11", "r12", "r13", "r14", "r15", "r16",
     ] {
         for suffix in ["violating", "clean"] {
             let name = format!("{code}_{suffix}.rs");
@@ -592,13 +487,13 @@ fn every_rule_has_a_violating_and_a_clean_fixture() {
     }
     for name in [
         "r8_allowed.rs",
-        "r9_allowed.rs",
         "r11_allowed.rs",
         "r12_allowed.rs",
         "r13_allowed.rs",
         "r14_allowed.rs",
         "r15_allowed.rs",
         "r16_allowed.rs",
+        "stale_expect.rs",
     ] {
         assert!(dir.join(name).exists(), "fixture corpus is missing {name}");
     }

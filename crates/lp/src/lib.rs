@@ -23,6 +23,16 @@
 #![cfg_attr(
     not(test),
     deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+#![cfg_attr(
+    not(test),
+    deny(
         clippy::cast_possible_truncation,
         clippy::cast_precision_loss,
         clippy::cast_sign_loss

@@ -114,10 +114,12 @@ impl Rational {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: i128 overflow in rational ops is a bug, not bad input; operator impls cannot return Result"
+    )]
     fn checked(num: Option<i128>, den: Option<i128>) -> Rational {
-        // lb-lint: allow(no-panic) -- documented panic: i128 overflow in rational ops is a bug, not bad input; operator impls cannot return Result
         let num = num.expect("rational arithmetic overflow (numerator)");
-        // lb-lint: allow(no-panic) -- documented panic: i128 overflow in rational ops is a bug, not bad input; operator impls cannot return Result
         let den = den.expect("rational arithmetic overflow (denominator)");
         Rational::new(num, den)
     }
@@ -195,17 +197,19 @@ impl PartialOrd for Rational {
 }
 
 impl Ord for Rational {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: Ord cannot return Result; cross-multiplication past i128 is unsupported"
+    )]
     fn cmp(&self, other: &Rational) -> Ordering {
         // a/b vs c/d  ⇔  a·d vs c·b (b, d > 0).
         let lhs = self
             .num
             .checked_mul(other.den)
-            // lb-lint: allow(no-panic, panic-reachability) -- documented panic: Ord cannot return Result; cross-multiplication past i128 is unsupported
             .expect("rational comparison overflow");
         let rhs = other
             .num
             .checked_mul(self.den)
-            // lb-lint: allow(no-panic, panic-reachability) -- documented panic: Ord cannot return Result; cross-multiplication past i128 is unsupported
             .expect("rational comparison overflow");
         lhs.cmp(&rhs)
     }

@@ -61,8 +61,11 @@ pub fn has_clique_via_special(
     budget: &Budget,
 ) -> (Outcome<Vec<usize>>, RunStats) {
     let inst = reduce(g, k);
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the reduction constructs a special primal graph by design"
+    )]
     let (out, stats) = lb_csp::solver::special::solve_special(&inst, budget)
-        // lb-lint: allow(no-panic) -- invariant: the reduction constructs a special primal graph by design
         .expect("reduction output must have a special primal graph");
     let out = match out {
         Outcome::Sat(result) => match result.solution {

@@ -70,9 +70,12 @@ pub fn reduce_grouped(g: &Graph, t: usize, group_size: usize) -> CspInstance {
         "group size must divide t"
     );
     let k = t / group_size;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: domain sizes beyond usize are unsupported on this platform"
+    )]
     let domain = (n as u64)
         .checked_pow(group_size as u32)
-        // lb-lint: allow(no-panic) -- documented panic: domain sizes beyond usize are unsupported on this platform
         .expect("domain overflow") as usize;
     assert!(
         domain <= 1_000_000,

@@ -20,13 +20,16 @@ use std::sync::Arc;
 /// original database value of CSP value `d`), so solutions map back to
 /// answer tuples.
 #[must_use = "dropping the result discards the reduced instance or the failure"]
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: join_to_csp validated the database against the query up front, so every atom's relation exists and its attributes are in the collected set"
+)]
 pub fn join_to_csp(q: &JoinQuery, db: &Database) -> Result<(CspInstance, Vec<u64>), String> {
     db.validate_for(q)?;
     let attrs = q.attributes();
     // Active domain.
     let mut value_id: BTreeMap<u64, Value> = BTreeMap::new();
     for atom in &q.atoms {
-        // lb-lint: allow(no-panic) -- invariant: join_to_csp validated the database against the query up front
         for row in db.table(&atom.relation).expect("validated").rows() {
             for &v in row {
                 let next = value_id.len() as Value;
@@ -46,12 +49,10 @@ pub fn join_to_csp(q: &JoinQuery, db: &Database) -> Result<(CspInstance, Vec<u64
         let scope: Vec<usize> = atom
             .attrs
             .iter()
-            // lb-lint: allow(no-panic) -- invariant: atom attributes are drawn from the collected attribute set
             .map(|a| attrs.binary_search(a).expect("attribute known"))
             .collect();
         let tuples: Vec<Vec<Value>> = db
             .table(&atom.relation)
-            // lb-lint: allow(no-panic) -- invariant: join_to_csp validated the database against the query up front
             .expect("validated")
             .rows()
             .map(|row| row.iter().map(|v| value_id[v]).collect())

@@ -24,6 +24,17 @@
 //! * [`fourdomains`] — the §2 translations: join query ⇄ CSP ⇄ partitioned
 //!   subgraph isomorphism ⇄ relational-structure homomorphism.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod clique_to_csp;
 pub mod clique_to_special;
 pub mod clique_vc;

@@ -52,6 +52,8 @@
 //! [`find_slice`]: lb_engine::resumable::find_slice
 //! [`Checkpoint`]: lb_engine::checkpoint::Checkpoint
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::cnf::{CnfFormula, Lit};
 use lb_engine::checkpoint::{CheckpointError, Digest, PayloadReader, PayloadWriter, SolverFamily};
 use lb_engine::resumable::{self, Resumable};

@@ -21,6 +21,17 @@
 //! Every solver entry point takes a [`lb_engine::Budget`] and returns an
 //! [`lb_engine::Outcome`] paired with [`lb_engine::RunStats`] counters.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod brute;
 pub mod cnf;
 pub mod counting;

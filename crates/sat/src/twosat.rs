@@ -10,6 +10,8 @@
 //! [`RunStats::propagations`] tick; each variable resolved against the
 //! condensation is a [`RunStats::nodes`] tick.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::cnf::{CnfFormula, Lit};
 use lb_engine::{Budget, Outcome, RunStats, Ticker};
 use lb_graph::DiGraph;
@@ -38,19 +40,24 @@ pub fn solve_2sat(f: &CnfFormula, budget: &Budget) -> (Outcome<Vec<bool>>, RunSt
                 g.add_arc(a.negated().code(), b.code());
                 g.add_arc(b.negated().code(), a.code());
             }
-            // lb-lint: allow(no-panic, panic-reachability) -- invariant: clause width was checked to be <= 2 above
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: clause width was checked to be <= 2 above"
+            )]
             _ => unreachable!("width checked above"),
         }
     }
     let scc = g.tarjan_scc();
     let mut model = vec![false; n];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "literal codes are < 2n, the graph size, and v ranges over 0..n = model.len()"
+    )]
     for v in 0..n {
         if let Err(reason) = ticker.node() {
             return ticker.finish(Err(reason));
         }
-        // lb-lint: allow(no-unchecked-index, panic-reachability) -- literal codes are < 2n, the graph size
         let pos = scc.comp[Lit::pos(v).code()];
-        // lb-lint: allow(no-unchecked-index, panic-reachability) -- literal codes are < 2n, the graph size
         let neg = scc.comp[Lit::neg(v).code()];
         if pos == neg {
             return ticker.finish(Ok(None));
@@ -58,7 +65,7 @@ pub fn solve_2sat(f: &CnfFormula, budget: &Budget) -> (Outcome<Vec<bool>>, RunSt
         // Tarjan numbers components in reverse topological order, so the
         // literal whose component index is *smaller* is "later" in
         // topological order and must be set true.
-        model[v] = pos < neg; // lb-lint: allow(no-unchecked-index, panic-reachability) -- v ranges over 0..n = model.len()
+        model[v] = pos < neg;
     }
     debug_assert!(f.eval(&model), "2SAT model must satisfy the formula");
     ticker.finish(Ok(Some(model)))

@@ -29,6 +29,17 @@
 //! `lbtool submit` wrap the same entry points. The soak harness's job mix
 //! lives in [`jobmix`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod client;
 pub mod formats;
 pub mod job;

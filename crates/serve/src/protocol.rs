@@ -19,6 +19,8 @@
 //! client-visible `retry-after-ms` backoff hint: the server sheds load, it
 //! never hangs.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::job::{JobFamily, JobSpec, Submission, Verdict};
 use lb_engine::parse::{tokens, ParseError, ParseErrorKind};
 

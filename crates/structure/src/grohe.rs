@@ -58,6 +58,10 @@ pub fn solve_hom_via_core(
 }
 
 #[allow(clippy::type_complexity)]
+#[expect(
+    clippy::unreachable,
+    reason = "invariant: the sub-searches complete with Sat or exhaust: compute_core and the treewidth DP have no Unsat outcome, and every finite structure retracts onto its core"
+)]
 fn via_core_inner(
     a: &Structure,
     b: &Structure,
@@ -68,7 +72,6 @@ fn via_core_inner(
     let (core, _kept) = match core_out {
         Outcome::Sat(x) => x,
         Outcome::Exhausted(r) => return Err(r),
-        // lb-lint: allow(no-panic) -- invariant: compute_core completes with Sat or exhausts
         Outcome::Unsat => unreachable!("compute_core has no Unsat outcome"),
     };
     let a_gaifman = a.gaifman_graph();
@@ -89,7 +92,6 @@ fn via_core_inner(
     let dp_result = match dp_out {
         Outcome::Sat(r) => r,
         Outcome::Exhausted(r) => return Err(r),
-        // lb-lint: allow(no-panic) -- invariant: the treewidth DP completes with Sat or exhausts
         Outcome::Unsat => unreachable!("solve_auto has no Unsat outcome"),
     };
     let Some(core_hom) = dp_result.solution else {
@@ -106,7 +108,6 @@ fn via_core_inner(
     let retraction = match ret_out {
         Outcome::Sat(h) => h,
         Outcome::Exhausted(r) => return Err(r),
-        // lb-lint: allow(no-panic) -- invariant: every finite structure retracts onto its core
         Outcome::Unsat => unreachable!("A retracts onto its core by definition"),
     };
     let full: Vec<usize> = retraction.iter().map(|&x| core_hom[x]).collect();

@@ -173,7 +173,10 @@ fn backtrack<F: FnMut(&[usize]) -> bool>(
     let x = match next {
         Some(x) => x,
         None => {
-            // lb-lint: allow(no-panic) -- invariant: a complete homomorphism assigns every vertex
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: a complete homomorphism assigns every vertex"
+            )]
             let full: Vec<usize> = h.iter().map(|o| o.expect("complete")).collect();
             debug_assert!(a.is_homomorphism_to(b, &full));
             ticker.tuple()?;

@@ -19,6 +19,17 @@
 //! [`lb_engine::Budget`] and returns an [`lb_engine::Outcome`] paired with
 //! [`lb_engine::RunStats`] operation counters.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub mod convert;
 pub mod core;
 pub mod grohe;

@@ -5,4 +5,15 @@
 //! layout. All functionality lives in the member crates; see the
 //! [`lowerbounds`] umbrella crate for the public API.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unreachable
+    )
+)]
+
 pub use lowerbounds as lb;

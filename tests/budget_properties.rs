@@ -2,13 +2,13 @@
 //! solver family: a budget may only ever cost *completeness* (the solver
 //! says `Exhausted`), never *soundness* (a wrong `Sat`/`Unsat` verdict),
 //! and raising the budget until the solver completes must reproduce the
-//! brute-force answer with monotonically growing work counters.
+//! brute-force answer with monotonically growing work counters. That a
+//! budget split into checkpointed slices reproduces the one-shot run is
+//! `tests/resume_properties.rs`'s property.
 
 use proptest::prelude::*;
 
 use lowerbounds::csp::solver::{backtracking, bruteforce, treewidth_dp, BacktrackConfig};
-use lowerbounds::engine::checkpoint::{Checkpoint, CheckpointError, ResumableOutcome};
-use lowerbounds::engine::resumable::{count_slice, find_slice};
 use lowerbounds::engine::{Budget, ExhaustReason, Outcome, RunStats};
 use lowerbounds::graph::generators;
 use lowerbounds::graphalg::clique;
@@ -72,42 +72,6 @@ fn assert_expired_deadline_exhausts<W: std::fmt::Debug>((out, stats): (Outcome<W
 /// A deadline that has already passed when the solver starts.
 fn expired() -> Budget {
     Budget::deadline(std::time::Duration::ZERO)
-}
-
-/// The resume counterpart of [`doubling_budget_verdict`]: a budget split
-/// into k slices, chained through checkpoints, must reproduce the one-shot
-/// verdict and sum to the one-shot work counters. Checkpoints cross each
-/// slice boundary through their byte encoding, as they would on disk.
-fn sliced_budget_matches_one_shot<W: PartialEq + std::fmt::Debug>(
-    mut run: impl FnMut(
-        &Budget,
-        Option<&Checkpoint>,
-    ) -> Result<(ResumableOutcome<W>, RunStats), CheckpointError>,
-) {
-    let (full, full_stats) = run(&Budget::unlimited(), None).expect("one-shot run errored");
-    assert!(!full.is_suspended(), "suspended under an unlimited budget");
-    for k in [2u64, 5, 16] {
-        let slice_ticks = (full_stats.total_ops() / k).max(1);
-        let mut from: Option<Checkpoint> = None;
-        let mut summed = RunStats::default();
-        let sliced = loop {
-            let (out, stats) =
-                run(&Budget::ticks(slice_ticks), from.as_ref()).expect("slice errored");
-            summed.absorb(&stats);
-            match out {
-                ResumableOutcome::Suspended { checkpoint, .. } => {
-                    let bytes = checkpoint.to_bytes();
-                    from = Some(Checkpoint::from_bytes(&bytes).expect("round-trip failed"));
-                }
-                done => break done,
-            }
-        };
-        assert_eq!(sliced, full, "k={k}: sliced verdict diverged from one-shot");
-        assert_eq!(
-            summed, full_stats,
-            "k={k}: sliced stats diverged from one-shot"
-        );
-    }
 }
 
 proptest! {
@@ -228,34 +192,6 @@ proptest! {
         );
         prop_assert_eq!(verdict, oracle > 0);
         prop_assert_eq!(counts.last().copied(), Some(oracle));
-    }
-
-    /// Every resumable solver family: a budget split into k ∈ {2, 5, 16}
-    /// slices, chained via checkpoints, reproduces the one-shot verdict
-    /// and sums to the one-shot work counters.
-    #[test]
-    fn sliced_budgets_match_one_shot_every_family(
-        seed in 0u64..10_000, n in 4usize..8, p in 0.3f64..0.7,
-    ) {
-        // sat: DPLL.
-        let f = sgen::random_ksat(n, 3 * n, 3.min(n), seed);
-        let dpll = DpllSolver::default().search(&f);
-        sliced_budget_matches_one_shot(|b, from| find_slice(&dpll, b, from));
-        // csp: backtracking, decision and counting.
-        let g = generators::gnp(n, p, seed);
-        let inst = lowerbounds::csp::generators::random_binary_csp(&g, 2, 0.4, seed);
-        let csp = backtracking::CspSearch::new(&inst, BacktrackConfig::default());
-        sliced_budget_matches_one_shot(|b, from| find_slice(&csp, b, from));
-        sliced_budget_matches_one_shot(|b, from| count_slice(&csp, b, from));
-        // join: generic WCOJ count on the triangle query.
-        let q = JoinQuery::triangle();
-        let db = jgen::random_binary_database(&q, 3 * n, 5, seed);
-        let join = wcoj::JoinSearch::new(&q, &db, None).expect("valid database");
-        sliced_budget_matches_one_shot(|b, from| count_slice(&join, b, from));
-        // graphalg: triangle scan and clique enumeration.
-        let scan = lowerbounds::graphalg::triangle::TriangleScan::new(&g);
-        sliced_budget_matches_one_shot(|b, from| count_slice(&scan, b, from));
-        sliced_budget_matches_one_shot(|b, from| find_slice(&clique::CliqueSearch::new(&g, 3), b, from));
     }
 
     /// Every solver family charges `RunStats.max_intermediate`: the
