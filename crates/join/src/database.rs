@@ -52,11 +52,33 @@ impl Table {
         self.len += 1;
     }
 
-    /// Sorts rows lexicographically and removes duplicates, in place.
+    /// Adds one row whose values `fill` pushes straight onto the end of the
+    /// flat buffer, with no row buffer in between; `fill` only pushes. The
+    /// row is kept, and `fill`'s result returned, only if `fill` returns
+    /// `Some` after pushing exactly `arity` values; otherwise the table is
+    /// left as it was and the result is `None`.
+    pub fn push_with<T>(&mut self, fill: impl FnOnce(&mut Vec<Value>) -> Option<T>) -> Option<T> {
+        let start = self.data.len();
+        let kept = fill(&mut self.data).filter(|_| self.data.len() == start + self.arity);
+        if kept.is_some() {
+            self.len += 1;
+        } else {
+            self.data.truncate(start);
+        }
+        kept
+    }
+
+    /// Sorts rows lexicographically and removes duplicates, in place. Rows
+    /// that already increase strictly, as a serialized table's do, cost one
+    /// pass that leaves them as they are.
     pub fn normalize(&mut self) {
         if self.arity == 0 {
             self.len = self.len.min(1);
-        } else {
+        } else if !self
+            .data
+            .chunks_exact(self.arity)
+            .is_sorted_by(|a, b| a < b)
+        {
             sort_dedup_rows(&mut self.data, self.arity);
             self.len = self.data.len() / self.arity;
         }
@@ -220,6 +242,26 @@ mod tests {
         assert!(t.contains(&[]));
         assert_eq!(t.rows().collect::<Vec<_>>(), vec![&[] as &[Value]]);
         assert!(t.flat().is_empty());
+    }
+
+    #[test]
+    fn push_with_keeps_only_whole_accepted_rows() {
+        let mut t = Table::new(2);
+        let fill = |row: &'static [Value], answer: Option<u8>| {
+            move |flat: &mut Vec<Value>| {
+                flat.extend_from_slice(row);
+                answer
+            }
+        };
+        assert_eq!(t.push_with(fill(&[3, 1], Some(4))), Some(4));
+        // Too short, too long, and refused after pushing: each is undone.
+        assert_eq!(t.push_with(fill(&[7], Some(4))), None);
+        assert_eq!(t.push_with(fill(&[7, 8, 9], Some(4))), None);
+        assert_eq!(t.push_with(fill(&[7, 8], None)), None);
+        assert_eq!((t.len(), t.flat()), (1, &[3, 1][..]));
+        assert_eq!(t.push_with(fill(&[1, 2], Some(5))), Some(5));
+        t.normalize();
+        assert_eq!(t, Table::from_rows(2, vec![vec![3, 1], vec![1, 2]]));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! mandatory, and an allow without one, or naming an unknown rule, is
 //! itself a violation.
 
-use crate::lexer::{scan, ScannedFile};
+use crate::lexer::{scan, Line, ScannedFile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -424,11 +424,10 @@ pub(crate) fn parse_allows(file: &ScannedFile) -> Allows {
             }
             continue;
         }
-        // Standalone comment line → the allow targets the next code line.
+        // Standalone comment line → the allow targets the next code line
+        // that is not an outer attribute.
         let target = if line.code.trim().is_empty() {
-            file.lines[idx + 1..]
-                .iter()
-                .position(|l| !l.code.trim().is_empty())
+            next_item_line(file.lines.get(idx + 1..).unwrap_or_default())
                 .map(|off| lineno + 1 + off)
                 .unwrap_or(lineno)
         } else {
@@ -445,6 +444,40 @@ pub(crate) fn parse_allows(file: &ScannedFile) -> Allows {
         errors,
         counts,
     }
+}
+
+/// The index in `lines` of the first line carrying code other than outer
+/// attributes (`#[…]`, on one line or spread over several), or `None`. A
+/// line where code follows an attribute's closing `]` is that line.
+fn next_item_line(lines: &[Line]) -> Option<usize> {
+    // Unclosed `[` of the attribute being read.
+    let mut depth = 0usize;
+    lines.iter().position(|line| {
+        let mut code = line.code.trim_start();
+        loop {
+            if depth == 0 {
+                match code.strip_prefix("#[") {
+                    Some(attr) => {
+                        depth = 1;
+                        code = attr;
+                    }
+                    None => return !code.is_empty(),
+                }
+            }
+            // Just past the `]` that closes the attribute.
+            let Some(end) = code.char_indices().find_map(|(at, c)| {
+                match c {
+                    '[' => depth += 1,
+                    ']' => depth -= 1,
+                    _ => {}
+                }
+                (depth == 0).then_some(at + 1)
+            }) else {
+                return false;
+            };
+            code = code.get(end..).unwrap_or_default().trim_start();
+        }
+    })
 }
 
 /// Checks one file's `lb-lint:` directives, reporting each malformed one
@@ -499,6 +532,27 @@ fn f() { loop {} }
 fn g() { let _ = h(); } // lb-lint: allow(swallowed-result, unbounded-growth) -- best effort
 ";
         assert!(lint_lib(src).is_empty());
+    }
+
+    #[test]
+    fn standalone_allows_skip_outer_attributes() {
+        let src = "\
+// lb-lint: allow(unbudgeted-loop) -- one-line attribute
+#[expect(clippy::indexing_slicing, reason = \"x[0]\")]
+while a {}
+// lb-lint: allow(unbudgeted-loop) -- attribute over three lines, then another
+#[expect(
+    clippy::indexing_slicing, reason = \"]\"
+)] #[inline]
+fn f() {}
+// lb-lint: allow(unbudgeted-loop) -- code after the attribute's `]`
+#[inline] fn g() {}
+// lb-lint: allow(unbudgeted-loop) -- an inner attribute is code
+#![deny(x)]
+";
+        let mut targets: Vec<usize> = parse_allows(&scan(src)).by_line.into_keys().collect();
+        targets.sort_unstable();
+        assert_eq!(targets, vec![3, 8, 10, 12]);
     }
 
     #[test]

@@ -17,6 +17,20 @@
 //! The serializers emit text the matching parser round-trips exactly, so
 //! the soak job mix and the chaos storm can ship generated instances over
 //! the wire.
+//!
+//! The database and graph parsers read their rows in two ways. A run of
+//! plain rows takes the block scan (`scan_rows`): one pass over its bytes
+//! that appends each row straight into a [`Table`]'s flat buffer. A plain
+//! row is decimal numbers separated by spaces or tabs, none past
+//! `u64::MAX`, as many as the relation's arity (for an edge, two endpoints
+//! below `n`), ended by `\n`, `\r\n` or the end of the text. The first
+//! line that is not one — a header, a blank or `#` line, a `+` sign, a lone
+//! `\r` or other whitespace, a wrong count, an overflowing value — takes the
+//! token path with its 1-based line number, and the scan resumes after it.
+//! The token path accepts everything the scan accepts and more, and is the
+//! only code that builds a [`ParseError`].
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use lb_csp::{Constraint, CspInstance, Relation};
 use lb_engine::parse::{tokens, ParseError, ParseErrorKind};
@@ -43,41 +57,68 @@ pub fn parse_num<T: std::str::FromStr>(
     })
 }
 
-/// Reads a line of decimal numbers separated by spaces or tabs into `out`,
-/// in one byte scan with checked arithmetic. Returns false for any other
-/// line — a header, a comment, a `+` sign, a `\r`, other whitespace, a
-/// value past `u64::MAX` — and the caller then reads the line with the
-/// token path, the only code that builds a [`ParseError`].
-fn scan_numbers(line: &str, out: &mut Vec<u64>) -> bool {
-    out.clear();
+/// Reads the plain row at the start of `bytes` — decimal numbers separated
+/// by spaces or tabs, ended by `\n`, `\r\n` or the end of the text — in
+/// one pass with checked arithmetic, appending its values to `out`. Returns
+/// the row's length with its line ending, or `None` for any other line (a
+/// header, a comment, a `+` sign, a lone `\r`, other whitespace, a value
+/// past `u64::MAX`), with part of its values possibly appended.
+fn scan_line(bytes: &[u8], out: &mut Vec<u64>) -> Option<usize> {
     let mut acc = 0u64;
     let mut in_number = false;
-    for &b in line.as_bytes() {
-        match b {
+    for (i, &b) in bytes.iter().enumerate() {
+        let end = match b {
             b'0'..=b'9' => {
-                let Some(next) = acc
-                    .checked_mul(10)
-                    .and_then(|a| a.checked_add(u64::from(b - b'0')))
-                else {
-                    return false;
-                };
-                acc = next;
+                acc = acc.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
                 in_number = true;
+                continue;
             }
-            b' ' | b'\t' => {
-                if in_number {
-                    out.push(acc);
-                    acc = 0;
-                    in_number = false;
-                }
-            }
-            _ => return false,
+            b' ' | b'\t' => None,
+            b'\n' => Some(i + 1),
+            b'\r' if bytes.get(i + 1) == Some(&b'\n') => Some(i + 2),
+            _ => return None,
+        };
+        if in_number {
+            out.push(acc);
+            acc = 0;
+            in_number = false;
+        }
+        if end.is_some() {
+            return end;
         }
     }
     if in_number {
         out.push(acc);
     }
-    true
+    Some(bytes.len())
+}
+
+/// The block scanner: reads the run of rows at the start of `text` in one
+/// pass, handing `row` the bytes from each line's start on; `row` appends
+/// the row (through [`scan_line`]) and returns its length, or refuses the
+/// line with `None`. Returns the bytes and the lines read: the rest of the
+/// text starts with the first refused line.
+fn scan_rows(text: &str, mut row: impl FnMut(&[u8]) -> Option<usize>) -> (usize, usize) {
+    let bytes = text.as_bytes();
+    let (mut read, mut lines) = (0, 0);
+    while let Some(len) = bytes
+        .get(read..)
+        .filter(|rest| !rest.is_empty())
+        .and_then(&mut row)
+    {
+        read += len;
+        lines += 1;
+    }
+    (read, lines)
+}
+
+/// Splits the first line off `text`, as [`str::lines`] would yield it, and
+/// returns it with the text after its line ending.
+fn split_line(text: &str) -> (&str, &str) {
+    match text.split_once('\n') {
+        Some((line, rest)) => (line.strip_suffix('\r').unwrap_or(line), rest),
+        None => (text, ""),
+    }
 }
 
 /// Parses the CSP file format (see the module docs). Every structural
@@ -100,7 +141,9 @@ pub fn parse_csp(text: &str) -> Result<CspInstance, ParseError> {
         }
         toks.clear();
         toks.extend(tokens(raw));
-        let (kw_col, kw) = toks[0];
+        let Some(&(kw_col, kw)) = toks.first() else {
+            continue;
+        };
         match kw {
             "csp" => {
                 if inst.is_some() {
@@ -112,7 +155,7 @@ pub fn parse_csp(text: &str) -> Result<CspInstance, ParseError> {
                         },
                     ));
                 }
-                if toks.len() != 3 {
+                let [_, (vars_col, vars), (domain_col, domain_tok)] = *toks.as_slice() else {
                     return Err(ParseError::new(
                         lineno,
                         kw_col,
@@ -120,16 +163,16 @@ pub fn parse_csp(text: &str) -> Result<CspInstance, ParseError> {
                             what: "header (expected `csp <num_vars> <domain_size>`)".to_string(),
                         },
                     ));
-                }
-                let num_vars: usize = parse_num(lineno, toks[1].0, toks[1].1, "variable count")?;
-                let domain: usize = parse_num(lineno, toks[2].0, toks[2].1, "domain size")?;
+                };
+                let num_vars: usize = parse_num(lineno, vars_col, vars, "variable count")?;
+                let domain: usize = parse_num(lineno, domain_col, domain_tok, "domain size")?;
                 if domain > Value::MAX as usize {
                     return Err(ParseError::new(
                         lineno,
-                        toks[2].0,
+                        domain_col,
                         ParseErrorKind::OutOfRange {
                             what: "domain size".to_string(),
-                            token: toks[2].1.to_string(),
+                            token: domain_tok.to_string(),
                             limit: format!("at most {}", Value::MAX),
                         },
                     ));
@@ -155,7 +198,7 @@ pub fn parse_csp(text: &str) -> Result<CspInstance, ParseError> {
                         },
                     ));
                 };
-                let scope_toks = &toks[1..sep];
+                let scope_toks = toks.get(1..sep).unwrap_or_default();
                 if scope_toks.is_empty() {
                     return Err(ParseError::new(
                         lineno,
@@ -182,7 +225,7 @@ pub fn parse_csp(text: &str) -> Result<CspInstance, ParseError> {
                     scope.push(v);
                 }
                 let mut tuples = Vec::new();
-                for &(col, tok) in &toks[sep + 1..] {
+                for &(col, tok) in toks.get(sep + 1..).unwrap_or_default() {
                     let mut tuple = Vec::with_capacity(scope.len());
                     for part in tok.split(',') {
                         let v: Value = parse_num(lineno, col, part, "tuple value")?;
@@ -262,34 +305,42 @@ pub fn format_csp(inst: &CspInstance) -> String {
 
 /// Parses the relational database format (see the module docs). Every row
 /// is validated against its relation's declared arity before it reaches
-/// [`Table`], whose constructors assert on mismatches; rows load with set
-/// semantics (sorted, deduplicated).
+/// [`Table`]; rows load with set semantics (sorted, deduplicated).
 pub fn parse_db(text: &str) -> Result<Database, ParseError> {
     use lb_join::Value;
     let mut db = Database::new();
     let mut open: Option<(String, Table)> = None;
-    // One token buffer and one row buffer serve every line.
+    // One token buffer and one row buffer serve every token-path line.
     let mut toks: Vec<(usize, &str)> = Vec::new();
     let mut row: Vec<Value> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        // A plain row of the open relation takes one byte scan; every other
-        // line takes the token path below.
+    let mut rest = text;
+    let mut lineno = 0;
+    while !rest.is_empty() {
+        // The open relation's run of plain rows takes the block scan; the
+        // line that ends the run takes the token path below.
         if let Some((_, table)) = open.as_mut() {
-            if scan_numbers(raw, &mut row) && row.len() == table.arity() {
-                table.push(&row);
-                continue;
+            let (read, lines) =
+                scan_rows(rest, |line| table.push_with(|flat| scan_line(line, flat)));
+            rest = rest.get(read..).unwrap_or_default();
+            lineno += lines;
+            if rest.is_empty() {
+                break;
             }
         }
-        let lineno = idx + 1;
+        let (raw, next) = split_line(rest);
+        rest = next;
+        lineno += 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         toks.clear();
         toks.extend(tokens(raw));
-        let (kw_col, kw) = toks[0];
+        let Some(&(kw_col, kw)) = toks.first() else {
+            continue;
+        };
         if kw == "rel" {
-            if toks.len() != 3 {
+            let [_, (name_col, name), (arity_col, arity_tok)] = *toks.as_slice() else {
                 return Err(ParseError::new(
                     lineno,
                     kw_col,
@@ -297,8 +348,7 @@ pub fn parse_db(text: &str) -> Result<Database, ParseError> {
                         what: "relation header (expected `rel <name> <arity>`)".to_string(),
                     },
                 ));
-            }
-            let (name_col, name) = toks[1];
+            };
             if db.table(name).is_some() || open.as_ref().is_some_and(|(open, _)| open == name) {
                 return Err(ParseError::new(
                     lineno,
@@ -308,20 +358,20 @@ pub fn parse_db(text: &str) -> Result<Database, ParseError> {
                     },
                 ));
             }
-            let name = name.to_string();
-            let arity: usize = parse_num(lineno, toks[2].0, toks[2].1, "relation arity")?;
+            let arity: usize = parse_num(lineno, arity_col, arity_tok, "relation arity")?;
             if arity == 0 {
                 return Err(ParseError::new(
                     lineno,
-                    toks[2].0,
+                    arity_col,
                     ParseErrorKind::OutOfRange {
                         what: "relation arity".to_string(),
-                        token: toks[2].1.to_string(),
+                        token: arity_tok.to_string(),
                         limit: "at least 1".to_string(),
                     },
                 ));
             }
-            if let Some((prev_name, mut prev_table)) = open.replace((name, Table::new(arity))) {
+            let opened = (name.to_string(), Table::new(arity));
+            if let Some((prev_name, mut prev_table)) = open.replace(opened) {
                 prev_table.normalize();
                 db.insert(&prev_name, prev_table);
             }
@@ -389,27 +439,34 @@ pub fn format_db(q: &JoinQuery, db: &Database) -> String {
 /// `u v` edge with both endpoints `< n`.
 pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
     let mut n: Option<usize> = None;
-    let mut edges = Vec::new();
-    let mut last_line = 0;
-    // One token buffer and one number buffer serve every line.
+    // The endpoints, two per edge, row-major.
+    let mut ends = Table::new(2);
+    // One token buffer serves every token-path line.
     let mut toks: Vec<(usize, &str)> = Vec::new();
-    let mut nums: Vec<u64> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        last_line = lineno;
-        // A plain in-range `u v` edge takes one byte scan; every other line
-        // (out-of-range endpoints included) takes the token path below.
+    let mut rest = text;
+    let mut lineno = 0;
+    while !rest.is_empty() {
+        // A run of plain in-range `u v` edges takes the block scan; the line
+        // that ends the run (out-of-range endpoints included) takes the
+        // token path below.
         if let Some(nv) = n {
-            if scan_numbers(raw, &mut nums) {
-                let endpoint = |x: u64| usize::try_from(x).ok().filter(|&v| v < nv);
-                if let [u, v] = nums[..] {
-                    if let (Some(u), Some(v)) = (endpoint(u), endpoint(v)) {
-                        edges.push((u, v));
-                        continue;
-                    }
-                }
+            let in_range = |x: &u64| usize::try_from(*x).is_ok_and(|v| v < nv);
+            let (read, lines) = scan_rows(rest, |line| {
+                ends.push_with(|flat| {
+                    let start = flat.len();
+                    let len = scan_line(line, flat)?;
+                    flat.get(start..)?.iter().all(in_range).then_some(len)
+                })
+            });
+            rest = rest.get(read..).unwrap_or_default();
+            lineno += lines;
+            if rest.is_empty() {
+                break;
             }
         }
+        let (raw, next) = split_line(rest);
+        rest = next;
+        lineno += 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -417,21 +474,23 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
         toks.clear();
         toks.extend(tokens(raw));
         let Some(nv) = n else {
-            let (col, tok) = toks[0];
-            if toks.len() != 1 {
-                return Err(ParseError::new(
-                    lineno,
-                    toks[1].0,
-                    ParseErrorKind::TrailingGarbage {
-                        token: toks[1].1.to_string(),
-                    },
-                ));
+            match *toks.as_slice() {
+                [(col, tok)] => n = Some(parse_num(lineno, col, tok, "vertex count")?),
+                [_, (col, tok), ..] => {
+                    return Err(ParseError::new(
+                        lineno,
+                        col,
+                        ParseErrorKind::TrailingGarbage {
+                            token: tok.to_string(),
+                        },
+                    ));
+                }
+                [] => {}
             }
-            n = Some(parse_num(lineno, col, tok, "vertex count")?);
             continue;
         };
-        if toks.len() != 2 {
-            let (col, _) = toks.get(2).copied().unwrap_or(toks[0]);
+        let [u, v] = *toks.as_slice() else {
+            let col = toks.get(2).or(toks.first()).map_or(1, |&(col, _)| col);
             return Err(ParseError::new(
                 lineno,
                 col,
@@ -439,8 +498,8 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
                     what: "edge line (expected `u v`)".to_string(),
                 },
             ));
-        }
-        let endpoint = |&(col, tok): &(usize, &str)| -> Result<usize, ParseError> {
+        };
+        let endpoint = |(col, tok): (usize, &str)| -> Result<usize, ParseError> {
             let v: usize = parse_num(lineno, col, tok, "edge endpoint")?;
             if v >= nv {
                 return Err(ParseError::new(
@@ -455,16 +514,22 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
             }
             Ok(v)
         };
-        edges.push((endpoint(&toks[0])?, endpoint(&toks[1])?));
+        ends.push(&[endpoint(u)? as u64, endpoint(v)? as u64]);
     }
     let Some(n) = n else {
         return Err(ParseError::at_eof(
-            last_line + 1,
+            lineno + 1,
             ParseErrorKind::Missing {
                 what: "vertex count line".to_string(),
             },
         ));
     };
+    // Every endpoint is below `n`, a `usize`.
+    let (pairs, _) = ends.flat().as_chunks::<2>();
+    let edges: Vec<(usize, usize)> = pairs
+        .iter()
+        .map(|&[u, v]| (u as usize, v as usize))
+        .collect();
     Ok(Graph::from_edges(n, &edges))
 }
 

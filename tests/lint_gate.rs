@@ -51,11 +51,12 @@ const PANIC_LINTS: [&str; 6] = [
     "clippy::indexing_slicing",
 ];
 
-/// The solver hot paths that deny `clippy::indexing_slicing`: on
-/// adversarial input a stray index there is a panic where the contract
-/// demands `Exhausted` or a typed error.
-const INDEX_CHECKED: [&str; 9] = [
+/// The solver hot paths and the byte scanners that deny
+/// `clippy::indexing_slicing`: on adversarial input a stray index there is
+/// a panic where the contract demands `Exhausted` or a typed error.
+const INDEX_CHECKED: [&str; 10] = [
     "crates/serve/src/protocol.rs",
+    "crates/serve/src/formats.rs",
     "crates/sat/src/dpll.rs",
     "crates/sat/src/twosat.rs",
     "crates/csp/src/solver/backtracking.rs",
